@@ -78,8 +78,10 @@ def cmd_validate(args) -> int:
     lines.append(f"hermitian: {'ok' if all(report.hermitian_ok) else 'FAIL'}")
     lines.append(f"linearly independent: {'ok' if report.independent else 'FAIL'}")
     lines.append(f"trivial common kernel: {'ok' if report.common_kernel_trivial else 'FAIL'}")
+    definite = report.definite_combination
     lines.append("definite combination: "
-                 + ("present (degenerate direction exists)" if report.definite_combination else "none found"))
+                 + (f"{_fmt_witness(definite)} (no common null direction)" if definite
+                    else "none found"))
     lines.append("tumanov witness: "
                  + (_fmt_witness(witness) if witness else "none within bound"))
     ok = report.all_passed and witness is not None

@@ -420,58 +420,3 @@ def _canonical_kernel_basis(vectors, ncols: int):
         out.append(tuple(dense))
     return out
 
-
-class RationalRowBasis:
-    """Factorization of a set of independent rational row vectors.
-
-    Used to express new vectors as exact linear combinations of the rows
-    (membership solve).  Raises InternalCheckError if the rows turn out to
-    be dependent or a queried vector lies outside their span.
-    """
-
-    def __init__(self, rows):
-        self.nrows = len(rows)
-        self.ncols = len(rows[0]) if rows else 0
-        # Gauss-Jordan with bookkeeping: reduced rows + the transform matrix
-        red = [list(map(Fraction, r)) for r in rows]
-        trans = [[Fraction(i == j) for j in range(self.nrows)] for i in range(self.nrows)]
-        pivots = []
-        r = 0
-        for c in range(self.ncols):
-            pr = next((i for i in range(r, self.nrows) if red[i][c]), None)
-            if pr is None:
-                continue
-            red[r], red[pr] = red[pr], red[r]
-            trans[r], trans[pr] = trans[pr], trans[r]
-            inv = 1 / red[r][c]
-            red[r] = [x * inv for x in red[r]]
-            trans[r] = [x * inv for x in trans[r]]
-            for i in range(self.nrows):
-                if i != r and red[i][c]:
-                    f = red[i][c]
-                    red[i] = [a - f * b for a, b in zip(red[i], red[r])]
-                    trans[i] = [a - f * b for a, b in zip(trans[i], trans[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.nrows:
-                break
-        if r != self.nrows:
-            raise InternalCheckError("rows are linearly dependent")
-        self._red = red
-        self._trans = trans
-        self._pivots = pivots
-
-    def express(self, vec):
-        """Coefficients c with sum(c_i * row_i) == vec, else InternalCheckError."""
-        vec = list(map(Fraction, vec))
-        if len(vec) != self.ncols:
-            raise DimensionError("vector length mismatch")
-        coeffs = [Fraction(0)] * self.nrows
-        for r, p in enumerate(self._pivots):
-            if vec[p]:
-                f = vec[p]
-                vec = [a - f * b for a, b in zip(vec, self._red[r])]
-                coeffs = [a + f * b for a, b in zip(coeffs, self._trans[r])]
-        if any(vec):
-            raise InternalCheckError("vector not in span (closure failure)")
-        return tuple(coeffs)

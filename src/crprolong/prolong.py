@@ -15,9 +15,13 @@ phi flattened row-major (source basis major) followed by psi, so the
 canonical nullspace basis makes every run byte-reproducible.
 
 Brackets between nonnegative degrees are reconstructed from the actions
-([h, X] = [f, [g, X]] - [g, [f, X]]) and expressed in the computed bases;
-the expression step doubles as the closure assertion, and a full exact
-Jacobi sweep over all basis triples is available as a consistency gate.
+([h, X] = [f, [g, X]] - [g, [f, X]]) as sparse vectors in that same layout.
+The canonical kernel basis has a 1 at each element's trailing column and 0
+there in every other element, so the coefficients of h are read off at those
+columns; one exact comparison of h with the combination over the whole
+(phi, psi) vector is the closure assertion.  A full exact Jacobi sweep over
+all basis triples, on integer tables with one common denominator, is
+available as a consistency gate.
 """
 
 from __future__ import annotations
@@ -25,10 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Optional
+from typing import NamedTuple
 
 from .errors import InternalCheckError, NonterminationError
-from .linalg import RationalRowBasis, sparse_int_nullspace
+from .linalg import sparse_int_nullspace
 from .model import LeviTanakaAlgebra, QuadricModel, build_levi_tanaka
 
 _F0 = Fraction(0)
@@ -174,6 +178,31 @@ def prolong_step(lt: LeviTanakaAlgebra, pieces: dict, i: int):
     return out
 
 
+def _nonzero(vec):
+    """Sparse form of a dense vector: its nonzero (index, value) pairs."""
+    return tuple((i, x) for i, x in enumerate(vec) if x)
+
+
+def _swapped(table):
+    """Table of [B_b, B_a] from a table of sparse [B_a, B_b] entries."""
+    return [[tuple((t, -x) for t, x in row[b]) for row in table]
+            for b in range(len(table[0]))]
+
+
+class _SparseBasis(NamedTuple):
+    """Sparse view of the canonical basis of one degree d >= 0.
+
+    ``phi[g][s]`` and ``psi[g][j]`` hold the nonzero ``(index, value)`` pairs
+    of [B_g, X_s] in g_{d-1} and [B_g, W_j] in g_{d-2}; ``flat[g]`` is B_g in
+    the kernel layout of ``compute_g0``/``prolong_step`` (phi row-major, then
+    psi row-major) as {column: value}; ``trailing[g]`` is its last column.
+    """
+    phi: tuple
+    psi: tuple
+    flat: tuple
+    trailing: tuple
+
+
 class GradedLieAlgebra:
     """The full prolongation: m plus the computed nonnegative pieces."""
 
@@ -184,7 +213,7 @@ class GradedLieAlgebra:
         self.dims = {-2: lt.k, -1: 2 * lt.n}
         self.dims.update({d: len(p) for d, p in sorted(pieces.items())})
         self._sc = None
-        self._expressers = {}
+        self._views = {}
 
     # -- basic queries ------------------------------------------------------
     def dim(self, d: int) -> int:
@@ -196,16 +225,51 @@ class GradedLieAlgebra:
     def degrees(self):
         return sorted(self.dims)
 
-    def _expresser(self, d: int) -> RationalRowBasis:
-        """Row basis of flattened phi actions of g_d (faithfulness assertion)."""
-        if d not in self._expressers:
-            rows = [[x for col in phi for x in col] for phi, _ in self.pieces[d]]
-            try:
-                self._expressers[d] = RationalRowBasis(rows)
-            except InternalCheckError as exc:
+    def _sparse(self, d: int) -> _SparseBasis:
+        """Sparse view of the g_d basis, checked once: the phi parts are
+        independent (faithfulness) and each element has a 1 at its trailing
+        column where every other element vanishes (canonical kernel form)."""
+        view = self._views.get(d)
+        if view is not None:
+            return view
+        piece = self.pieces[d]
+        phi = tuple(tuple(map(_nonzero, p)) for p, _ in piece)
+        psi = tuple(tuple(map(_nonzero, q)) for _, q in piece)
+        flat = tuple(dict(_nonzero([x for part in elem for row in part for x in row]))
+                     for elem in piece)
+        # the phi parts are independent iff the transposed system has no kernel
+        nphi = 2 * self.n * self.dims[d - 1]
+        columns = {}
+        for g, vec in enumerate(flat):
+            for c, v in vec.items():
+                if c < nphi:
+                    columns.setdefault(c, {})[g] = v
+        if sparse_int_nullspace(_rows_to_int(columns.values()), len(piece)):
+            raise InternalCheckError(
+                f"degree {d} elements are not determined by their g_-1 action")
+        trailing = tuple(max(vec) for vec in flat)
+        for g, t in enumerate(trailing):
+            others = [h for h, vec in enumerate(flat) if h != g and t in vec]
+            if flat[g][t] != 1 or others:
                 raise InternalCheckError(
-                    f"degree {d} elements are not determined by their g_-1 action") from exc
-        return self._expressers[d]
+                    f"degree {d} basis element {g} is not in canonical kernel form at "
+                    f"its trailing column {t}: value {flat[g][t]}, also nonzero in "
+                    f"elements {others}")
+        view = self._views[d] = _SparseBasis(phi, psi, flat, trailing)
+        return view
+
+    def _read_off(self, d: int, vec: dict):
+        """Coefficients of the sparse (phi, psi) vector ``vec`` in the g_d
+        basis, read at the trailing columns, and the first column where
+        ``vec`` differs from that combination (None when it is equal)."""
+        view = self._sparse(d)
+        coeffs = tuple(vec.get(t, _F0) for t in view.trailing)
+        rest = dict(vec)
+        for c, elem in zip(coeffs, view.flat):
+            if c:
+                for col, x in elem.items():
+                    rest[col] = rest.get(col, _F0) - c * x
+        return coeffs, min((col for col, x in rest.items() if x), default=None)
 
     # -- structure constants -------------------------------------------------
     def structure_constants(self):
@@ -221,148 +285,88 @@ class GradedLieAlgebra:
         mb = self.lt.mbracket
         n2 = 2 * self.n
         sc = {(-1, -1): [[tuple(mb[a][c]) for c in range(n2)] for a in range(n2)]}
+        # lower[(p, q)][a][b']: sparse ((t, value), ...) of [B^p_a, B^q_b'],
+        # for both orders of every degree pair computed so far
+        lower = {}
         for d in sorted(self.pieces):
-            if not self.pieces[d]:
-                continue
-            if d - 1 >= -2:
-                sc[(-1, d)] = [[tuple(-x for x in self.pieces[d][m][0][s])
-                                for m in range(self.dims[d])] for s in range(n2)]
-            if d - 2 >= -2:
-                sc[(-2, d)] = [[tuple(-x for x in self.pieces[d][m][1][j])
-                                for m in range(self.dims[d])] for j in range(self.k)]
-
-        def bkt(di, ai, dj, aj):
-            """Bracket of basis elements; None when it is identically zero."""
-            if di + dj < -2 or di + dj > b or not self.dims.get(di + dj):
-                return None
-            if di > dj:
-                v = bkt(dj, aj, di, ai)
-                return None if v is None else tuple(-x for x in v)
-            entry = sc.get((di, dj))
-            return None if entry is None else entry[ai][aj]
+            sc[(-1, d)] = [[tuple(-x for x in self.pieces[d][m][0][s])
+                            for m in range(self.dims[d])] for s in range(n2)]
+            sc[(-2, d)] = [[tuple(-x for x in self.pieces[d][m][1][j])
+                            for m in range(self.dims[d])] for j in range(self.k)]
+            view = self._sparse(d)
+            lower[(d, -1)], lower[(d, -2)] = view.phi, view.psi
 
         for total in range(0, b + 1):
             for i in range(0, total // 2 + 1):
                 j = total - i
-                if not (self.dims.get(i) and self.dims.get(j)):
-                    continue
-                target_dim = self.dims.get(total, 0)
-                expr = self._expresser(total) if target_dim else None
-                block = []
-                for ai in range(self.dims[i]):
-                    row = []
-                    for aj in range(self.dims[j]):
-                        row.append(self._bracket_pair(i, ai, j, aj, bkt, expr, total))
-                    block.append(row)
+                block = [[self._bracket_pair(i, ai, j, aj, lower)
+                          for aj in range(self.dims[j])] for ai in range(self.dims[i])]
                 sc[(i, j)] = block
+                lower[(i, j)] = [list(map(_nonzero, row)) for row in block]
+                if i != j:
+                    lower[(j, i)] = _swapped(lower[(i, j)])
         self._sc = sc
         return sc
 
-    def _bracket_pair(self, i, ai, j, aj, bkt, expr, total):
-        """[B^i_ai, B^j_aj] expressed in the g_total basis, with closure check."""
-        n2 = 2 * self.n
-        phi_i = self.pieces[i][ai][0]
-        psi_i = self.pieces[i][ai][1]
-        phi_j = self.pieces[j][aj][0]
-        psi_j = self.pieces[j][aj][1]
-        tgt1 = self.dims.get(total - 1, 0)
-        # action of the bracket on g_{-1}
-        phi_h = []
-        for s in range(n2):
-            acc = [_F0] * tgt1
-            for m, v in enumerate(phi_j[s]):
-                if v:
-                    w = bkt(i, ai, j - 1, m)
-                    if w:
-                        for t, x in enumerate(w):
-                            if x:
-                                acc[t] += v * x
-            for m, v in enumerate(phi_i[s]):
-                if v:
-                    w = bkt(j, aj, i - 1, m)
-                    if w:
-                        for t, x in enumerate(w):
-                            if x:
-                                acc[t] -= v * x
-            phi_h.append(acc)
-        # action on g_{-2}
-        tgt2 = self.dims.get(total - 2, 0)
-        psi_h = []
-        for jj in range(self.k):
-            acc = [_F0] * tgt2
-            for m, v in enumerate(psi_j[jj]):
-                if v:
-                    w = bkt(i, ai, j - 2, m)
-                    if w:
-                        for t, x in enumerate(w):
-                            if x:
-                                acc[t] += v * x
-            for m, v in enumerate(psi_i[jj]):
-                if v:
-                    w = bkt(j, aj, i - 2, m)
-                    if w:
-                        for t, x in enumerate(w):
-                            if x:
-                                acc[t] -= v * x
-            psi_h.append(acc)
+    def _bracket_pair(self, i, ai, j, aj, lower):
+        """[B^i_ai, B^j_aj] in the g_{i+j} basis, with the closure check.
 
-        if expr is None:
-            if any(x for row in phi_h for x in row) or any(x for row in psi_h for x in row):
-                raise InternalCheckError(
-                    f"bracket of degrees ({i},{j}) lands in a zero space but is nonzero")
-            return ()
-        coeffs = expr.express([x for row in phi_h for x in row])
-        # psi part must agree with the same combination (closure assertion)
-        for jj in range(self.k):
-            for t in range(tgt2):
-                s = sum((c * self.pieces[total][g][1][jj][t]
-                         for g, c in enumerate(coeffs) if c), _F0)
-                if s != psi_h[jj][t]:
-                    raise InternalCheckError("bracket closure mismatch on g_{-2} action")
+        The bracket h = [f, g] acts by [h, Y] = [f, [g, Y]] - [g, [f, Y]] on
+        the g_{-1} and g_{-2} basis; its coefficients are read off at the
+        trailing columns and h must equal that combination exactly.
+        """
+        total = i + j
+        w1, w2 = self.dims[total - 1], self.dims[total - 2]
+        f, g = self._sparse(i), self._sparse(j)
+        h = {}
+        for g_rows, f_rows, f_on, g_on, width, base in (
+                (g.phi[aj], f.phi[ai], lower[(i, j - 1)][ai], lower[(j, i - 1)][aj],
+                 w1, 0),
+                (g.psi[aj], f.psi[ai], lower[(i, j - 2)][ai], lower[(j, i - 2)][aj],
+                 w2, 2 * self.n * w1)):
+            for g_row, f_row in zip(g_rows, f_rows):
+                for m, v in g_row:
+                    for t, x in f_on[m]:
+                        h[base + t] = h.get(base + t, _F0) + v * x
+                for m, v in f_row:
+                    for t, x in g_on[m]:
+                        h[base + t] = h.get(base + t, _F0) - v * x
+                base += width
+        coeffs, bad = self._read_off(total, h)
+        if bad is not None:
+            raise InternalCheckError(
+                f"bracket of basis elements ({i},{ai}) and ({j},{aj}) (degree, index) "
+                f"does not close in g_{total}: first mismatch at column {bad} "
+                f"of the (phi, psi) layout")
         return coeffs
 
     # -- consistency sweeps -----------------------------------------------------
-    def _scaled_tables(self):
-        """All ordered degree-pair bracket tables as dense integer tuples."""
-        sc = self.structure_constants()
-        den = 1
-        for block in sc.values():
-            for row in block:
-                for vec in row:
-                    for x in vec:
-                        den = lcm(den, x.denominator)
-        tables = {}
-        for (i, j), block in sc.items():
-            ti = [[tuple(int(x * den) for x in vec) for vec in row] for row in block]
-            tables[(i, j)] = ti
-            if i != j:
-                nj = len(block[0]) if block else 0
-                tables[(j, i)] = [[tuple(-x for x in ti[a][bq]) for a in range(len(block))]
-                                  for bq in range(nj)]
-        return tables, den
-
     def check_jacobi(self) -> int:
         """Exact Jacobi identity over every basis triple; returns triple count."""
-        tables, _ = self._scaled_tables()
+        sc = self.structure_constants()
+        den = lcm(*{x.denominator for block in sc.values() for row in block
+                    for vec in row for x in vec})
+        # integer tables for both orders of each degree pair, scaled by den
+        tables = {}
+        for (p, q), block in sc.items():
+            tables[(p, q)] = [[tuple((t, x.numerator * (den // x.denominator))
+                                     for t, x in _nonzero(vec)) for vec in row]
+                              for row in block]
+            if p != q:
+                tables[(q, p)] = _swapped(tables[(p, q)])
         degs = [d for d in self.degrees() if self.dims[d]]
         basis = [(d, i) for d in degs for i in range(self.dims[d])]
         b = self.top_degree()
         checked = 0
 
-        def term(p, ap, q, aq, r, ar, acc, sign):
+        def term(p, ap, q, aq, r, ar, acc):
             tab = tables.get((p, q))
-            if tab is None:
-                return
-            v = tab[ap][aq]
             tab2 = tables.get((p + q, r))
-            if tab2 is None:
+            if tab is None or tab2 is None:
                 return
-            for m, vm in enumerate(v):
-                if vm:
-                    row = tab2[m][ar]
-                    for t, x in enumerate(row):
-                        if x:
-                            acc[t] += sign * vm * x
+            for m, vm in tab[ap][aq]:
+                for t, x in tab2[m][ar]:
+                    acc[t] += vm * x
 
         nb = len(basis)
         for x in range(nb):
@@ -382,27 +386,26 @@ class GradedLieAlgebra:
                     if not dim_t:
                         continue
                     acc = [0] * dim_t
-                    term(p, ap, q, aq, r, ar, acc, 1)
-                    term(q, aq, r, ar, p, ap, acc, 1)
-                    term(r, ar, p, ap, q, aq, acc, 1)
+                    term(p, ap, q, aq, r, ar, acc)
+                    term(q, aq, r, ar, p, ap, acc)
+                    term(r, ar, p, ap, q, aq, acc)
                     if any(acc):
+                        t = next(t for t, v in enumerate(acc) if v)
                         raise InternalCheckError(
-                            f"Jacobi failure on basis triple degrees ({p},{q},{r})")
+                            f"Jacobi failure on basis triple ({p},{ap}), ({q},{aq}), "
+                            f"({r},{ar}) (degree, index): component {t} of g_{s}")
                     checked += 1
         return checked
 
     def grading_element_coeffs(self):
         """Coefficients of the pair (id, 2 id) in the canonical g_0 basis."""
         n2 = 2 * self.n
-        target = [Fraction(int(s == t)) for s in range(n2) for t in range(n2)]
-        coeffs = self._expresser(0).express(target)
-        # the psi part must be 2 id for the same combination
-        for j in range(self.k):
-            for l in range(self.k):
-                s = sum((c * self.pieces[0][g][1][j][l]
-                         for g, c in enumerate(coeffs) if c), _F0)
-                if s != 2 * int(j == l):
-                    raise InternalCheckError("(id, 2 id) pair not closed in g_0")
+        target = {s * n2 + s: Fraction(1) for s in range(n2)}
+        target.update({n2 * n2 + j * self.k + j: Fraction(2) for j in range(self.k)})
+        coeffs, bad = self._read_off(0, target)
+        if bad is not None:
+            raise InternalCheckError(
+                f"(id, 2 id) pair not closed in g_0: first mismatch at column {bad}")
         return coeffs
 
     def check_grading(self) -> bool:

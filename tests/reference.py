@@ -1,0 +1,185 @@
+"""Reference route for the structure constants: dense solves over Q.
+
+This is the original way ``GradedLieAlgebra`` expressed brackets: rebuild the
+action of [f, g] on g_{-1} and g_{-2} as dense ``Fraction`` vectors, solve
+for the coefficients from the g_{-1} action with a Gauss-Jordan row basis
+(``RationalRowBasis``), and check the g_{-2} action against the same
+combination.  The library now reads coefficients off the canonical kernel
+basis instead; tests compare the two routes entry by entry.
+"""
+
+from fractions import Fraction
+
+from crprolong.errors import DimensionError, InternalCheckError
+
+_F0 = Fraction(0)
+
+
+class RationalRowBasis:
+    """Factorization of a set of independent rational row vectors.
+
+    Used to express new vectors as exact linear combinations of the rows
+    (membership solve).  Raises InternalCheckError if the rows turn out to
+    be dependent or a queried vector lies outside their span.
+    """
+
+    def __init__(self, rows):
+        self.nrows = len(rows)
+        self.ncols = len(rows[0]) if rows else 0
+        # Gauss-Jordan with bookkeeping: reduced rows + the transform matrix
+        red = [list(map(Fraction, r)) for r in rows]
+        trans = [[Fraction(i == j) for j in range(self.nrows)] for i in range(self.nrows)]
+        pivots = []
+        r = 0
+        for c in range(self.ncols):
+            pr = next((i for i in range(r, self.nrows) if red[i][c]), None)
+            if pr is None:
+                continue
+            red[r], red[pr] = red[pr], red[r]
+            trans[r], trans[pr] = trans[pr], trans[r]
+            inv = 1 / red[r][c]
+            red[r] = [x * inv for x in red[r]]
+            trans[r] = [x * inv for x in trans[r]]
+            for i in range(self.nrows):
+                if i != r and red[i][c]:
+                    f = red[i][c]
+                    red[i] = [a - f * b for a, b in zip(red[i], red[r])]
+                    trans[i] = [a - f * b for a, b in zip(trans[i], trans[r])]
+            pivots.append(c)
+            r += 1
+            if r == self.nrows:
+                break
+        if r != self.nrows:
+            raise InternalCheckError("rows are linearly dependent")
+        self._red = red
+        self._trans = trans
+        self._pivots = pivots
+
+    def express(self, vec):
+        """Coefficients c with sum(c_i * row_i) == vec, else InternalCheckError."""
+        vec = list(map(Fraction, vec))
+        if len(vec) != self.ncols:
+            raise DimensionError("vector length mismatch")
+        coeffs = [Fraction(0)] * self.nrows
+        for r, p in enumerate(self._pivots):
+            if vec[p]:
+                f = vec[p]
+                vec = [a - f * b for a, b in zip(vec, self._red[r])]
+                coeffs = [a + f * b for a, b in zip(coeffs, self._trans[r])]
+        if any(vec):
+            raise InternalCheckError("vector not in span (closure failure)")
+        return tuple(coeffs)
+
+
+def dense_structure_constants(alg):
+    """Structure constants of ``alg`` by the dense expression route.
+
+    Same keys and values as ``GradedLieAlgebra.structure_constants``.
+    """
+    b = alg.top_degree()
+    mb = alg.lt.mbracket
+    n2 = 2 * alg.n
+    expressers = {}
+
+    def expresser(d):
+        if d not in expressers:
+            rows = [[x for col in phi for x in col] for phi, _ in alg.pieces[d]]
+            expressers[d] = RationalRowBasis(rows)
+        return expressers[d]
+
+    sc = {(-1, -1): [[tuple(mb[a][c]) for c in range(n2)] for a in range(n2)]}
+    for d in sorted(alg.pieces):
+        if not alg.pieces[d]:
+            continue
+        if d - 1 >= -2:
+            sc[(-1, d)] = [[tuple(-x for x in alg.pieces[d][m][0][s])
+                            for m in range(alg.dims[d])] for s in range(n2)]
+        if d - 2 >= -2:
+            sc[(-2, d)] = [[tuple(-x for x in alg.pieces[d][m][1][j])
+                            for m in range(alg.dims[d])] for j in range(alg.k)]
+
+    def bkt(di, ai, dj, aj):
+        """Bracket of basis elements; None when it is identically zero."""
+        if di + dj < -2 or di + dj > b or not alg.dims.get(di + dj):
+            return None
+        if di > dj:
+            v = bkt(dj, aj, di, ai)
+            return None if v is None else tuple(-x for x in v)
+        entry = sc.get((di, dj))
+        return None if entry is None else entry[ai][aj]
+
+    for total in range(0, b + 1):
+        for i in range(0, total // 2 + 1):
+            j = total - i
+            if not (alg.dims.get(i) and alg.dims.get(j)):
+                continue
+            target_dim = alg.dims.get(total, 0)
+            expr = expresser(total) if target_dim else None
+            sc[(i, j)] = [[_dense_bracket_pair(alg, i, ai, j, aj, bkt, expr, total)
+                           for aj in range(alg.dims[j])]
+                          for ai in range(alg.dims[i])]
+    return sc
+
+
+def _dense_bracket_pair(alg, i, ai, j, aj, bkt, expr, total):
+    """[B^i_ai, B^j_aj] expressed in the g_total basis, with closure check."""
+    n2 = 2 * alg.n
+    phi_i = alg.pieces[i][ai][0]
+    psi_i = alg.pieces[i][ai][1]
+    phi_j = alg.pieces[j][aj][0]
+    psi_j = alg.pieces[j][aj][1]
+    tgt1 = alg.dims.get(total - 1, 0)
+    # action of the bracket on g_{-1}
+    phi_h = []
+    for s in range(n2):
+        acc = [_F0] * tgt1
+        for m, v in enumerate(phi_j[s]):
+            if v:
+                w = bkt(i, ai, j - 1, m)
+                if w:
+                    for t, x in enumerate(w):
+                        if x:
+                            acc[t] += v * x
+        for m, v in enumerate(phi_i[s]):
+            if v:
+                w = bkt(j, aj, i - 1, m)
+                if w:
+                    for t, x in enumerate(w):
+                        if x:
+                            acc[t] -= v * x
+        phi_h.append(acc)
+    # action on g_{-2}
+    tgt2 = alg.dims.get(total - 2, 0)
+    psi_h = []
+    for jj in range(alg.k):
+        acc = [_F0] * tgt2
+        for m, v in enumerate(psi_j[jj]):
+            if v:
+                w = bkt(i, ai, j - 2, m)
+                if w:
+                    for t, x in enumerate(w):
+                        if x:
+                            acc[t] += v * x
+        for m, v in enumerate(psi_i[jj]):
+            if v:
+                w = bkt(j, aj, i - 2, m)
+                if w:
+                    for t, x in enumerate(w):
+                        if x:
+                            acc[t] -= v * x
+        psi_h.append(acc)
+
+    if expr is None:
+        if any(x for row in phi_h for x in row) or any(x for row in psi_h for x in row):
+            raise InternalCheckError(
+                f"bracket of degrees ({i},{j}) lands in a zero space but is nonzero")
+        return ()
+    coeffs = expr.express([x for row in phi_h for x in row])
+    # psi part must agree with the same combination (closure assertion)
+    for jj in range(alg.k):
+        for t in range(tgt2):
+            s = sum((c * alg.pieces[total][g][1][jj][t]
+                     for g, c in enumerate(coeffs) if c), _F0)
+            if s != psi_h[jj][t]:
+                raise InternalCheckError("bracket closure mismatch on g_{-2} action")
+    return coeffs

@@ -99,6 +99,17 @@ def test_validate_model_file(capsys, tmp_path):
     assert "tumanov witness: (1)" in out
 
 
+def test_validate_definite_combination_text(capsys):
+    # Im w = |z|^2: the form itself is definite, which certifies that the
+    # forms have no common null direction
+    code, out, err = run(capsys, ["validate", "--catalog", "heisenberg"])
+    assert code == 0
+    assert "definite combination: (1) (no common null direction)" in out
+    assert "degenerate" not in out
+    code, out, err = run(capsys, ["validate", "--catalog", "heisenberg", "--json"])
+    assert json.loads(out)["definite_combination"] == [1]
+
+
 def test_validate_non_hermitian_fails(capsys, tmp_path):
     path = write_json(tmp_path / "bad.json",
                       {"n": 1, "k": 1, "hermitian": [[["(0)+(1)i"]]]})

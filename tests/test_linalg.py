@@ -4,11 +4,12 @@ from itertools import permutations
 
 import pytest
 
+from reference import RationalRowBasis
+
 from crprolong import catalog
 from crprolong.errors import DimensionError, InternalCheckError
 from crprolong.linalg import (
     ExactMatrix,
-    RationalRowBasis,
     determinant,
     nullspace,
     rank,
