@@ -21,8 +21,7 @@ from .prolong import GradedLieAlgebra, ProlongationResult, jet_order, prolong_fu
 from .realize import (BRACKET_SIGN, euler_field, express_in_span,
                       realize_basis, realize_element)
 from .scalars import GaussianRational, Rational
-from .verify import (TangencyCertificate, certify_jet_counterexample,
-                     check_rotation_identities, jet_certificate, verify_hol)
+from .verify import TangencyCertificate, jet_certificate, verify_hol
 
 __version__ = "0.1.0"
 
@@ -33,8 +32,7 @@ __all__ = [
     "InternalCheckError", "LeviTanakaAlgebra", "NonterminationError",
     "Poly", "PolyVectorField", "ProlongationResult", "QuadricModel",
     "Rational", "TangencyCertificate", "ValidationError", "ValidationReport",
-    "build_levi_tanaka", "certify_jet_counterexample",
-    "check_rotation_identities", "euler_field", "express_in_span",
+    "build_levi_tanaka", "euler_field", "express_in_span",
     "extend_codim", "jet_certificate", "jet_order", "make_codim4",
     "make_codim5", "make_heisenberg", "make_so_family", "make_su_family",
     "prolong_full", "realize_basis", "realize_element", "tumanov_search",

@@ -64,10 +64,17 @@ def _fmt_witness(vec):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_validate(args) -> int:
-    model, entry = _load_model(args)
+def _validation(model):
+    """Validation report, Tumanov witness and the verdict `validate` and
+    `report` share: every check passes and a witness exists."""
     report = model.validate()
     witness = tumanov_search(model) if all(report.hermitian_ok) else None
+    return report, witness, report.all_passed and witness is not None
+
+
+def cmd_validate(args) -> int:
+    model, entry = _load_model(args)
+    report, witness, passed = _validation(model)
     data = report.to_json()
     data["tumanov_witness"] = list(witness) if witness else None
     name = entry.name if entry else args.model
@@ -84,10 +91,9 @@ def cmd_validate(args) -> int:
                     else "none found"))
     lines.append("tumanov witness: "
                  + (_fmt_witness(witness) if witness else "none within bound"))
-    ok = report.all_passed and witness is not None
-    lines.append(f"validation: {'PASS' if ok else 'FAIL'}")
+    lines.append(f"validation: {'PASS' if passed else 'FAIL'}")
     _emit(args, data, lines)
-    return 0 if ok else 1
+    return 0 if passed else 1
 
 
 def cmd_prolong(args) -> int:
@@ -153,10 +159,9 @@ def cmd_report(args) -> int:
     name = entry.name if entry else args.model
     timing = {}
     t0 = time.perf_counter()
-    vreport = model.validate()
-    witness = tumanov_search(model)
+    vreport, witness, passed = _validation(model)
     timing["validate"] = time.perf_counter() - t0
-    if not vreport.all_passed:
+    if not passed:
         raise ValidationError("model failed validation; no report generated")
 
     t0 = time.perf_counter()

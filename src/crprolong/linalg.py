@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over Q(i) and a sparse integer nullspace kernel.
+"""Exact matrices over Q(i) and the one exact eliminator: a sparse integer kernel.
 
 Design notes
 ------------
@@ -6,15 +6,22 @@ Design notes
   matrices can be shared freely across threads.
 * Determinants use fraction-free Bareiss elimination over the Gaussian
   integers (denominators are cleared first); all divisions are exact.
-* Nullspace bases are canonical: the unique basis obtained from the reduced
+* Every kernel, rank test and span solve goes through
+  ``sparse_int_nullspace``: it eliminates integer rows held as dicts of
+  columns with gcd content removal (fraction-free, no entry blowup) and then
+  canonicalizes.  Rational rows are scaled to integers row by row first
+  (``_rows_to_int``).
+* Kernel bases are canonical: the unique basis obtained from the reduced
   row echelon form of the matrix, one vector per free column, the free
   variable set to 1 and other free variables to 0, ordered by free column
   index.  Any elimination order yields this same basis, which is what makes
   all downstream output deterministic.
-* The heavy prolongation systems are all-real with small integer entries
-  after scaling; ``sparse_int_nullspace`` eliminates them on dict-of-column
-  rows with gcd content removal (fraction-free, no entry blowup) and then
-  canonicalizes, which is orders of magnitude faster than dense elimination.
+* A system over Q(i) is realified: column 2a holds Re x_a and 2a + 1 holds
+  Im x_a, and each equation gives one row for its real part and one for its
+  imaginary part.  Realification maps the complex RREF block-wise onto the
+  real one (complex pivot p becomes real pivots 2p, 2p + 1), so the real
+  canonical vector of free column 2f is the complex canonical vector of
+  free column f, read back as x_a = v[2a] + i v[2a + 1].
 """
 
 from __future__ import annotations
@@ -141,9 +148,6 @@ class ExactMatrix:
                     return False
         return True
 
-    def is_real(self) -> bool:
-        return all(x.is_real() for row in self.entries for x in row)
-
     def apply(self, vec):
         """Matrix times column vector (sequence of GaussianRational-likes)."""
         if len(vec) != self.cols:
@@ -161,69 +165,30 @@ class ExactMatrix:
                              for x in row] for row in data])
 
     # -- elimination -------------------------------------------------------
-    def rref(self):
-        """Reduced row echelon form.  Returns (ExactMatrix, pivot column tuple)."""
-        m = [list(row) for row in self.entries]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pr = next((i for i in range(r, self.rows) if m[i][c]), None)
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = GR_ONE / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return ExactMatrix(m), tuple(pivots)
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
-
     def nullspace(self):
-        """Canonical kernel basis: list of tuples, one per free column."""
-        if self.is_real():
-            rows = []
-            for row in self.entries:
-                d = lcm(*(x.re.denominator for x in row)) if self.cols else 1
-                sr = {j: int(x.re * d) for j, x in enumerate(row) if x.re}
-                if sr:
-                    rows.append(sr)
-            basis = sparse_int_nullspace(rows, self.cols)
-            return [tuple(GaussianRational(x) for x in v) for v in basis]
-        rr, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in set(pivots)]
-        out = []
-        for f in free:
-            v = [GR_ZERO] * self.cols
-            v[f] = GR_ONE
-            for r, p in enumerate(pivots):
-                if rr.entries[r][f]:
-                    v[p] = -rr.entries[r][f]
-            out.append(tuple(v))
-        return out
+        """Canonical kernel basis: list of tuples, one per free column.
 
-    def solve(self, rhs):
-        """One exact solution of ``self @ x = rhs`` (free vars 0), or None."""
-        if len(rhs) != self.rows:
-            raise DimensionError("rhs length mismatch")
-        if self.rows == 0:
-            return tuple([GR_ZERO] * self.cols)
-        aug = ExactMatrix([list(row) + [GaussianRational(b) if not isinstance(b, GaussianRational) else b]
-                           for row, b in zip(self.entries, [*rhs])])
-        rr, pivots = aug.rref()
-        if self.cols in pivots:
-            return None  # inconsistent: pivot in the augmented column
-        x = [GR_ZERO] * self.cols
-        for r, p in enumerate(pivots):
-            x[p] = rr.entries[r][self.cols]
-        return tuple(x)
+        Runs on the realified system; the real canonical vectors with an even
+        trailing column 2f are the complex ones of free column f.
+        """
+        rows = []
+        for row in self.entries:
+            re_row, im_row = {}, {}
+            for a, x in enumerate(row):
+                # (x.re + i x.im)(v_2a + i v_2a+1)
+                if x.re:
+                    re_row[2 * a] = x.re
+                    im_row[2 * a + 1] = x.re
+                if x.im:
+                    re_row[2 * a + 1] = -x.im
+                    im_row[2 * a] = x.im
+            rows += (re_row, im_row)
+        out = []
+        for v in sparse_int_nullspace(_rows_to_int(rows), 2 * self.cols):
+            if max(c for c, x in enumerate(v) if x) % 2 == 0:
+                out.append(tuple(GaussianRational(v[2 * a], v[2 * a + 1])
+                                 for a in range(self.cols)))
+        return out
 
     def determinant(self) -> GaussianRational:
         if self.rows != self.cols:
@@ -259,30 +224,20 @@ class ExactMatrix:
         return GaussianRational(Fraction(sign * dr) / scale, Fraction(sign * di) / scale)
 
 
-# module-level aliases matching the operation surface
-def conj_transpose(m: ExactMatrix) -> ExactMatrix:
-    return m.conj_transpose()
-
-
-def determinant(m: ExactMatrix) -> GaussianRational:
-    return m.determinant()
-
-
-def nullspace(m: ExactMatrix):
-    return m.nullspace()
-
-
-def rank(m: ExactMatrix) -> int:
-    return m.rank()
-
-
-def solve(m: ExactMatrix, rhs):
-    return m.solve(rhs)
-
-
 # ---------------------------------------------------------------------------
 # sparse integer kernel
 # ---------------------------------------------------------------------------
+
+
+def _rows_to_int(rows):
+    """Scale each rational sparse row to integers (exact, row scaling only)."""
+    out = []
+    for row in rows:
+        if not row:
+            continue
+        d = lcm(*(v.denominator for v in row.values()))
+        out.append({c: int(v * d) for c, v in row.items()})
+    return out
 
 
 def _content_normalize(row: dict) -> dict:

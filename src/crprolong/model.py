@@ -108,15 +108,13 @@ class QuadricModel:
     def validate(self, definiteness_bound: int = 1) -> "ValidationReport":
         hermitian_ok = tuple(h.is_hermitian() for h in self.hermitian)
 
-        # independence over R: real-flatten each form and row-reduce
+        # independence over R: a real relation among the real-flattened forms
         flat = ExactMatrix([[x for h_row in h.entries for e in h_row
                              for x in (GaussianRational(e.re), GaussianRational(e.im))]
                             for h in self.hermitian])
-        independent = flat.rank() == self.k
-        dependency = None
-        if not independent:
-            ns = flat.transpose().nullspace()
-            dependency = ns[0] if ns else None
+        ns = flat.transpose().nullspace()
+        independent = not ns
+        dependency = ns[0] if ns else None
 
         # common kernel of all forms: stacked (kn x n) system over Q(i)
         stacked = ExactMatrix([row for h in self.hermitian for row in h.entries])
@@ -313,13 +311,13 @@ class LeviTanakaAlgebra:
         # brackets span g_{-2}
         span = ExactMatrix([[GaussianRational(x) for x in mb[a][b]]
                             for a in range(2 * n) for b in range(a + 1, 2 * n)])
-        if span.rank() != k:
+        if span.nullspace():
             raise AlgebraError("brackets do not span g_{-2} (not fundamental)")
         # nondegeneracy: X -> [X, .] is injective on g_{-1}
         ad = ExactMatrix([[GaussianRational(mb[a][b][j])
                            for b in range(2 * n) for j in range(k)]
                           for a in range(2 * n)])
-        if ad.rank() != 2 * n:
+        if ad.transpose().nullspace():
             raise AlgebraError("degenerate bracket: ad has nontrivial kernel on g_{-1}")
 
     def reconstruct_model(self) -> QuadricModel:

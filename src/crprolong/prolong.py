@@ -32,7 +32,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .errors import InternalCheckError, NonterminationError
-from .linalg import sparse_int_nullspace
+from .linalg import _rows_to_int, sparse_int_nullspace
 from .model import LeviTanakaAlgebra, QuadricModel, build_levi_tanaka
 
 _F0 = Fraction(0)
@@ -41,17 +41,6 @@ _F0 = Fraction(0)
 def jet_order(top_degree: int) -> int:
     """Jet determination order for automorphisms: floor((b + 2) / 2)."""
     return (top_degree + 2) // 2
-
-
-def _rows_to_int(rows):
-    """Scale each rational sparse row to integers (exact, row scaling only)."""
-    out = []
-    for row in rows:
-        if not row:
-            continue
-        d = lcm(*(v.denominator for v in row.values()))
-        out.append({c: int(v * d) for c, v in row.items()})
-    return out
 
 
 def compute_g0(lt: LeviTanakaAlgebra):

@@ -28,10 +28,10 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import DimensionError, InputError
-from .linalg import ExactMatrix
+from .linalg import _rows_to_int, sparse_int_nullspace
 from .poly import Poly, PolyVectorField
 from .prolong import GradedLieAlgebra, ProlongationResult
-from .scalars import GR_ZERO, GaussianRational
+from .scalars import GaussianRational
 
 BRACKET_SIGN = -1
 
@@ -164,35 +164,24 @@ def express_in_span(target: PolyVectorField, fields) -> tuple | None:
 
     Realized automorphisms form a *real* vector space, so the membership
     solve runs over Q with each complex coordinate split into two real rows.
-    Returns a tuple of Fractions, or None when target is outside the span.
+    The last canonical kernel vector of [fields | -target] ends at the target
+    column exactly when the target lies in the span; it is then the solution
+    with every free coefficient 0.  Returns a tuple of Fractions, or None
+    when target is outside the span.
     """
     fields = list(fields)
-    coords = {}
-    for fld in (*fields, target):
+    rows = {}
+    for col, fld in enumerate((*fields, -target)):
         if fld.n != target.n or fld.k != target.k:
             raise DimensionError("fields from different variable frames")
-        for key, _ in fld.coefficient_entries():
-            if key not in coords:
-                coords[key] = len(coords)
-
-    def vectorize(fld):
-        col = [GR_ZERO] * len(coords)
         for key, c in fld.coefficient_entries():
-            col[coords[key]] = c
-        return col
-
-    cols = [vectorize(f) for f in fields]
-    tgt = vectorize(target)
-    rows = []
-    rhs = []
-    for i in range(len(coords)):
-        rows.append([GaussianRational(c[i].re) for c in cols])
-        rhs.append(GaussianRational(tgt[i].re))
-        rows.append([GaussianRational(c[i].im) for c in cols])
-        rhs.append(GaussianRational(tgt[i].im))
-    if not rows:
-        return tuple([Fraction(0)] * len(fields))
-    sol = ExactMatrix(rows).solve(rhs)
-    if sol is None:
-        return None
-    return tuple(x.re for x in sol)
+            re_row, im_row = rows.setdefault(key, ({}, {}))
+            if c.re:
+                re_row[col] = c.re
+            if c.im:
+                im_row[col] = c.im
+    basis = sparse_int_nullspace(_rows_to_int(r for pair in rows.values() for r in pair),
+                                 len(fields) + 1)
+    if basis and basis[-1][-1]:
+        return basis[-1][:-1]
+    return None

@@ -1,18 +1,96 @@
-"""Reference route for the structure constants: dense solves over Q.
+"""Reference routes that the library no longer uses, kept for comparison.
 
-This is the original way ``GradedLieAlgebra`` expressed brackets: rebuild the
-action of [f, g] on g_{-1} and g_{-2} as dense ``Fraction`` vectors, solve
-for the coefficients from the g_{-1} action with a Gauss-Jordan row basis
-(``RationalRowBasis``), and check the g_{-2} action against the same
-combination.  The library now reads coefficients off the canonical kernel
-basis instead; tests compare the two routes entry by entry.
+* Dense Gauss-Jordan over Q(i) (``dense_rref``, ``dense_solve``) and the span
+  solve built on it (``dense_express_in_span``).  The library computes every
+  kernel, rank test and span solve with ``sparse_int_nullspace`` instead.
+* The original structure-constant route: rebuild the action of [f, g] on
+  g_{-1} and g_{-2} as dense ``Fraction`` vectors, solve for the
+  coefficients from the g_{-1} action with a Gauss-Jordan row basis
+  (``RationalRowBasis``), and check the g_{-2} action against the same
+  combination.  The library reads coefficients off the canonical kernel
+  basis instead.
+
+Tests compare the two routes entry by entry.
 """
 
 from fractions import Fraction
 
 from crprolong.errors import DimensionError, InternalCheckError
+from crprolong.linalg import ExactMatrix
+from crprolong.scalars import GR_ONE, GR_ZERO, GaussianRational
 
 _F0 = Fraction(0)
+
+
+def dense_rref(m):
+    """Reduced row echelon form over Q(i).  Returns (ExactMatrix, pivot column tuple)."""
+    rows = [list(row) for row in m.entries]
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        pr = next((i for i in range(r, m.rows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = GR_ONE / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(m.rows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m.rows:
+            break
+    return ExactMatrix(rows), tuple(pivots)
+
+
+def dense_solve(m, rhs):
+    """One exact solution of ``m @ x = rhs`` (free vars 0), or None."""
+    if len(rhs) != m.rows:
+        raise DimensionError("rhs length mismatch")
+    if m.rows == 0:
+        return tuple([GR_ZERO] * m.cols)
+    aug = ExactMatrix([list(row) + [GaussianRational(b) if not isinstance(b, GaussianRational) else b]
+                       for row, b in zip(m.entries, [*rhs])])
+    rr, pivots = dense_rref(aug)
+    if m.cols in pivots:
+        return None  # inconsistent: pivot in the augmented column
+    x = [GR_ZERO] * m.cols
+    for r, p in enumerate(pivots):
+        x[p] = rr.entries[r][m.cols]
+    return tuple(x)
+
+
+def dense_express_in_span(target, fields):
+    """``express_in_span`` by ``dense_solve`` on the real coordinate system."""
+    fields = list(fields)
+    coords = {}
+    for fld in (*fields, target):
+        for key, _ in fld.coefficient_entries():
+            coords.setdefault(key, len(coords))
+
+    def vectorize(fld):
+        col = [GR_ZERO] * len(coords)
+        for key, c in fld.coefficient_entries():
+            col[coords[key]] = c
+        return col
+
+    cols = [vectorize(f) for f in fields]
+    tgt = vectorize(target)
+    rows = []
+    rhs = []
+    for i in range(len(coords)):
+        rows.append([GaussianRational(c[i].re) for c in cols])
+        rhs.append(GaussianRational(tgt[i].re))
+        rows.append([GaussianRational(c[i].im) for c in cols])
+        rhs.append(GaussianRational(tgt[i].im))
+    if not rows:
+        return tuple([Fraction(0)] * len(fields))
+    sol = dense_solve(ExactMatrix(rows), rhs)
+    if sol is None:
+        return None
+    return tuple(x.re for x in sol)
 
 
 class RationalRowBasis:

@@ -327,6 +327,23 @@ def test_report_rejects_invalid_model(capsys, tmp_path):
     assert "failed validation" in err
 
 
+def test_validate_and_report_agree_without_tumanov_witness(capsys, tmp_path):
+    """H1 = E12 + E21, H2 = E13 + E31: independent forms with a trivial common
+    kernel, but every combination has rank 2, so no Tumanov witness exists
+    and both commands fail the model."""
+    forms = [[[0, 1, 0], [1, 0, 0], [0, 0, 0]], [[0, 0, 1], [0, 0, 0], [1, 0, 0]]]
+    path = write_json(tmp_path / "singular.json", QuadricModel(forms).to_json())
+    code, out, err = run(capsys, ["validate", path])
+    assert code == 1
+    assert "trivial common kernel: ok" in out
+    assert "tumanov witness: none within bound" in out
+    assert "validation: FAIL" in out
+    code, out, err = run(capsys, ["report", path])
+    assert code == 1
+    assert out == ""
+    assert "failed validation" in err
+
+
 def test_report_json(capsys):
     code, out, err = run(capsys, ["report", "--catalog", "codim4", "--json"])
     assert code == 0

@@ -15,6 +15,8 @@ import pathlib
 import pytest
 
 from crprolong.cli import main
+from crprolong.model import QuadricModel
+from crprolong.scalars import GR_I
 
 GOLDEN = {
     "prolong --check-jacobi --structure --json --catalog heisenberg":
@@ -25,17 +27,55 @@ GOLDEN = {
         "e51810e61da30dbc39b34f86f96eaee2bb7f0aa2d96860ecb917b7355f645be0",
     "report --json --catalog codim5":
         "cf019eb5e31d6092f70e5f38ba3e263541bee30855128fea47bdf030b3cb35a9",
+    "report --json --catalog heisenberg":
+        "8656223a67eb3d9a299eb0bd14d48e962ae5eafbacb0e445f2d01cb9dea0b1b1",
+    "report --json --catalog codim4":
+        "db346ad29ca8e5afd997c9e03755218702b0ac10430c779e5dc5101811ba9f5b",
+    "realize --degree 6 --json --catalog codim5":
+        "2cafa3db208dd330558d33ca429f580232d5e01b3498e94214b227228a44ed6f",
+}
+
+# validate --json on failing models: (forms, witness key, witness, digest)
+GOLDEN_VALIDATE = {
+    # one rank-one form; its kernel is spanned by (-i, 1)
+    "kernel": ([[[1, GR_I], [-GR_I, 1]]], "kernel_witness", ["(0)+(-1)i", "(1)+(0)i"],
+               "fc6b447bcb7b450083b7975ce90e96eb7fcebdda10ea4bb90d90945dcad53898"),
+    # (I, 2 I): the relation -2 H_1 + H_2 = 0
+    "dependent": ([[[1, 0], [0, 1]], [[2, 0], [0, 2]]], "dependency_witness",
+                  ["(-2)+(0)i", "(1)+(0)i"],
+                  "00537e9fc5a3a2e536c10f9dbb7ca01faab4c0a17dbf3aeee56ae2fbffd4070d"),
 }
 
 REFERENCES = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "references.json"
 
 
-@pytest.mark.parametrize("argv", sorted(GOLDEN))
-def test_golden_digest(argv):
+def run(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert main(argv.split()) == 0
-    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == GOLDEN[argv]
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def digest(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN))
+def test_golden_digest(argv):
+    code, out = run(argv.split())
+    assert code == 0
+    assert digest(out) == GOLDEN[argv]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_VALIDATE))
+def test_golden_validate_witness(name, tmp_path):
+    forms, key, witness, want = GOLDEN_VALIDATE[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(QuadricModel(forms).to_json()), encoding="utf-8")
+    code, out = run(["validate", "--json", str(path)])
+    assert code == 1
+    assert json.loads(out)[key] == witness
+    assert digest(out) == want
 
 
 def test_golden_agrees_with_benchmark_pins():

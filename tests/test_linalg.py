@@ -4,18 +4,11 @@ from itertools import permutations
 
 import pytest
 
-from reference import RationalRowBasis
+from reference import RationalRowBasis, dense_rref, dense_solve
 
 from crprolong import catalog
 from crprolong.errors import DimensionError, InternalCheckError
-from crprolong.linalg import (
-    ExactMatrix,
-    determinant,
-    nullspace,
-    rank,
-    solve,
-    sparse_int_nullspace,
-)
+from crprolong.linalg import ExactMatrix, sparse_int_nullspace
 from crprolong.scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational
 
 
@@ -46,9 +39,13 @@ def naive_determinant(m):
     return total
 
 
+def rank(m):
+    return len(dense_rref(m)[1])
+
+
 def dense_kernel(m):
-    """Kernel straight from the RREF free columns (mirrors the complex path)."""
-    rr, pivots = m.rref()
+    """Kernel straight from the free columns of the dense RREF."""
+    rr, pivots = dense_rref(m)
     free = [c for c in range(m.cols) if c not in set(pivots)]
     out = []
     for f in free:
@@ -121,15 +118,15 @@ def test_nullspace_frozen_hermitian_rank_one():
     m = ExactMatrix([[GR_ONE, GR_I], [-GR_I, GR_ONE]])
     basis = m.nullspace()
     assert basis == [(-GR_I, GR_ONE)]
-    assert m.rank() == 1
+    assert rank(m) == 1
     assert m.apply(basis[0]) == (GR_ZERO, GR_ZERO)
 
 
 def test_determinant_frozen_catalog_values():
     hs = catalog.make_codim5().model.hermitian
-    assert determinant(hs[2]) == GR_ONE       # the permutation-like coupling form
-    assert determinant(hs[3]) == GR_ZERO      # a rank-one form
-    assert determinant(ExactMatrix.identity(4)) == GR_ONE
+    assert hs[2].determinant() == GR_ONE      # the permutation-like coupling form
+    assert hs[3].determinant() == GR_ZERO     # a rank-one form
+    assert ExactMatrix.identity(4).determinant() == GR_ONE
 
 
 def test_determinant_small_hand_values():
@@ -181,12 +178,12 @@ def test_nullspace_is_canonical_under_row_shuffles():
         rows = list(m.entries)
         rng.shuffle(rows)
         shuffled = ExactMatrix(rows)
-        assert nullspace(shuffled) == nullspace(m)
+        assert shuffled.nullspace() == m.nullspace()
         # scaling rows by nonzero constants must not change the kernel either
         factors = [GaussianRational(rng.randint(1, 5)) for _ in range(m.rows)]
         scaled = ExactMatrix([[f * x for x in row]
                               for f, row in zip(factors, m.entries)])
-        assert nullspace(scaled) == nullspace(m)
+        assert scaled.nullspace() == m.nullspace()
 
 
 def test_sparse_and_dense_kernels_agree():
@@ -203,20 +200,34 @@ def test_sparse_and_dense_kernels_agree():
         assert sparse == dense
 
 
+def test_nullspace_equals_dense_rref_kernel():
+    """The realified sparse route gives the dense Q(i) RREF kernel exactly,
+    on full-rank and rank-deficient, real and complex matrices."""
+    rng = random.Random(29)
+    for t in range(60):
+        complex_ok = t % 3 != 0
+        rows_n, cols_n = rng.randint(1, 5), rng.randint(1, 6)
+        m = rand_matrix(rng, rows_n, cols_n, complex_ok)
+        if t % 2:
+            inner = rng.randint(1, min(rows_n, cols_n))
+            m = rand_matrix(rng, rows_n, inner, complex_ok) @ rand_matrix(rng, inner, cols_n, complex_ok)
+        assert m.nullspace() == dense_kernel(m)
+
+
 def test_solve_round_trip_and_inconsistency():
     rng = random.Random(27)
     for _ in range(40):
         m = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
         x = [rand_entry(rng) for _ in range(m.cols)]
         rhs = m.apply(x)
-        got = solve(m, rhs)
+        got = dense_solve(m, rhs)
         assert got is not None
         assert m.apply(got) == rhs
     m = ExactMatrix([[1, 0], [0, 0]])
-    assert m.solve((0, 1)) is None
-    assert m.solve((3, 0)) == (GaussianRational(3), GR_ZERO)
+    assert dense_solve(m, (0, 1)) is None
+    assert dense_solve(m, (3, 0)) == (GaussianRational(3), GR_ZERO)
     with pytest.raises(DimensionError):
-        m.solve((1, 2, 3))
+        dense_solve(m, (1, 2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +242,7 @@ def test_row_basis_express_round_trip():
         ncols = nrows + rng.randint(0, 3)
         while True:
             rows = [[Fraction(rng.randint(-4, 4)) for _ in range(ncols)] for _ in range(nrows)]
-            if ExactMatrix(rows).rank() == nrows:
+            if rank(ExactMatrix(rows)) == nrows:
                 break
         basis = RationalRowBasis(rows)
         coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(nrows)]

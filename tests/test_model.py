@@ -257,6 +257,11 @@ def test_invariant_violations_raise():
     ztable = [[z] * 2 for _ in range(2)]
     with pytest.raises(AlgebraError, match="fundamental"):
         LeviTanakaAlgebra(1, 1, ztable).validate_invariants()
+    # fundamental and J-invariant, but e_2 and Je_2 bracket trivially (H = diag(1, 0))
+    table = [[z] * 4 for _ in range(4)]
+    table[2][0], table[0][2] = (Fraction(4),), (Fraction(-4),)
+    with pytest.raises(AlgebraError, match="degenerate bracket"):
+        LeviTanakaAlgebra(2, 1, table).validate_invariants()
 
 
 def test_build_rejects_invalid_model():

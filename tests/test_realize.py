@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import abstract_bracket, basis_index, realized_basis_map, sigma_sweep
+from reference import dense_express_in_span
 
 from crprolong.errors import DimensionError, InputError
 from crprolong.poly import Poly, PolyVectorField
@@ -184,6 +185,34 @@ def test_express_in_span_euler(codim5_result):
     coeffs = express_in_span(E, realize_basis(codim5_result, 0))
     assert coeffs == tuple(alg.grading_element_coeffs())
     assert express_in_span(E, realize_basis(codim5_result, 1)) is None
+
+
+def test_express_in_span_matches_dense_solve(heisenberg_result, codim4_result):
+    """Seeded dependent field sets: the sparse kernel answer equals the dense
+    solve (free coefficients 0), for targets inside and outside the span."""
+    rng = random.Random(63)
+    checked = outside = 0
+    for res in (heisenberg_result, codim4_result):
+        for d in (-1, 0, 1):
+            basis = realize_basis(res, d)
+            for _ in range(4):
+                fields = []
+                for _ in range(rng.randint(1, len(basis) + 2)):
+                    f = PolyVectorField.zero(res.model.n, res.model.k)
+                    for b in basis:
+                        if rng.random() < 0.5:
+                            f = f + b * rng.randint(-2, 2)
+                    fields.append(f)
+                inside = fields[0] * 0
+                for f in fields:
+                    inside = inside + f * Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                for target in (inside, rng.choice(basis), realize_basis(res, d + 1)[0]):
+                    got = express_in_span(target, fields)
+                    assert got == dense_express_in_span(target, fields)
+                    outside += got is None
+                    checked += 1
+    assert checked == 72 and outside > 0
+    assert express_in_span(PolyVectorField.zero(1, 1), []) == ()
 
 
 def test_express_in_span_frame_mismatch(codim5_result, heisenberg_result):

@@ -7,14 +7,8 @@ from crprolong import catalog
 from crprolong.errors import DimensionError
 from crprolong.poly import Poly, PolyVectorField
 from crprolong.scalars import GR_I, GaussianRational
-from crprolong.verify import (
-    certify_jet_counterexample,
-    check_rotation_identities,
-    jet_certificate,
-    residual_probe,
-    surface_restriction,
-    verify_hol,
-)
+from crprolong.verify import jet_certificate, surface_restriction, verify_hol
+from helpers import certify_jet_counterexample, check_rotation_identities, residual_probe
 
 
 def heis_field(zc, wc):
