@@ -44,14 +44,21 @@ def _load_model(args):
     return QuadricModel.from_json(data), None
 
 
+def _write(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(args, data, text_lines):
     if getattr(args, "json", False) or not text_lines:
         out = json.dumps(data, indent=2, sort_keys=True) + "\n"
     else:
         out = "\n".join(text_lines) + "\n"
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        _write(args.out, out)
     else:
         sys.stdout.write(out)
 
@@ -238,7 +245,10 @@ def cmd_catalog(args) -> int:
         _emit(args, {"entries": _catalog.names()}, lines)
         return 0
     import os
-    os.makedirs(args.export, exist_ok=True)
+    try:
+        os.makedirs(args.export, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot write {args.export}: {exc}") from exc
     entries = [_catalog.get(n) for n in ("codim5", "codim4", "heisenberg")]
     if args.n:
         entries.append(_catalog.make_so_family(args.n))
@@ -248,13 +258,11 @@ def cmd_catalog(args) -> int:
     for entry in entries:
         base = entry.name.replace("(", "_").replace(")", "").replace("=", "")
         path = f"{args.export}/{base}_model.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(entry.model.to_json(), fh, indent=2, sort_keys=True)
+        _write(path, json.dumps(entry.model.to_json(), indent=2, sort_keys=True))
         written.append(path)
         for fname, field in entry.known_fields.items():
             path = f"{args.export}/{base}_field_{fname}.json"
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(field.to_json(), fh, indent=2, sort_keys=True)
+            _write(path, json.dumps(field.to_json(), indent=2, sort_keys=True))
             written.append(path)
     _emit(args, {"written": written}, [f"wrote {p}" for p in written])
     return 0

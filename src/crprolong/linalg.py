@@ -10,7 +10,8 @@ Design notes
   ``sparse_int_nullspace``: it eliminates integer rows held as dicts of
   columns with gcd content removal (fraction-free, no entry blowup) and then
   canonicalizes.  Rational rows are scaled to integers row by row first
-  (``_rows_to_int``).
+  (``_rows_to_int``).  Its kernel vectors stay sparse ({column: Fraction});
+  only ``ExactMatrix.nullspace`` writes them out as dense tuples.
 * Kernel bases are canonical: the unique basis obtained from the reduced
   row echelon form of the matrix, one vector per free column, the free
   variable set to 1 and other free variables to 0, ordered by free column
@@ -183,12 +184,10 @@ class ExactMatrix:
                     re_row[2 * a + 1] = -x.im
                     im_row[2 * a] = x.im
             rows += (re_row, im_row)
-        out = []
-        for v in sparse_int_nullspace(_rows_to_int(rows), 2 * self.cols):
-            if max(c for c, x in enumerate(v) if x) % 2 == 0:
-                out.append(tuple(GaussianRational(v[2 * a], v[2 * a + 1])
-                                 for a in range(self.cols)))
-        return out
+        return [tuple(GaussianRational(v.get(2 * a, 0), v.get(2 * a + 1, 0))
+                      for a in range(self.cols))
+                for v in sparse_int_nullspace(_rows_to_int(rows), 2 * self.cols)
+                if max(v) % 2 == 0]
 
     def determinant(self) -> GaussianRational:
         if self.rows != self.cols:
@@ -255,8 +254,9 @@ def sparse_int_nullspace(rows, ncols: int):
     """Exact kernel of an integer matrix given as sparse rows.
 
     ``rows``: iterable of dict[col -> nonzero int].  Returns the canonical
-    nullspace basis as a list of dense tuples of Fractions (free variable 1,
-    ordered by free column index) — identical to the dense RREF route.
+    nullspace basis as a list of sparse vectors, each a dict[col -> nonzero
+    Fraction] with a 1 at its free column, ordered by free column index; with
+    the zeros filled in it is the basis of the dense RREF route.
     """
     work = {}
     col_rows = {}           # col -> set of active row ids containing it
@@ -322,10 +322,10 @@ def sparse_int_nullspace(rows, ncols: int):
                 x[pc] = -s / prow[pc]
         raw.append(x)
 
-    return _canonical_kernel_basis(raw, ncols)
+    return _canonical_kernel_basis(raw)
 
 
-def _canonical_kernel_basis(vectors, ncols: int):
+def _canonical_kernel_basis(vectors):
     """Reduce a kernel basis to the canonical free-variable form.
 
     Unique reduced form with respect to *trailing* positions: each basis
@@ -366,12 +366,5 @@ def _canonical_kernel_basis(vectors, ncols: int):
                             other.pop(c, None)
             reduced[t] = vec
             break
-    out = []
-    for t in sorted(reduced):
-        v = reduced[t]
-        dense = [Fraction(0)] * ncols
-        for c, val in v.items():
-            dense[c] = val
-        out.append(tuple(dense))
-    return out
+    return [reduced[t] for t in sorted(reduced)]
 

@@ -198,8 +198,7 @@ def tumanov_search(model: QuadricModel, bound: int = 2):
     last coordinate varying fastest.  Returns None when the bound is
     exhausted; existence of such a c is the Tumanov nondegeneracy condition.
     """
-    report = model.validate(definiteness_bound=0)
-    if not all(report.hermitian_ok):
+    if not all(h.is_hermitian() for h in model.hermitian):
         raise DegenerateModelError("tumanov search requires Hermitian forms")
     for c in _signed_tuples(model.k, bound):
         if _combine(model.hermitian, c).determinant():

@@ -410,18 +410,16 @@ class PolyVectorField:
             w = [Poly.zero(n, k) for _ in range(k)]
             for t in data["terms"]:
                 target = t["target"]
-                kind, idx = target[0], int(target[1:]) - 1
+                comps, idx = {"z": z, "w": w}.get(target[:1]), target[1:]
+                if comps is None or not (idx.isascii() and idx.isdigit()
+                                         and 1 <= int(idx) <= len(comps)):
+                    raise InputError(f"bad target {target!r}")
                 ze, we = list(map(int, t["z_exp"])), list(map(int, t["w_exp"]))
                 if len(ze) != n or len(we) != k or min(ze + we, default=0) < 0:
                     raise InputError("bad exponent vector")
                 mono = tuple(ze) + (0,) * n + tuple(we) + (0,) * (2 * k)
                 p = Poly(n, k, {mono: GaussianRational.parse(t["coeff"])})
-                if kind == "z":
-                    z[idx] = z[idx] + p
-                elif kind == "w":
-                    w[idx] = w[idx] + p
-                else:
-                    raise InputError(f"bad target {target!r}")
+                comps[int(idx) - 1] += p
         except InputError:
             raise
         except (KeyError, ValueError, TypeError, IndexError) as exc:

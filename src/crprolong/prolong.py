@@ -1,18 +1,24 @@
 """Tanaka prolongation of the Levi-Tanaka algebra of a quadric model.
 
-Elements of degree d >= 0 are stored by their action on m: a pair
-(phi, psi) with phi mapping the g_{-1} basis into g_{d-1} coefficient
-vectors and psi mapping the g_{-2} basis into g_{d-2} coefficient vectors
-(for d = 0 the targets are g_{-1} and g_{-2} themselves).  Degree 0 is cut
-out by J-linearity plus the derivation identity; each higher degree is the
-exact kernel of the linear system
+Every graded piece g_d, from g_{-2} up, has one format: ``pieces[d]`` is a
+list with one pair (phi, psi) per basis element B.  ``phi[s]`` holds the
+sorted nonzero (index, value) pairs of [B, X_s] in the g_{d-1} basis and
+``psi[j]`` those of [B, W_j] in the g_{d-2} basis, where X_s runs over the
+g_{-1} basis and W_j over the g_{-2} basis.  For g_{-1} the phi tables are
+the Levi-Tanaka brackets and the psi tables are empty; for g_{-2} every
+table is empty.
+
+One builder, ``prolong_step``, makes every degree i >= 0 as the exact
+kernel of the linear system
 
     (a)  psi([X, Y]) = [phi X, Y] - [phi Y, X]          X, Y in g_{-1}
     (b)  [phi X, W] = [psi W, X]                        W in g_{-2}
 
-solved over Q with the sparse fraction-free kernel.  The unknown vector is
-phi flattened row-major (source basis major) followed by psi, so the
-canonical nullspace basis makes every run byte-reproducible.
+plus, for i = 0 only, J-linearity of phi.  It reads g_{i-1}, g_{i-2} and
+g_{i-3} from their sparse tables and solves over Q with the sparse
+fraction-free kernel.  The unknown vector is phi flattened row-major (source
+basis major) followed by psi, so the canonical nullspace basis makes every
+run byte-reproducible.
 
 Brackets between nonnegative degrees are reconstructed from the actions
 ([h, X] = [f, [g, X]] - [g, [f, X]]) as sparse vectors in that same layout.
@@ -26,7 +32,7 @@ available as a consistency gate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
@@ -43,127 +49,86 @@ def jet_order(top_degree: int) -> int:
     return (top_degree + 2) // 2
 
 
+def _negative_pieces(lt: LeviTanakaAlgebra) -> dict:
+    """g_{-2} and g_{-1} in the piece format."""
+    n2, k = 2 * lt.n, lt.k
+    return {-2: [(((),) * n2, ((),) * k)] * k,
+            -1: [(tuple(_nonzero(lt.mbracket[u][s]) for s in range(n2)), ((),) * k)
+                 for u in range(n2)]}
+
+
 def compute_g0(lt: LeviTanakaAlgebra):
     """Basis of g_0: J-commuting degree-0 derivations of m, canonical order."""
-    n, k = lt.n, lt.k
-    n2 = 2 * n
-    mb = lt.mbracket
-    nphi = n2 * n2
-    ncols = nphi + k * k
-    rows = []
+    return prolong_step(lt, _negative_pieces(lt), 0)
 
-    # phi J = J phi, written per source s and target component t
-    for s in range(n2):
-        ps, eps = lt.j_index(s)
-        for t in range(n2):
-            row = {}
-            row[ps * n2 + t] = Fraction(eps)
-            # minus (J phi(X_s))_t
-            if t < n:
-                row[s * n2 + (n + t)] = row.get(s * n2 + n + t, _F0) + 1
-            else:
-                var = s * n2 + (t - n)
-                row[var] = row.get(var, _F0) - 1
-            rows.append({c: v for c, v in row.items() if v})
 
-    # derivation identity on each bracket
-    for a in range(n2):
-        for b in range(a + 1, n2):
-            ab = mb[a][b]
-            for j in range(k):
-                row = {}
-                for l in range(k):
-                    if ab[l]:
-                        row[nphi + l * k + j] = ab[l]
-                for u in range(n2):
-                    if mb[u][b][j]:
-                        var = a * n2 + u
-                        row[var] = row.get(var, _F0) - mb[u][b][j]
-                    if mb[u][a][j]:
-                        var = b * n2 + u
-                        row[var] = row.get(var, _F0) + mb[u][a][j]
-                if row:
-                    rows.append({c: v for c, v in row.items() if v})
-
-    basis = sparse_int_nullspace(_rows_to_int(rows), ncols)
-    out = []
-    for vec in basis:
-        phi = tuple(tuple(vec[s * n2 + t] for t in range(n2)) for s in range(n2))
-        psi = tuple(tuple(vec[nphi + l * k + j] for j in range(k)) for l in range(k))
-        out.append((phi, psi))
+def _by_target(piece, part: int, nsrc: int, width: int):
+    """Transpose one table of a piece: out[s][c] lists (m, value) over the
+    elements B_m whose [B_m, source s] has component c."""
+    out = [[[] for _ in range(width)] for _ in range(nsrc)]
+    for m, elem in enumerate(piece):
+        for s, entries in enumerate(elem[part]):
+            for c, v in entries:
+                out[s][c].append((m, v))
     return out
 
 
 def prolong_step(lt: LeviTanakaAlgebra, pieces: dict, i: int):
-    """Basis of g_i (i >= 1) given g_0..g_{i-1} in ``pieces``."""
-    if i < 1:
-        raise ValueError("prolong_step needs i >= 1")
-    n, k = lt.n, lt.k
-    n2 = 2 * n
+    """Basis of g_i (i >= 0) given g_{-2}..g_{i-1} in ``pieces``."""
+    if i < 0:
+        raise ValueError("prolong_step needs i >= 0")
+    n2, k = 2 * lt.n, lt.k
     mb = lt.mbracket
-    prev = pieces[i - 1]
-    m1 = len(prev)
-    m2 = n2 if i == 1 else len(pieces[i - 2])
-    if i == 1:
-        m3 = k
-    elif i == 2:
-        m3 = n2
-    else:
-        m3 = len(pieces[i - 3])
+    m1, m2 = len(pieces[i - 1]), len(pieces[i - 2])
+    m3 = len(pieces.get(i - 3, ()))     # g_{-3} = 0
     nphi = n2 * m1
-    ncols = nphi + k * m2
     rows = []
 
+    if i == 0:
+        # phi J = J phi, written per source s and target component t
+        for s in range(n2):
+            ps, eps = lt.j_index(s)
+            for t in range(n2):
+                jt, sign = lt.j_index(t)
+                rows.append({ps * n2 + t: eps, s * n2 + jt: sign})
+
     # (a) psi([X_a, X_b]) - [phi X_a, X_b] + [phi X_b, X_a] = 0   in g_{i-2}
+    on_x = _by_target(pieces[i - 1], 0, n2, m2)     # [B_m, X_s] component c
     for a in range(n2):
         for b in range(a + 1, n2):
             ab = mb[a][b]
             for c in range(m2):
-                row = {}
-                for l in range(k):
-                    if ab[l]:
-                        row[nphi + l * m2 + c] = ab[l]
-                for m in range(m1):
-                    va = prev[m][0][b][c]   # [B_m, X_b] component c
-                    if va:
-                        var = a * m1 + m
-                        row[var] = row.get(var, _F0) - va
-                    vb = prev[m][0][a][c]
-                    if vb:
-                        var = b * m1 + m
-                        row[var] = row.get(var, _F0) + vb
-                row = {c2: v for c2, v in row.items() if v}
+                row = {nphi + l * m2 + c: x for l, x in enumerate(ab) if x}
+                for m, v in on_x[b][c]:
+                    row[a * m1 + m] = -v
+                for m, v in on_x[a][c]:
+                    row[b * m1 + m] = v
                 if row:
                     rows.append(row)
 
     # (b) [phi X_s, W_j] - [psi W_j, X_s] = 0   in g_{i-3}
+    on_w = _by_target(pieces[i - 1], 1, k, m3)      # [B_m, W_j] component c
+    below = _by_target(pieces[i - 2], 0, n2, m3)    # [B_l, X_s] component c
     for s in range(n2):
         for j in range(k):
             for c in range(m3):
-                row = {}
-                for m in range(m1):
-                    v = prev[m][1][j][c]    # [B_m, W_j] component c
-                    if v:
-                        var = s * m1 + m
-                        row[var] = row.get(var, _F0) + v
-                for l in range(m2):
-                    if i == 1:
-                        v = mb[l][s][c]
-                    else:
-                        v = pieces[i - 2][l][0][s][c]
-                    if v:
-                        var = nphi + j * m2 + l
-                        row[var] = row.get(var, _F0) - v
-                row = {c2: v for c2, v in row.items() if v}
+                row = {s * m1 + m: v for m, v in on_w[j][c]}
+                for l, v in below[s][c]:
+                    row[nphi + j * m2 + l] = -v
                 if row:
                     rows.append(row)
 
-    basis = sparse_int_nullspace(_rows_to_int(rows), ncols)
     out = []
-    for vec in basis:
-        phi = tuple(tuple(vec[s * m1 + m] for m in range(m1)) for s in range(n2))
-        psi = tuple(tuple(vec[nphi + j * m2 + l] for l in range(m2)) for j in range(k))
-        out.append((phi, psi))
+    for vec in sparse_int_nullspace(_rows_to_int(rows), nphi + k * m2):
+        phi, psi = [[] for _ in range(n2)], [[] for _ in range(k)]
+        for col, v in sorted(vec.items()):
+            if col < nphi:
+                s, m = divmod(col, m1)
+                phi[s].append((m, v))
+            else:
+                j, l = divmod(col - nphi, m2)
+                psi[j].append((l, v))
+        out.append((tuple(map(tuple, phi)), tuple(map(tuple, psi))))
     return out
 
 
@@ -172,35 +137,46 @@ def _nonzero(vec):
     return tuple((i, x) for i, x in enumerate(vec) if x)
 
 
+def _negated_dense(entries, width: int):
+    """Dense tuple of the negated sparse (index, value) pairs."""
+    out = [_F0] * width
+    for t, x in entries:
+        out[t] = -x
+    return tuple(out)
+
+
 def _swapped(table):
     """Table of [B_b, B_a] from a table of sparse [B_a, B_b] entries."""
     return [[tuple((t, -x) for t, x in row[b]) for row in table]
             for b in range(len(table[0]))]
 
 
-class _SparseBasis(NamedTuple):
-    """Sparse view of the canonical basis of one degree d >= 0.
+def _flat(elem, m1: int, m2: int) -> dict:
+    """An element in the kernel layout of ``prolong_step`` (phi row-major,
+    then psi row-major) as {column: value}."""
+    phi, psi = elem
+    vec = {s * m1 + m: v for s, entries in enumerate(phi) for m, v in entries}
+    base = len(phi) * m1
+    vec.update((base + j * m2 + l, v) for j, entries in enumerate(psi) for l, v in entries)
+    return vec
 
-    ``phi[g][s]`` and ``psi[g][j]`` hold the nonzero ``(index, value)`` pairs
-    of [B_g, X_s] in g_{d-1} and [B_g, W_j] in g_{d-2}; ``flat[g]`` is B_g in
-    the kernel layout of ``compute_g0``/``prolong_step`` (phi row-major, then
-    psi row-major) as {column: value}; ``trailing[g]`` is its last column.
+
+class _SparseBasis(NamedTuple):
+    """Kernel-layout view of the canonical basis of one degree d >= 0:
+    ``flat[g]`` is B_g as {column: value}; ``trailing[g]`` is its last column.
     """
-    phi: tuple
-    psi: tuple
     flat: tuple
     trailing: tuple
 
 
 class GradedLieAlgebra:
-    """The full prolongation: m plus the computed nonnegative pieces."""
+    """The full prolongation: the pieces g_{-2}..g_top in the piece format."""
 
     def __init__(self, lt: LeviTanakaAlgebra, pieces: dict):
         self.lt = lt
         self.n, self.k = lt.n, lt.k
         self.pieces = pieces
-        self.dims = {-2: lt.k, -1: 2 * lt.n}
-        self.dims.update({d: len(p) for d, p in sorted(pieces.items())})
+        self.dims = {d: len(p) for d, p in sorted(pieces.items())}
         self._sc = None
         self._views = {}
 
@@ -215,17 +191,14 @@ class GradedLieAlgebra:
         return sorted(self.dims)
 
     def _sparse(self, d: int) -> _SparseBasis:
-        """Sparse view of the g_d basis, checked once: the phi parts are
+        """Kernel-layout view of the g_d basis, checked once: the phi parts are
         independent (faithfulness) and each element has a 1 at its trailing
         column where every other element vanishes (canonical kernel form)."""
         view = self._views.get(d)
         if view is not None:
             return view
         piece = self.pieces[d]
-        phi = tuple(tuple(map(_nonzero, p)) for p, _ in piece)
-        psi = tuple(tuple(map(_nonzero, q)) for _, q in piece)
-        flat = tuple(dict(_nonzero([x for part in elem for row in part for x in row]))
-                     for elem in piece)
+        flat = tuple(_flat(elem, self.dims[d - 1], self.dims[d - 2]) for elem in piece)
         # the phi parts are independent iff the transposed system has no kernel
         nphi = 2 * self.n * self.dims[d - 1]
         columns = {}
@@ -244,7 +217,7 @@ class GradedLieAlgebra:
                     f"degree {d} basis element {g} is not in canonical kernel form at "
                     f"its trailing column {t}: value {flat[g][t]}, also nonzero in "
                     f"elements {others}")
-        view = self._views[d] = _SparseBasis(phi, psi, flat, trailing)
+        view = self._views[d] = _SparseBasis(flat, trailing)
         return view
 
     def _read_off(self, d: int, vec: dict):
@@ -271,19 +244,19 @@ class GradedLieAlgebra:
         if self._sc is not None:
             return self._sc
         b = self.top_degree()
-        mb = self.lt.mbracket
-        n2 = 2 * self.n
-        sc = {(-1, -1): [[tuple(mb[a][c]) for c in range(n2)] for a in range(n2)]}
+        sc = {}
         # lower[(p, q)][a][b']: sparse ((t, value), ...) of [B^p_a, B^q_b'],
         # for both orders of every degree pair computed so far
         lower = {}
-        for d in sorted(self.pieces):
-            sc[(-1, d)] = [[tuple(-x for x in self.pieces[d][m][0][s])
-                            for m in range(self.dims[d])] for s in range(n2)]
-            sc[(-2, d)] = [[tuple(-x for x in self.pieces[d][m][1][j])
-                            for m in range(self.dims[d])] for j in range(self.k)]
-            view = self._sparse(d)
-            lower[(d, -1)], lower[(d, -2)] = view.phi, view.psi
+        for d, piece in self.pieces.items():
+            if d >= -1:
+                sc[(-1, d)] = [[_negated_dense(phi[s], self.dims[d - 1]) for phi, _ in piece]
+                               for s in range(2 * self.n)]
+            if d >= 0:
+                sc[(-2, d)] = [[_negated_dense(psi[j], self.dims[d - 2]) for _, psi in piece]
+                               for j in range(self.k)]
+            lower[(d, -1)] = [phi for phi, _ in piece]
+            lower[(d, -2)] = [psi for _, psi in piece]
 
         for total in range(0, b + 1):
             for i in range(0, total // 2 + 1):
@@ -306,12 +279,11 @@ class GradedLieAlgebra:
         """
         total = i + j
         w1, w2 = self.dims[total - 1], self.dims[total - 2]
-        f, g = self._sparse(i), self._sparse(j)
+        (f_phi, f_psi), (g_phi, g_psi) = self.pieces[i][ai], self.pieces[j][aj]
         h = {}
         for g_rows, f_rows, f_on, g_on, width, base in (
-                (g.phi[aj], f.phi[ai], lower[(i, j - 1)][ai], lower[(j, i - 1)][aj],
-                 w1, 0),
-                (g.psi[aj], f.psi[ai], lower[(i, j - 2)][ai], lower[(j, i - 2)][aj],
+                (g_phi, f_phi, lower[(i, j - 1)][ai], lower[(j, i - 1)][aj], w1, 0),
+                (g_psi, f_psi, lower[(i, j - 2)][ai], lower[(j, i - 2)][aj],
                  w2, 2 * self.n * w1)):
             for g_row, f_row in zip(g_rows, f_rows):
                 for m, v in g_row:
@@ -460,11 +432,9 @@ def prolong_full(model: QuadricModel, max_degree: int = 12,
         return _CACHE[key]
 
     lt = build_levi_tanaka(model)
-    pieces = {0: compute_g0(lt)}
-    if not pieces[0]:
-        raise InternalCheckError("g_0 is empty — the grading pair is always present")
+    pieces = _negative_pieces(lt)
     terminated = False
-    for i in range(1, max_degree + 1):
+    for i in range(0, max_degree + 1):
         pieces[i] = prolong_step(lt, pieces, i)
         if not pieces[i]:
             pieces[i + 1] = prolong_step(lt, pieces, i + 1)
@@ -477,6 +447,8 @@ def prolong_full(model: QuadricModel, max_degree: int = 12,
     if not terminated:
         raise NonterminationError(
             f"prolongation not terminated below degree cap {max_degree}")
+    if 0 not in pieces:
+        raise InternalCheckError("g_0 is empty — the grading pair is always present")
 
     algebra = GradedLieAlgebra(lt, pieces)
     b = algebra.top_degree()

@@ -35,20 +35,8 @@ from .scalars import GaussianRational
 
 BRACKET_SIGN = -1
 
+_F0 = Fraction(0)
 _HALF = Fraction(1, 2)
-
-
-def _neg_bracket_tables(alg: GradedLieAlgebra, d: int):
-    """[X_s, B] and [W_j, B] coefficient lookups for B of degree d."""
-    if d >= 0:
-        piece = alg.pieces[d]
-        phi = lambda s, m: tuple(-x for x in piece[m][0][s])      # noqa: E731
-        psi = lambda j, m: tuple(-x for x in piece[m][1][j])      # noqa: E731
-        return phi, psi
-    if d == -1:
-        mb = alg.lt.mbracket
-        return (lambda s, m: mb[s][m]), None
-    return None, None
 
 
 def _ad_z(alg: GradedLieAlgebra, state: dict) -> dict:
@@ -56,19 +44,16 @@ def _ad_z(alg: GradedLieAlgebra, state: dict) -> dict:
     n = alg.n
     out = {}
     for (d, m), f in state.items():
-        e_tab, _ = _neg_bracket_tables(alg, d)
-        if e_tab is None:
-            continue
+        phi = alg.pieces[d][m][0]
         for a in range(n):
-            ce = e_tab(a, m)           # [e_a, B_m]
-            cj = e_tab(n + a, m)       # [Je_a, B_m]
+            ce = dict(phi[a])          # [B_m, e_a] = -[e_a, B_m]
+            cj = dict(phi[n + a])      # [B_m, Je_a]
             za = Poly.variable(alg.n, alg.k, "z", a)
-            for t, (xe, xj) in enumerate(zip(ce, cj)):
-                if xe or xj:
-                    coeff = GaussianRational(_HALF * xe, -_HALF * xj)
-                    key = (d - 1, t)
-                    add = f * za * coeff
-                    out[key] = out[key] + add if key in out else add
+            for t in sorted(ce.keys() | cj.keys()):
+                coeff = GaussianRational(-_HALF * ce.get(t, _F0), _HALF * cj.get(t, _F0))
+                key = (d - 1, t)
+                add = f * za * coeff
+                out[key] = out[key] + add if key in out else add
     return {key: p for key, p in out.items() if p}
 
 
@@ -76,17 +61,13 @@ def _ad_w(alg: GradedLieAlgebra, state: dict) -> dict:
     """Apply ad(sum w_j W_j); each entry drops two degrees."""
     out = {}
     for (d, m), f in state.items():
-        _, w_tab = _neg_bracket_tables(alg, d)
-        if w_tab is None:
-            continue
+        psi = alg.pieces[d][m][1]
         for j in range(alg.k):
-            cw = w_tab(j, m)           # [W_j, B_m]
             wj = Poly.variable(alg.n, alg.k, "w", j)
-            for t, x in enumerate(cw):
-                if x:
-                    key = (d - 2, t)
-                    add = f * wj * x
-                    out[key] = out[key] + add if key in out else add
+            for t, x in psi[j]:        # [B_m, W_j] = -[W_j, B_m]
+                key = (d - 2, t)
+                add = f * wj * -x
+                out[key] = out[key] + add if key in out else add
     return {key: p for key, p in out.items() if p}
 
 
@@ -182,6 +163,6 @@ def express_in_span(target: PolyVectorField, fields) -> tuple | None:
                 im_row[col] = c.im
     basis = sparse_int_nullspace(_rows_to_int(r for pair in rows.values() for r in pair),
                                  len(fields) + 1)
-    if basis and basis[-1][-1]:
-        return basis[-1][:-1]
+    if basis and max(basis[-1]) == len(fields):
+        return tuple(basis[-1].get(c, _F0) for c in range(len(fields)))
     return None

@@ -8,7 +8,8 @@
   coefficients from the g_{-1} action with a Gauss-Jordan row basis
   (``RationalRowBasis``), and check the g_{-2} action against the same
   combination.  The library reads coefficients off the canonical kernel
-  basis instead.
+  basis instead.  This route reads the nonnegative pieces in the old dense
+  format (``dense_pieces``).
 
 Tests compare the two routes entry by entry.
 """
@@ -149,6 +150,22 @@ class RationalRowBasis:
         return tuple(coeffs)
 
 
+def dense_pieces(alg):
+    """The nonnegative pieces of ``alg`` as dense tables: for each degree d >= 0
+    and element, ``(phi, psi)`` with ``phi[s]`` the full coefficient tuple of
+    [B, X_s] over g_{d-1} and ``psi[j]`` that of [B, W_j] over g_{d-2}."""
+    def dense(entries, width):
+        out = [_F0] * width
+        for t, x in entries:
+            out[t] = x
+        return tuple(out)
+
+    return {d: [(tuple(dense(row, alg.dims[d - 1]) for row in phi),
+                 tuple(dense(row, alg.dims[d - 2]) for row in psi))
+                for phi, psi in piece]
+            for d, piece in alg.pieces.items() if d >= 0}
+
+
 def dense_structure_constants(alg):
     """Structure constants of ``alg`` by the dense expression route.
 
@@ -157,23 +174,24 @@ def dense_structure_constants(alg):
     b = alg.top_degree()
     mb = alg.lt.mbracket
     n2 = 2 * alg.n
+    pieces = dense_pieces(alg)
     expressers = {}
 
     def expresser(d):
         if d not in expressers:
-            rows = [[x for col in phi for x in col] for phi, _ in alg.pieces[d]]
+            rows = [[x for col in phi for x in col] for phi, _ in pieces[d]]
             expressers[d] = RationalRowBasis(rows)
         return expressers[d]
 
     sc = {(-1, -1): [[tuple(mb[a][c]) for c in range(n2)] for a in range(n2)]}
-    for d in sorted(alg.pieces):
-        if not alg.pieces[d]:
+    for d in sorted(pieces):
+        if not pieces[d]:
             continue
         if d - 1 >= -2:
-            sc[(-1, d)] = [[tuple(-x for x in alg.pieces[d][m][0][s])
+            sc[(-1, d)] = [[tuple(-x for x in pieces[d][m][0][s])
                             for m in range(alg.dims[d])] for s in range(n2)]
         if d - 2 >= -2:
-            sc[(-2, d)] = [[tuple(-x for x in alg.pieces[d][m][1][j])
+            sc[(-2, d)] = [[tuple(-x for x in pieces[d][m][1][j])
                             for m in range(alg.dims[d])] for j in range(alg.k)]
 
     def bkt(di, ai, dj, aj):
@@ -193,19 +211,19 @@ def dense_structure_constants(alg):
                 continue
             target_dim = alg.dims.get(total, 0)
             expr = expresser(total) if target_dim else None
-            sc[(i, j)] = [[_dense_bracket_pair(alg, i, ai, j, aj, bkt, expr, total)
+            sc[(i, j)] = [[_dense_bracket_pair(alg, pieces, i, ai, j, aj, bkt, expr, total)
                            for aj in range(alg.dims[j])]
                           for ai in range(alg.dims[i])]
     return sc
 
 
-def _dense_bracket_pair(alg, i, ai, j, aj, bkt, expr, total):
+def _dense_bracket_pair(alg, pieces, i, ai, j, aj, bkt, expr, total):
     """[B^i_ai, B^j_aj] expressed in the g_total basis, with closure check."""
     n2 = 2 * alg.n
-    phi_i = alg.pieces[i][ai][0]
-    psi_i = alg.pieces[i][ai][1]
-    phi_j = alg.pieces[j][aj][0]
-    psi_j = alg.pieces[j][aj][1]
+    phi_i = pieces[i][ai][0]
+    psi_i = pieces[i][ai][1]
+    phi_j = pieces[j][aj][0]
+    psi_j = pieces[j][aj][1]
     tgt1 = alg.dims.get(total - 1, 0)
     # action of the bracket on g_{-1}
     phi_h = []
@@ -256,7 +274,7 @@ def _dense_bracket_pair(alg, i, ai, j, aj, bkt, expr, total):
     # psi part must agree with the same combination (closure assertion)
     for jj in range(alg.k):
         for t in range(tgt2):
-            s = sum((c * alg.pieces[total][g][1][jj][t]
+            s = sum((c * pieces[total][g][1][jj][t]
                      for g, c in enumerate(coeffs) if c), _F0)
             if s != psi_h[jj][t]:
                 raise InternalCheckError("bracket closure mismatch on g_{-2} action")

@@ -15,8 +15,8 @@ E = sum z d/dz + 2 sum w d/dw:
 * criterion 5 pins the top of the prolongation: the degree-6 slice is spanned
   by the order-4 field F ([E, F] = 6 F), while T lies in the degree-4 slice.
 
-Criterion 11 carries the ``stretch`` marker and is excluded from the default
-run (``-m 'not stretch'``).
+Criterion 11 prolongs so_family(4), the largest system the builder makes in
+the default suite (a few seconds).
 """
 
 import time
@@ -194,7 +194,6 @@ def test_criterion_10(name, request):
     assert result.jet_order <= entry.model.k + 1
 
 
-@pytest.mark.stretch
 def test_criterion_11():
     """The orthogonal family at n = 4 prolongs to top degree 6 with jet order
     4 = n, with dimension profile (7, 16, 40, 56, 58, 48, 22, 8, 1) over

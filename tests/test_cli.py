@@ -131,6 +131,25 @@ def test_validate_json_to_out_file(capsys, tmp_path):
     assert data["independent"] is True
 
 
+def test_validate_unwritable_out(capsys, tmp_path):
+    dest = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, ["validate", "--catalog", "heisenberg",
+                                  "--out", str(dest)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {dest}: ")
+    assert err.count("\n") == 1
+
+
+def test_catalog_export_unwritable(capsys, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    code, out, err = run(capsys, ["catalog", "--export", str(blocker / "dir")])
+    assert code == 2
+    assert err.startswith(f"error: cannot write {blocker / 'dir'}: ")
+    assert err.count("\n") == 1
+
+
 def test_validate_requires_a_model(capsys):
     code, out, err = run(capsys, ["validate"])
     assert code == 2
@@ -282,6 +301,17 @@ def test_verify_json_certificate(capsys, tmp_path):
     data = json.loads(out)
     assert data["verdict"] is True
     assert "residuals" not in data
+
+
+@pytest.mark.parametrize("target", ["z0", "w0"])
+def test_verify_field_target_out_of_range(capsys, tmp_path, target):
+    data = _heisenberg_field(GaussianRational(0, 1)).to_json()
+    data["terms"][0]["target"] = target
+    path = write_json(tmp_path / "bad.json", data)
+    code, out, err = run(capsys, ["verify", "--catalog", "heisenberg",
+                                  "--field", path])
+    assert code == 2
+    assert f"bad target {target!r}" in err
 
 
 def test_verify_frame_mismatch(capsys, tmp_path):

@@ -196,7 +196,7 @@ def test_sparse_and_dense_kernels_agree():
         m = ExactMatrix(dense_rows)
         sparse = sparse_int_nullspace(
             [{j: v for j, v in enumerate(r) if v} for r in dense_rows], cols_n)
-        dense = [tuple(x.re for x in v) for v in dense_kernel(m)]
+        dense = [{c: x.re for c, x in enumerate(v) if x} for v in dense_kernel(m)]
         assert sparse == dense
 
 

@@ -187,7 +187,8 @@ def test_tumanov_exhausted_returns_none():
 
 
 def test_tumanov_requires_hermitian():
-    with pytest.raises(DegenerateModelError):
+    with pytest.raises(DegenerateModelError,
+                       match="tumanov search requires Hermitian forms"):
         tumanov_search(QuadricModel((ExactMatrix([[GR_I]]),)))
 
 

@@ -314,6 +314,13 @@ def test_field_json_rejects_malformed():
         mutate(bad)
         with pytest.raises(InputError):
             PolyVectorField.from_json(bad)
+    # a target is z or w followed by a decimal index in 1..n or 1..k
+    for target in ("z0", "w0", "z+1", "z-1", "z2", "w2", "z", "", "Z1", "z 1", "z\u0661"):
+        bad = copy.deepcopy(good)
+        bad["terms"].append({"target": target, "z_exp": [0], "w_exp": [0],
+                             "coeff": "(1)+(0)i"})
+        with pytest.raises(InputError, match="bad target"):
+            PolyVectorField.from_json(bad)
 
 
 def test_field_text():

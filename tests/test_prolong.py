@@ -138,8 +138,13 @@ def test_g0_contains_grading_pair(codim5):
     basis = compute_g0(lt)
     assert len(basis) == 17
     # every phi commutes with J by construction; check one invariant directly
-    for phi, psi in basis:
-        for s in range(2 * lt.n):
+    n2 = 2 * lt.n
+    for sparse_phi, psi in basis:
+        phi = [[0] * n2 for _ in range(n2)]
+        for s, entries in enumerate(sparse_phi):
+            for t, x in entries:
+                phi[s][t] = x
+        for s in range(n2):
             js, eps = lt.j_index(s)
             lhs = [eps * x for x in phi[js]]
             rhs = list(lt.j_apply(phi[s]))
@@ -149,7 +154,7 @@ def test_g0_contains_grading_pair(codim5):
 def test_prolong_step_rejects_bad_degree(heisenberg):
     lt = build_levi_tanaka(heisenberg.model)
     with pytest.raises(ValueError):
-        prolong_step(lt, {0: compute_g0(lt)}, 0)
+        prolong_step(lt, {0: compute_g0(lt)}, -1)
 
 
 # ---------------------------------------------------------------------------

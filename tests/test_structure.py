@@ -6,6 +6,8 @@ Each failure-mode test corrupts a copy of an algebra in one way and checks
 that the exact checks refuse it with a message that locates the fault.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from reference import dense_structure_constants
@@ -43,12 +45,14 @@ def test_uncorrupted_copy_passes(heisenberg_result):
 
 def test_changed_psi_entry_fails_closure(heisenberg_result):
     # g_2 is one element with psi row (c4, c5) in columns 4, 5 of the
-    # (phi, psi) layout; its trailing column is 5, so changing column 4
-    # keeps the canonical form and the phi part, and only closure can fail
+    # (phi, psi) layout; c4 = 0 and the trailing column is 5, so setting
+    # column 4 to 1 keeps the canonical form and the phi part, and only
+    # closure can fail
     alg = heisenberg_result.algebra
     phi, psi = alg.pieces[2][0]
     assert alg._sparse(2).trailing == (5,)
-    bad_psi = ((psi[0][0] + 1, psi[0][1]),)
+    assert [t for t, _ in psi[0]] == [1]
+    bad_psi = (((0, Fraction(1)),) + psi[0],)
     copy = copy_with_element(alg, 2, 0, psi=bad_psi)
     with pytest.raises(InternalCheckError,
                        match=r"bracket of basis elements \(1,0\) and \(1,1\) "
@@ -68,9 +72,11 @@ def test_dependent_phi_parts_fail_faithfulness(heisenberg_result):
 def test_broken_trailing_column_fails(heisenberg_result):
     alg = heisenberg_result.algebra
     phi, psi = alg.pieces[1][0]
-    double = tuple(tuple(2 * x for x in row) for row in phi)
-    copy = copy_with_element(alg, 1, 0, phi=double,
-                             psi=tuple(tuple(2 * x for x in row) for row in psi))
+
+    def double(table):
+        return tuple(tuple((t, 2 * x) for t, x in row) for row in table)
+
+    copy = copy_with_element(alg, 1, 0, phi=double(phi), psi=double(psi))
     with pytest.raises(InternalCheckError,
                        match="degree 1 basis element 0 is not in canonical kernel "
                              "form at its trailing column 4: value 2"):
