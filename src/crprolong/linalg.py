@@ -6,6 +6,8 @@ Design notes
   matrices can be shared freely across threads.
 * Determinants use fraction-free Bareiss elimination over the Gaussian
   integers (denominators are cleared first); all divisions are exact.
+  ``gi_bareiss`` is that one elimination loop; without row swaps its pivots
+  are the leading principal minors, which the definiteness search reads.
 * Every kernel, rank test and span solve goes through
   ``sparse_int_nullspace``: it eliminates integer rows held as dicts of
   columns with gcd content removal (fraction-free, no entry blowup) and then
@@ -34,32 +36,48 @@ from .errors import DimensionError, InternalCheckError
 from .scalars import GR_ONE, GR_ZERO, GaussianRational
 
 # ---------------------------------------------------------------------------
-# Gaussian-integer helpers for Bareiss (entries held as (re, im) int pairs)
+# fraction-free Gaussian elimination over Z[i]
 # ---------------------------------------------------------------------------
 
 
-def _gi_mul(a, b):
-    ar, ai = a
-    br, bi = b
-    return (ar * br - ai * bi, ar * bi + ai * br)
+def gi_bareiss(m, swap=True):
+    """Bareiss elimination of a square matrix over Z[i], yielding its pivots.
 
-
-def _gi_sub(a, b):
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def _gi_divexact(a, d):
-    # a / d in Z[i]; Bareiss guarantees exactness (quotients are minors).
-    dr, di = d
-    n = dr * dr + di * di
-    ar, ai = a
-    rr = ar * dr + ai * di
-    ri = ai * dr - ar * di
-    qr, mr = divmod(rr, n)
-    qi, mi = divmod(ri, n)
-    if mr or mi:
-        raise InternalCheckError("non-exact Gaussian integer division in Bareiss")
-    return (qr, qi)
+    ``m`` is a list of rows of (re, im) int pairs and is overwritten.  The
+    pivots come out in order, each times the sign of the row swaps made so
+    far, and the generator stops after the first zero pivot; the last value
+    is det(m).  Every division is exact, because each entry is a minor of
+    ``m`` (Bareiss, Math. Comp. 22, 1968).  Without row swaps the k-th pivot
+    is the leading principal k x k minor.
+    """
+    n = len(m)
+    sign, prev_r, prev_i = 1, 1, 0
+    for k in range(n):
+        if swap and m[k][k] == (0, 0):
+            r = next((i for i in range(k + 1, n) if m[i][k] != (0, 0)), None)
+            if r is not None:
+                m[k], m[r] = m[r], m[k]
+                sign = -sign
+        row_k = m[k]
+        ar, ai = row_k[k]
+        yield (sign * ar, sign * ai)
+        if not (ar or ai):
+            return
+        norm = prev_r * prev_r + prev_i * prev_i
+        for i in range(k + 1, n):
+            row = m[i]
+            br, bi = row[k]
+            for j in range(k + 1, n):
+                (xr, xi), (yr, yi) = row[j], row_k[j]
+                # (a x - b y) / prev, exact in Z[i]
+                tr = ar * xr - ai * xi - br * yr + bi * yi
+                ti = ar * xi + ai * xr - br * yi - bi * yr
+                qr, mr = divmod(tr * prev_r + ti * prev_i, norm)
+                qi, mi = divmod(ti * prev_r - tr * prev_i, norm)
+                if mr or mi:
+                    raise InternalCheckError("non-exact Gaussian integer division in Bareiss")
+                row[j] = (qr, qi)
+        prev_r, prev_i = ar, ai
 
 
 class ExactMatrix:
@@ -192,8 +210,7 @@ class ExactMatrix:
     def determinant(self) -> GaussianRational:
         if self.rows != self.cols:
             raise DimensionError("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
+        if self.rows == 0:
             return GR_ONE
         # clear denominators row by row; Bareiss over Z[i]
         scale = Fraction(1)
@@ -202,25 +219,8 @@ class ExactMatrix:
             d = lcm(*(lcm(x.re.denominator, x.im.denominator) for x in row))
             scale *= d
             m.append([(int(x.re * d), int(x.im * d)) for x in row])
-        sign = 1
-        prev = (1, 0)
-        for k in range(n - 1):
-            pr = next((i for i in range(k, n) if m[i][k] != (0, 0)), None)
-            if pr is None:
-                return GR_ZERO
-            if pr != k:
-                m[k], m[pr] = m[pr], m[k]
-                sign = -sign
-            pivot = m[k][k]
-            for i in range(k + 1, n):
-                rik = m[i][k]
-                for j in range(k + 1, n):
-                    m[i][j] = _gi_divexact(
-                        _gi_sub(_gi_mul(pivot, m[i][j]), _gi_mul(rik, m[k][j])), prev)
-                m[i][k] = (0, 0)
-            prev = pivot
-        dr, di = m[n - 1][n - 1]
-        return GaussianRational(Fraction(sign * dr) / scale, Fraction(sign * di) / scale)
+        *_, (dr, di) = gi_bareiss(m)
+        return GaussianRational(Fraction(dr) / scale, Fraction(di) / scale)
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,11 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .errors import AlgebraError, DegenerateModelError, DimensionError, InputError
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, gi_bareiss
 from .poly import Poly
 from .scalars import GaussianRational
 
@@ -138,32 +139,37 @@ class QuadricModel:
         """Integer c with sum(c_j H_j) positive or negative definite, or None.
 
         Sufficient certificate for the isotropy condition; informational only,
-        so the search is capped at ``limit`` candidates (a deterministic prefix
-        of the enumeration — at bound 1 the whole space is covered up to k=7).
+        so the search is capped at ``limit`` enumerated candidates, filtered or
+        not (a deterministic prefix of the enumeration — at bound 1 the whole
+        space is covered up to k=7).
+
+        The forms are scaled once by a common positive denominator D into
+        Gaussian integers, which changes no sign.  A definite matrix has a
+        diagonal of one strict sign, so a candidate is skipped unless its n
+        diagonal entries, read off the forms' diagonals, are all nonzero of
+        one sign s.  The survivors are decided by Sylvester's criterion: the
+        m-th leading principal minor must have sign s^m.  A Bareiss pass
+        without row swaps yields these minors (scaled by D^m > 0) as its
+        pivots, so one pass replaces a determinant per minor; it stops at the
+        first pivot that is zero or has the wrong sign.
         """
         if bound < 1:
             return None
-        corner = [h[0, 0].re for h in self.hermitian]
+        n = self.n
+        forms = _integer_forms(self.hermitian, bound)
         for count, c in enumerate(_signed_tuples(self.k, bound)):
             if count >= limit:
                 return None
-            # first leading minor, computed without building the combination;
-            # zero kills both sign patterns at once
-            if not sum(cj * x for cj, x in zip(c, corner) if cj):
+            diag = [sum(t) for t in zip(*(f[cj][:n * n:n + 1] for cj, f in zip(c, forms) if cj))]
+            s = 1 if diag[0] > 0 else -1
+            if not all(x * s > 0 for x in diag):
                 continue
-            combo = _combine(self.hermitian, c)
-            pos = neg = True
-            for i, sub in enumerate(_leading_minors(combo)):
-                x = sub.determinant()
-                if x.im:
+            for m, (re, im) in enumerate(gi_bareiss(_combination(forms, c, n), swap=False), 1):
+                if im:
                     raise AlgebraError("non-real principal minor of a Hermitian matrix")
-                if not x.re > 0:
-                    pos = False
-                if not (x.re > 0 if i % 2 else x.re < 0):  # (-1)^m: negative definite
-                    neg = False
-                if not (pos or neg):
+                if re * s ** m <= 0:
                     break
-            if pos or neg:
+            else:
                 return c
         return None
 
@@ -177,18 +183,21 @@ def _signed_tuples(k: int, bound: int):
             yield c
 
 
-def _combine(mats, c):
-    acc = None
-    for h, cj in zip(mats, c):
-        if cj:
-            term = h.scale(cj)
-            acc = term if acc is None else acc + term
-    return acc
+def _integer_forms(mats, bound):
+    """Per form, a dict v -> v D H as a row-major flat int list (n*n real parts,
+    then n*n imaginary parts), for v = +-1..+-bound and one common D > 0."""
+    d = lcm(*(lcm(x.re.denominator, x.im.denominator)
+              for h in mats for row in h.entries for x in row))
+    flats = ([int(x.re * d) for row in h.entries for x in row]
+             + [int(x.im * d) for row in h.entries for x in row] for h in mats)
+    return [{v: [v * x for x in f] for v in range(-bound, bound + 1) if v} for f in flats]
 
 
-def _leading_minors(m: ExactMatrix):
-    for size in range(1, m.rows + 1):
-        yield ExactMatrix([row[:size] for row in m.entries[:size]])
+def _combination(forms, c, n):
+    """sum_j c_j F_j of integer forms, as n rows of (re, im) int pairs."""
+    flat = list(map(sum, zip(*(f[cj] for cj, f in zip(c, forms) if cj))))
+    pairs = list(zip(flat[:n * n], flat[n * n:]))
+    return [pairs[a:a + n] for a in range(0, n * n, n)]
 
 
 def tumanov_search(model: QuadricModel, bound: int = 2):
@@ -197,11 +206,16 @@ def tumanov_search(model: QuadricModel, bound: int = 2):
     Deterministic enumeration: per-coordinate values 0, 1, -1, 2, -2, ...,
     last coordinate varying fastest.  Returns None when the bound is
     exhausted; existence of such a c is the Tumanov nondegeneracy condition.
+    Each determinant is one Bareiss pass on the integer forms (D^n det != 0);
+    a combination with a zero row is singular and skips the pass.
     """
     if not all(h.is_hermitian() for h in model.hermitian):
         raise DegenerateModelError("tumanov search requires Hermitian forms")
+    forms = _integer_forms(model.hermitian, bound)
+    zero_row = [(0, 0)] * model.n
     for c in _signed_tuples(model.k, bound):
-        if _combine(model.hermitian, c).determinant():
+        m = _combination(forms, c, model.n)
+        if zero_row not in m and [*gi_bareiss(m)][-1] != (0, 0):
             return c
     return None
 

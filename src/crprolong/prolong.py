@@ -32,6 +32,7 @@ available as a consistency gate.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -415,7 +416,8 @@ class ProlongationResult:
         return out
 
 
-_CACHE: dict = {}
+_CACHE_SIZE = 8                         # results kept; the least recently used goes first
+_CACHE: OrderedDict = OrderedDict()
 
 
 def clear_cache():
@@ -429,6 +431,7 @@ def prolong_full(model: QuadricModel, max_degree: int = 12,
     vanishing degree kills everything above it)."""
     key = (model.fingerprint(), max_degree)
     if use_cache and key in _CACHE:
+        _CACHE.move_to_end(key)
         return _CACHE[key]
 
     lt = build_levi_tanaka(model)
@@ -462,4 +465,6 @@ def prolong_full(model: QuadricModel, max_degree: int = 12,
     )
     if use_cache:
         _CACHE[key] = result
+        if len(_CACHE) > _CACHE_SIZE:
+            _CACHE.popitem(last=False)
     return result

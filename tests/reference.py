@@ -10,14 +10,21 @@
   combination.  The library reads coefficients off the canonical kernel
   basis instead.  This route reads the nonnegative pieces in the old dense
   format (``dense_pieces``).
+* The original searches of ``validate`` (``dense_definite_combination``,
+  ``dense_tumanov_search``): each candidate combination is built as an
+  ``ExactMatrix`` (``_combine``) and the definiteness test runs one
+  determinant per leading minor (``_leading_minors``).  The library builds
+  the combinations from integer forms, filters them by their diagonal and
+  reads all leading minors off one Bareiss pass.
 
 Tests compare the two routes entry by entry.
 """
 
 from fractions import Fraction
 
-from crprolong.errors import DimensionError, InternalCheckError
+from crprolong.errors import AlgebraError, DegenerateModelError, DimensionError, InternalCheckError
 from crprolong.linalg import ExactMatrix
+from crprolong.model import _signed_tuples
 from crprolong.scalars import GR_ONE, GR_ZERO, GaussianRational
 
 _F0 = Fraction(0)
@@ -279,3 +286,56 @@ def _dense_bracket_pair(alg, pieces, i, ai, j, aj, bkt, expr, total):
             if s != psi_h[jj][t]:
                 raise InternalCheckError("bracket closure mismatch on g_{-2} action")
     return coeffs
+
+
+def dense_definite_combination(model, bound, limit=3000):
+    """``QuadricModel._definite_combination`` before the integer rewrite."""
+    if bound < 1:
+        return None
+    corner = [h[0, 0].re for h in model.hermitian]
+    for count, c in enumerate(_signed_tuples(model.k, bound)):
+        if count >= limit:
+            return None
+        # first leading minor, computed without building the combination;
+        # zero kills both sign patterns at once
+        if not sum(cj * x for cj, x in zip(c, corner) if cj):
+            continue
+        combo = _combine(model.hermitian, c)
+        pos = neg = True
+        for i, sub in enumerate(_leading_minors(combo)):
+            x = sub.determinant()
+            if x.im:
+                raise AlgebraError("non-real principal minor of a Hermitian matrix")
+            if not x.re > 0:
+                pos = False
+            if not (x.re > 0 if i % 2 else x.re < 0):  # (-1)^m: negative definite
+                neg = False
+            if not (pos or neg):
+                break
+        if pos or neg:
+            return c
+    return None
+
+
+def _combine(mats, c):
+    acc = None
+    for h, cj in zip(mats, c):
+        if cj:
+            term = h.scale(cj)
+            acc = term if acc is None else acc + term
+    return acc
+
+
+def _leading_minors(m: ExactMatrix):
+    for size in range(1, m.rows + 1):
+        yield ExactMatrix([row[:size] for row in m.entries[:size]])
+
+
+def dense_tumanov_search(model, bound: int = 2):
+    """``tumanov_search`` before the integer rewrite."""
+    if not all(h.is_hermitian() for h in model.hermitian):
+        raise DegenerateModelError("tumanov search requires Hermitian forms")
+    for c in _signed_tuples(model.k, bound):
+        if _combine(model.hermitian, c).determinant():
+            return c
+    return None

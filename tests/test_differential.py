@@ -3,14 +3,16 @@
 Each model has n, k <= 3 and Hermitian entries drawn from
 {-1, 0, 1} + {-1, 0, 1} i; draws that fail ``validate(0)`` are rejected.
 For each model the dims profile must equal the independent oracle's through
-top + 1, the structure constants must equal the dense reference route, and
-the exact Jacobi sweep must pass.
+top + 1, the structure constants must equal the dense reference route, the
+exact Jacobi sweep must pass, and every realized basis field must be tangent
+(``verify_hol``) and of its own weighted degree.
 """
 
 import random
 
 import pytest
 
+from helpers import tangency_sweep
 from oracle import hol_profile
 from reference import dense_structure_constants
 
@@ -54,3 +56,4 @@ def test_random_model_matches_oracle_and_reference(model):
     assert hol_profile(model, top + 1) == {d: alg.dim(d) for d in range(-2, top + 2)}
     assert alg.structure_constants() == dense_structure_constants(alg)
     assert alg.check_jacobi() > 0
+    assert tangency_sweep(result) == sum(alg.dims.values())

@@ -31,6 +31,10 @@ GOLDEN = {
         "8656223a67eb3d9a299eb0bd14d48e962ae5eafbacb0e445f2d01cb9dea0b1b1",
     "report --json --catalog codim4":
         "db346ad29ca8e5afd997c9e03755218702b0ac10430c779e5dc5101811ba9f5b",
+    # the capped definite search (k = 9) and a Tumanov search over 15,781
+    # candidates
+    "report --json --catalog codim5 --extra 4":
+        "704930d6d6828f2bfe1e2665df4e6c400e786d141d9c916ca5b24f766f664e23",
     "realize --degree 6 --json --catalog codim5":
         "2cafa3db208dd330558d33ca429f580232d5e01b3498e94214b227228a44ed6f",
 }

@@ -8,7 +8,7 @@ from reference import RationalRowBasis, dense_rref, dense_solve
 
 from crprolong import catalog
 from crprolong.errors import DimensionError, InternalCheckError
-from crprolong.linalg import ExactMatrix, sparse_int_nullspace
+from crprolong.linalg import ExactMatrix, gi_bareiss, sparse_int_nullspace
 from crprolong.scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational
 
 
@@ -159,6 +159,26 @@ def test_determinant_matches_leibniz_oracle():
         n = rng.randint(1, 4)
         m = rand_matrix(rng, n, n)
         assert m.determinant() == naive_determinant(m)
+
+
+def test_bareiss_pivots_without_swaps_are_leading_minors():
+    """The pass stops after the first zero pivot; small entries make zero
+    leading minors common, so both the full and the cut-short runs occur."""
+    rng = random.Random(29)
+    cut = full = 0
+    for _ in range(80):
+        n = rng.randint(1, 5)
+        m = [[(rng.randint(-2, 2), rng.randint(-2, 2) if rng.random() < 0.5 else 0)
+              for _ in range(n)] for _ in range(n)]
+        minors = [naive_determinant(ExactMatrix([[GaussianRational(*x) for x in row[:size]]
+                                                 for row in m[:size]]))
+                  for size in range(1, n + 1)]
+        stop = next((i for i, x in enumerate(minors) if not x), n - 1)
+        pivots = list(gi_bareiss([list(row) for row in m], swap=False))
+        assert pivots == [(x.re, x.im) for x in minors[:stop + 1]]
+        cut += stop < n - 1
+        full += stop == n - 1
+    assert cut and full
 
 
 def test_nullspace_vectors_annihilate_and_count():

@@ -4,6 +4,7 @@ from oracle import hol_dimension, hol_profile
 
 from crprolong.errors import InternalCheckError, NonterminationError
 from crprolong.linalg import ExactMatrix
+from crprolong import prolong
 from crprolong.model import QuadricModel, build_levi_tanaka
 from crprolong.prolong import (
     clear_cache,
@@ -174,6 +175,23 @@ def test_cache_returns_same_object(heisenberg):
     c = prolong_full(heisenberg.model, use_cache=False)
     assert c is not a
     assert c.dims == a.dims
+
+
+def test_cache_is_a_bounded_lru(heisenberg):
+    """Each max_degree is its own cache key, so one small model fills it."""
+    size = prolong._CACHE_SIZE
+    clear_cache()
+    results = {}
+    for d in range(3, 3 + size + 2):
+        results[d] = prolong_full(heisenberg.model, max_degree=d)
+        assert len(prolong._CACHE) <= size
+        # a hit returns the cached object and makes it the most recent
+        assert prolong_full(heisenberg.model, max_degree=3) is results[3]
+    # the least recently used entries (d = 4, 5) went first
+    assert prolong_full(heisenberg.model, max_degree=6) is results[6]
+    assert prolong_full(heisenberg.model, max_degree=4) is not results[4]
+    assert len(prolong._CACHE) == size
+    clear_cache()
 
 
 def test_recompute_is_byte_identical(heisenberg):
