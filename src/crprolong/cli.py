@@ -187,10 +187,11 @@ def cmd_report(args) -> int:
     counterexample = None
     sharp = None
     if top > 2 and top_fields:
-        # the witness with the deepest vanishing at 0
-        field = max(top_fields, key=lambda f: f.ordinary_vanishing_order() or 0)
-        counterexample = jet_certificate(field, model, 2)
-        sharp = jet_certificate(field, model, jo - 1)
+        # the witness with the deepest vanishing at 0, verified once above
+        field, cert = max(zip(top_fields, certs),
+                          key=lambda fc: fc[0].ordinary_vanishing_order() or 0)
+        counterexample = jet_certificate(field, model, 2, cert)
+        sharp = jet_certificate(field, model, jo - 1, cert)
 
     data = {
         "model": {"name": name, "n": model.n, "k": model.k},

@@ -167,13 +167,6 @@ class ExactMatrix:
                     return False
         return True
 
-    def apply(self, vec):
-        """Matrix times column vector (sequence of GaussianRational-likes)."""
-        if len(vec) != self.cols:
-            raise DimensionError("vector length mismatch")
-        vec = [GaussianRational(v) if not isinstance(v, GaussianRational) else v for v in vec]
-        return tuple(sum((a * v for a, v in zip(row, vec)), GR_ZERO) for row in self.entries)
-
     # -- text ------------------------------------------------------------
     def to_lists(self):
         return [[str(x) for x in row] for row in self.entries]

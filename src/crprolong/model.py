@@ -280,13 +280,6 @@ class LeviTanakaAlgebra:
         n = self.n
         return (s + n, 1) if s < n else (s - n, -1)
 
-    def j_apply(self, vec):
-        """Apply J to a g_{-1} coefficient vector of length 2n."""
-        n = self.n
-        if len(vec) != 2 * n:
-            raise DimensionError("vector length must be 2n")
-        return tuple(-vec[n + t] if t < n else vec[t - n] for t in range(2 * n))
-
     def bracket(self, x, y):
         """Bracket of two g_{-1} coefficient vectors; returns a k-vector."""
         n2 = 2 * self.n
@@ -305,53 +298,6 @@ class LeviTanakaAlgebra:
                         if cell[j]:
                             out[j] += f * cell[j]
         return tuple(out)
-
-    def validate_invariants(self):
-        """Raise AlgebraError unless all structural invariants hold."""
-        n, k = self.n, self.k
-        mb = self.mbracket
-        for a in range(2 * n):
-            for b in range(2 * n):
-                if any(mb[a][b][j] != -mb[b][a][j] for j in range(k)):
-                    raise AlgebraError("bracket table is not antisymmetric")
-        # J-invariance: [JX, JY] = [X, Y]
-        for a in range(2 * n):
-            ja, sa = self.j_index(a)
-            for b in range(2 * n):
-                jb, sb = self.j_index(b)
-                if any(sa * sb * mb[ja][jb][j] != mb[a][b][j] for j in range(k)):
-                    raise AlgebraError("bracket is not J-invariant")
-        # brackets span g_{-2}
-        span = ExactMatrix([[GaussianRational(x) for x in mb[a][b]]
-                            for a in range(2 * n) for b in range(a + 1, 2 * n)])
-        if span.nullspace():
-            raise AlgebraError("brackets do not span g_{-2} (not fundamental)")
-        # nondegeneracy: X -> [X, .] is injective on g_{-1}
-        ad = ExactMatrix([[GaussianRational(mb[a][b][j])
-                           for b in range(2 * n) for j in range(k)]
-                          for a in range(2 * n)])
-        if ad.transpose().nullspace():
-            raise AlgebraError("degenerate bracket: ad has nontrivial kernel on g_{-1}")
-
-    def reconstruct_model(self) -> QuadricModel:
-        """Recover the Hermitian forms from the brackets (Im w = (1/4)[Jz, z])."""
-        self.validate_invariants()
-        n, k = self.n, self.k
-        mats = []
-        for j in range(k):
-            rows = []
-            for a in range(n):
-                row = []
-                for b in range(n):
-                    re = Fraction(self.mbracket[n + a][b][j], 4)
-                    im = Fraction(self.mbracket[a][b][j], 4)
-                    row.append(GaussianRational(re, im))
-                rows.append(row)
-            mats.append(ExactMatrix(rows))
-        model = QuadricModel(mats)
-        if not all(h.is_hermitian() for h in model.hermitian):
-            raise AlgebraError("reconstructed forms are not Hermitian")
-        return model
 
 
 def build_levi_tanaka(model: QuadricModel) -> LeviTanakaAlgebra:

@@ -15,15 +15,35 @@ rationals.  Every operation is exact and returns new objects.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .errors import DimensionError, InputError
-from .scalars import GR_ONE, GR_ZERO, GaussianRational
-
-_F1 = Fraction(1)
+from .scalars import GR_ONE, GaussianRational
 
 
 def _nvars(n: int, k: int) -> int:
     return 2 * n + 3 * k
+
+
+def _add_into(out: dict, terms) -> dict:
+    """Add the (monomial, coefficient) pairs ``terms`` into ``out`` in place,
+    dropping the sums that cancel."""
+    for m, c in terms:
+        s = out.get(m)
+        if s is None:
+            out[m] = c
+        else:
+            s = s + c
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    return out
+
+
+def _block(n: int, k: int, kind: str) -> int:
+    """Monomial position of the first variable of ``kind``."""
+    return {"z": 0, "zb": n, "w": 2 * n, "wb": 2 * n + k, "u": 2 * n + 2 * k}[kind]
 
 
 class Poly:
@@ -46,28 +66,23 @@ class Poly:
                     clean[mono] = c
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _of(cls, n: int, k: int, terms: dict) -> "Poly":
+        """Wrap ``terms`` without checks: for results of the arithmetic here,
+        whose monomials fit the frame and whose coefficients are nonzero
+        GaussianRationals by construction."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "n", n)
+        object.__setattr__(p, "k", k)
+        object.__setattr__(p, "terms", terms)
+        return p
+
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Poly is immutable")
 
-    # -- variable indexing --------------------------------------------
-    def _idx_z(self, a):
-        return a
-
-    def _idx_zb(self, a):
-        return self.n + a
-
-    def _idx_w(self, j):
-        return 2 * self.n + j
-
-    def _idx_wb(self, j):
-        return 2 * self.n + self.k + j
-
-    def _idx_u(self, j):
-        return 2 * self.n + 2 * self.k + j
-
     @staticmethod
     def zero(n, k) -> "Poly":
-        return Poly(n, k)
+        return Poly._of(n, k, {})
 
     @staticmethod
     def constant(n, k, c) -> "Poly":
@@ -76,15 +91,27 @@ class Poly:
     @staticmethod
     def variable(n, k, kind: str, index: int) -> "Poly":
         """kind in {'z','zb','w','wb','u'}, index 0-based."""
-        block = {"z": 0, "zb": n, "w": 2 * n, "wb": 2 * n + k, "u": 2 * n + 2 * k}
         size = {"z": n, "zb": n, "w": k, "wb": k, "u": k}
-        if kind not in block:
+        if kind not in size:
             raise InputError(f"unknown variable kind {kind!r}")
         if not 0 <= index < size[kind]:
             raise InputError(f"variable index out of range: {kind}{index + 1}")
         mono = [0] * _nvars(n, k)
-        mono[block[kind] + index] = 1
-        return Poly(n, k, {tuple(mono): GR_ONE})
+        mono[_block(n, k, kind) + index] = 1
+        return Poly._of(n, k, {tuple(mono): GR_ONE})
+
+    @staticmethod
+    def combination(n, k, pairs) -> "Poly":
+        """sum(c * p for p, c in pairs), summed into one accumulator."""
+        out = {}
+        for p, c in pairs:
+            if p.n != n or p.k != k:
+                raise DimensionError("polynomials from different variable frames")
+            if not isinstance(c, GaussianRational):
+                c = GaussianRational(c)
+            if c:
+                _add_into(out, ((m, v * c) for m, v in p.terms.items()))
+        return Poly._of(n, k, out)
 
     def _compat(self, other: "Poly"):
         if self.n != other.n or self.k != other.k:
@@ -95,20 +122,12 @@ class Poly:
         if isinstance(other, (int, Fraction, GaussianRational)):
             other = Poly.constant(self.n, self.k, other)
         self._compat(other)
-        t = dict(self.terms)
-        for m, c in other.terms.items():
-            s = t.get(m)
-            s = c if s is None else s + c
-            if s:
-                t[m] = s
-            else:
-                t.pop(m, None)
-        return Poly(self.n, self.k, t)
+        return Poly._of(self.n, self.k, _add_into(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.n, self.k, {m: -c for m, c in self.terms.items()})
+        return Poly._of(self.n, self.k, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Poly) else -GaussianRational(other))
@@ -120,23 +139,14 @@ class Poly:
         if isinstance(other, (int, Fraction, GaussianRational)):
             c = GaussianRational(other)
             if not c:
-                return Poly(self.n, self.k)
-            return Poly(self.n, self.k, {m: v * c for m, v in self.terms.items()})
+                return Poly.zero(self.n, self.k)
+            return Poly._of(self.n, self.k, {m: v * c for m, v in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
         self._compat(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = out.get(m)
-                p = c1 * c2
-                s = p if s is None else s + p
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return Poly(self.n, self.k, out)
+        return Poly._of(self.n, self.k, _add_into({}, (
+            (tuple(map(add, m1, m2)), c1 * c2)
+            for m1, c1 in self.terms.items() for m2, c2 in other.terms.items())))
 
     __rmul__ = __mul__
 
@@ -152,21 +162,22 @@ class Poly:
             e >>= 1
         return result
 
+    def times_variable(self, kind: str, index: int) -> "Poly":
+        """``self * Poly.variable(n, k, kind, index)``: exponents shift by one,
+        coefficients are not touched."""
+        v = _block(self.n, self.k, kind) + index
+        return Poly._of(self.n, self.k, {m[:v] + (m[v] + 1,) + m[v + 1:]: c
+                                         for m, c in self.terms.items()})
+
     # -- calculus ---------------------------------------------------------
     def diff(self, kind: str, index: int) -> "Poly":
-        block = {"z": 0, "zb": self.n, "w": 2 * self.n,
-                 "wb": 2 * self.n + self.k, "u": 2 * self.n + 2 * self.k}
-        v = block[kind] + index
+        v = _block(self.n, self.k, kind) + index
         out = {}
         for m, c in self.terms.items():
             e = m[v]
-            if e:
-                m2 = m[:v] + (e - 1,) + m[v + 1:]
-                s = out.get(m2)
-                s = c * e if s is None else s + c * e
-                if s:
-                    out[m2] = s
-        return Poly(self.n, self.k, out)
+            if e:                      # m -> m2 is one-to-one: no collisions
+                out[m[:v] + (e - 1,) + m[v + 1:]] = c * e
+        return Poly._of(self.n, self.k, out)
 
     def formal_conjugate(self) -> "Poly":
         """Conjugate coefficients; swap z<->zb and w<->wb blocks; u fixed."""
@@ -175,16 +186,18 @@ class Poly:
         for m, c in self.terms.items():
             m2 = m[n:2 * n] + m[:n] + m[2 * n + k:2 * n + 2 * k] + m[2 * n:2 * n + k] + m[2 * n + 2 * k:]
             out[m2] = c.conjugate()
-        return Poly(n, k, out)
+        return Poly._of(n, k, out)
 
     def subs(self, mapping) -> "Poly":
-        """Simultaneous substitution {(kind, index) -> Poly}."""
-        block = {"z": 0, "zb": self.n, "w": 2 * self.n,
-                 "wb": 2 * self.n + self.k, "u": 2 * self.n + 2 * self.k}
+        """Simultaneous substitution {(kind, index) -> Poly}.
+
+        Terms are grouped by their exponents in the substituted variables, so
+        each group costs one product.
+        """
         sub = {}
         for (kind, index), p in mapping.items():
             self._compat(p)
-            sub[block[kind] + index] = p
+            sub[_block(self.n, self.k, kind) + index] = p
         powers = {v: [Poly.constant(self.n, self.k, 1), p] for v, p in sub.items()}
 
         def pw(v, e):
@@ -193,32 +206,22 @@ class Poly:
                 lst.append(lst[-1] * lst[1])
             return lst[e]
 
-        total = Poly(self.n, self.k)
+        groups = {}
         for m, c in self.terms.items():
+            key = tuple(m[v] for v in sub)
             rest = list(m)
-            factor = None
             for v in sub:
-                e = m[v]
+                rest[v] = 0
+            groups.setdefault(key, {})[tuple(rest)] = c
+        out = {}
+        for key, part in groups.items():
+            factor = None
+            for v, e in zip(sub, key):
                 if e:
-                    rest[v] = 0
                     factor = pw(v, e) if factor is None else factor * pw(v, e)
-            base = Poly(self.n, self.k, {tuple(rest): c})
-            total = total + (base if factor is None else base * factor)
-        return total
-
-    def evaluate(self, point) -> GaussianRational:
-        """Exact evaluation; ``point`` is a sequence of 2n+3k scalars."""
-        if len(point) != _nvars(self.n, self.k):
-            raise DimensionError("evaluation point has wrong length")
-        point = [x if isinstance(x, GaussianRational) else GaussianRational(x) for x in point]
-        acc = GR_ZERO
-        for m, c in self.terms.items():
-            v = c
-            for x, e in zip(point, m):
-                for _ in range(e):
-                    v = v * x
-            acc = acc + v
-        return acc
+            prod = Poly._of(self.n, self.k, part)
+            _add_into(out, (prod if factor is None else prod * factor).terms.items())
+        return Poly._of(self.n, self.k, out)
 
     # -- queries ---------------------------------------------------------
     def is_zero(self) -> bool:

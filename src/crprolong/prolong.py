@@ -180,6 +180,7 @@ class GradedLieAlgebra:
         self.dims = {d: len(p) for d, p in sorted(pieces.items())}
         self._sc = None
         self._views = {}
+        self._realized = {}             # degree -> realized basis fields (realize.py)
 
     # -- basic queries ------------------------------------------------------
     def dim(self, d: int) -> int:
@@ -358,35 +359,6 @@ class GradedLieAlgebra:
                             f"({r},{ar}) (degree, index): component {t} of g_{s}")
                     checked += 1
         return checked
-
-    def grading_element_coeffs(self):
-        """Coefficients of the pair (id, 2 id) in the canonical g_0 basis."""
-        n2 = 2 * self.n
-        target = {s * n2 + s: Fraction(1) for s in range(n2)}
-        target.update({n2 * n2 + j * self.k + j: Fraction(2) for j in range(self.k)})
-        coeffs, bad = self._read_off(0, target)
-        if bad is not None:
-            raise InternalCheckError(
-                f"(id, 2 id) pair not closed in g_0: first mismatch at column {bad}")
-        return coeffs
-
-    def check_grading(self) -> bool:
-        """[(id, 2 id), f] = -d f for f in g_d, d >= 1 (eigenvalue -d; the
-        conventional grading element is the negative of this pair)."""
-        e0 = self.grading_element_coeffs()
-        sc = self.structure_constants()
-        for d in self.degrees():
-            if d < 1 or not self.dims[d]:
-                continue
-            block = sc[(0, d)]
-            for beta in range(self.dims[d]):
-                for t in range(self.dims[d]):
-                    s = sum((c * block[alpha][beta][t]
-                             for alpha, c in enumerate(e0) if c), _F0)
-                    if s != (-d if beta == t else 0):
-                        raise InternalCheckError(
-                            f"grading eigenvalue check failed in degree {d}")
-        return True
 
 
 @dataclass(frozen=True)

@@ -129,13 +129,6 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
-    def norm(self) -> Fraction:
-        """The field norm re^2 + im^2 (a nonnegative rational)."""
-        return self.re * self.re + self.im * self.im
-
-    def times_i(self) -> "GaussianRational":
-        return GaussianRational(-self.im, self.re)
-
     # -- comparisons / hashing ----------------------------------------
     def __eq__(self, other):
         o = self._coerce(other)

@@ -1,13 +1,148 @@
-"""Shared test helpers: realized fields against the abstract algebra, and
-certificate checks on the catalog's known fields."""
+"""Shared test helpers: realized fields against the abstract algebra,
+certificate checks on the catalog's known fields, and small operations that
+only tests need (exact evaluation, matrix-vector products, J on g_{-1}, the
+invariants of a Levi-Tanaka algebra and the forms read back from its
+brackets, the grading element and its check)."""
 
 from fractions import Fraction
 
-from crprolong.errors import DimensionError
+from crprolong.errors import AlgebraError, DimensionError, InternalCheckError
+from crprolong.linalg import ExactMatrix
+from crprolong.model import QuadricModel
 from crprolong.poly import PolyVectorField
 from crprolong.realize import BRACKET_SIGN, realize_element
-from crprolong.scalars import GaussianRational
+from crprolong.scalars import GR_ZERO, GaussianRational
 from crprolong.verify import jet_certificate, verify_hol
+
+
+# ---------------------------------------------------------------------------
+# operations used only by tests
+# ---------------------------------------------------------------------------
+
+def evaluate(p, point) -> GaussianRational:
+    """Exact value of a Poly; ``point`` is a sequence of 2n+3k scalars."""
+    if len(point) != 2 * p.n + 3 * p.k:
+        raise DimensionError("evaluation point has wrong length")
+    point = [x if isinstance(x, GaussianRational) else GaussianRational(x) for x in point]
+    acc = GR_ZERO
+    for m, c in p.terms.items():
+        v = c
+        for x, e in zip(point, m):
+            for _ in range(e):
+                v = v * x
+        acc = acc + v
+    return acc
+
+
+def norm(a: GaussianRational) -> Fraction:
+    """The field norm re^2 + im^2 (a nonnegative rational)."""
+    return a.re * a.re + a.im * a.im
+
+
+def times_i(a: GaussianRational) -> GaussianRational:
+    return GaussianRational(-a.im, a.re)
+
+
+def apply(m: ExactMatrix, vec):
+    """Matrix times column vector (sequence of GaussianRational-likes)."""
+    if len(vec) != m.cols:
+        raise DimensionError("vector length mismatch")
+    vec = [GaussianRational(v) if not isinstance(v, GaussianRational) else v for v in vec]
+    return tuple(sum((a * v for a, v in zip(row, vec)), GR_ZERO) for row in m.entries)
+
+
+def j_apply(lt, vec):
+    """Apply J to a g_{-1} coefficient vector of length 2n."""
+    n = lt.n
+    if len(vec) != 2 * n:
+        raise DimensionError("vector length must be 2n")
+    return tuple(-vec[n + t] if t < n else vec[t - n] for t in range(2 * n))
+
+
+def validate_invariants(lt):
+    """Raise AlgebraError unless all structural invariants of a Levi-Tanaka
+    algebra hold."""
+    n, k = lt.n, lt.k
+    mb = lt.mbracket
+    for a in range(2 * n):
+        for b in range(2 * n):
+            if any(mb[a][b][j] != -mb[b][a][j] for j in range(k)):
+                raise AlgebraError("bracket table is not antisymmetric")
+    # J-invariance: [JX, JY] = [X, Y]
+    for a in range(2 * n):
+        ja, sa = lt.j_index(a)
+        for b in range(2 * n):
+            jb, sb = lt.j_index(b)
+            if any(sa * sb * mb[ja][jb][j] != mb[a][b][j] for j in range(k)):
+                raise AlgebraError("bracket is not J-invariant")
+    # brackets span g_{-2}
+    span = ExactMatrix([[GaussianRational(x) for x in mb[a][b]]
+                        for a in range(2 * n) for b in range(a + 1, 2 * n)])
+    if span.nullspace():
+        raise AlgebraError("brackets do not span g_{-2} (not fundamental)")
+    # nondegeneracy: X -> [X, .] is injective on g_{-1}
+    ad = ExactMatrix([[GaussianRational(mb[a][b][j])
+                       for b in range(2 * n) for j in range(k)]
+                      for a in range(2 * n)])
+    if ad.transpose().nullspace():
+        raise AlgebraError("degenerate bracket: ad has nontrivial kernel on g_{-1}")
+
+
+def reconstruct_model(lt) -> QuadricModel:
+    """Recover the Hermitian forms from the brackets (Im w = (1/4)[Jz, z])."""
+    validate_invariants(lt)
+    n, k = lt.n, lt.k
+    mats = []
+    for j in range(k):
+        rows = []
+        for a in range(n):
+            row = []
+            for b in range(n):
+                re = Fraction(lt.mbracket[n + a][b][j], 4)
+                im = Fraction(lt.mbracket[a][b][j], 4)
+                row.append(GaussianRational(re, im))
+            rows.append(row)
+        mats.append(ExactMatrix(rows))
+    model = QuadricModel(mats)
+    if not all(h.is_hermitian() for h in model.hermitian):
+        raise AlgebraError("reconstructed forms are not Hermitian")
+    return model
+
+
+def grading_element_coeffs(alg):
+    """Coefficients of the pair (id, 2 id) in the canonical g_0 basis."""
+    n2 = 2 * alg.n
+    target = {s * n2 + s: Fraction(1) for s in range(n2)}
+    target.update({n2 * n2 + j * alg.k + j: Fraction(2) for j in range(alg.k)})
+    coeffs, bad = alg._read_off(0, target)
+    if bad is not None:
+        raise InternalCheckError(
+            f"(id, 2 id) pair not closed in g_0: first mismatch at column {bad}")
+    return coeffs
+
+
+def check_grading(alg) -> bool:
+    """[(id, 2 id), f] = -d f for f in g_d, d >= 1 (eigenvalue -d; the
+    conventional grading element is the negative of this pair)."""
+    e0 = grading_element_coeffs(alg)
+    sc = alg.structure_constants()
+    for d in alg.degrees():
+        if d < 1 or not alg.dims[d]:
+            continue
+        block = sc[(0, d)]
+        for beta in range(alg.dims[d]):
+            for t in range(alg.dims[d]):
+                s = sum((c * block[alpha][beta][t]
+                         for alpha, c in enumerate(e0) if c), Fraction(0))
+                if s != (-d if beta == t else 0):
+                    raise InternalCheckError(
+                        f"grading eigenvalue check failed in degree {d}")
+    return True
+
+
+# ---------------------------------------------------------------------------
+# realized fields and certificates
+# ---------------------------------------------------------------------------
 
 
 def abstract_bracket(alg, d1, a1, d2, a2):
@@ -139,4 +274,4 @@ def residual_probe(field: PolyVectorField, model, point) -> tuple:
     vals.extend(v.conjugate() for v in list(vals))
     vals.extend(GaussianRational(0) for _ in range(2 * model.k))  # w, wb unused
     vals.extend(GaussianRational(Fraction(t)) for t in us)
-    return tuple(r.evaluate(vals) for r in cert.residuals)
+    return tuple(evaluate(r, vals) for r in cert.residuals)

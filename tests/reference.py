@@ -16,18 +16,30 @@
   determinant per leading minor (``_leading_minors``).  The library builds
   the combinations from integer forms, filters them by their diagonal and
   reads all leading minors off one Bareiss pass.
+* The original realization (``chain_realize_element``): the whole
+  ``_ad_z``/``_ad_w`` chain runs on every coefficient vector.  The library
+  runs it once per basis vector and realizes a combination as the same
+  combination of the cached basis fields.
+* The original tangency check (``two_sided_verify_hol``): it restricts
+  ``expr + conj(expr)`` to the surface with both w -> u + iP and
+  conj(w) -> u - iP, monomial by monomial (``monomial_subs``).  The library
+  restricts ``expr`` alone and conjugates.
 
 Tests compare the two routes entry by entry.
 """
 
 from fractions import Fraction
+from math import factorial
 
-from crprolong.errors import AlgebraError, DegenerateModelError, DimensionError, InternalCheckError
+from crprolong.errors import (AlgebraError, DegenerateModelError, DimensionError,
+                              InputError, InternalCheckError)
 from crprolong.linalg import ExactMatrix
 from crprolong.model import _signed_tuples
+from crprolong.poly import Poly, PolyVectorField
 from crprolong.scalars import GR_ONE, GR_ZERO, GaussianRational
 
 _F0 = Fraction(0)
+_HALF = Fraction(1, 2)
 
 
 def dense_rref(m):
@@ -339,3 +351,149 @@ def dense_tumanov_search(model, bound: int = 2):
         if _combine(model.hermitian, c).determinant():
             return c
     return None
+
+
+# ---------------------------------------------------------------------------
+# realization and tangency before the cached basis and the one-sided check
+# ---------------------------------------------------------------------------
+
+def _ad_z(alg, state):
+    """Apply ad(sum z_a eps_a); each entry drops one degree."""
+    n = alg.n
+    out = {}
+    for (d, m), f in state.items():
+        phi = alg.pieces[d][m][0]
+        for a in range(n):
+            ce = dict(phi[a])          # [B_m, e_a] = -[e_a, B_m]
+            cj = dict(phi[n + a])      # [B_m, Je_a]
+            za = Poly.variable(alg.n, alg.k, "z", a)
+            for t in sorted(ce.keys() | cj.keys()):
+                coeff = GaussianRational(-_HALF * ce.get(t, _F0), _HALF * cj.get(t, _F0))
+                key = (d - 1, t)
+                add = f * za * coeff
+                out[key] = out[key] + add if key in out else add
+    return {key: p for key, p in out.items() if p}
+
+
+def _ad_w(alg, state):
+    """Apply ad(sum w_j W_j); each entry drops two degrees."""
+    out = {}
+    for (d, m), f in state.items():
+        psi = alg.pieces[d][m][1]
+        for j in range(alg.k):
+            wj = Poly.variable(alg.n, alg.k, "w", j)
+            for t, x in psi[j]:        # [B_m, W_j] = -[W_j, B_m]
+                key = (d - 2, t)
+                add = f * wj * -x
+                out[key] = out[key] + add if key in out else add
+    return {key: p for key, p in out.items() if p}
+
+
+def chain_realize_element(alg, degree, coeffs):
+    """``realize_element`` before the cached basis: the chain on ``coeffs``."""
+    n, k = alg.n, alg.k
+    dim = alg.dim(degree)
+    if len(coeffs) != dim:
+        raise DimensionError(f"expected {dim} coefficients for degree {degree}")
+    if degree < -2:
+        raise InputError("no such degree")
+    state = {}
+    for m, c in enumerate(coeffs):
+        if c:
+            state[(degree, m)] = Poly.constant(n, k, c)
+
+    z_comps = [Poly.zero(n, k) for _ in range(n)]
+    w_comps = [Poly.zero(n, k) for _ in range(k)]
+    s_d = state
+    for d in range(0, (degree + 2) // 2 + 1):
+        if d > 0:
+            s_d = _ad_w(alg, s_d)
+        c = degree + 1 - 2 * d
+        if c < 0:
+            if c == -1 and s_d:
+                # only the w-projection sum has a term here (c' = 0)
+                gamma = Fraction((-1) ** d, factorial(d))
+                for j in range(k):
+                    p = s_d.get((-2, j))
+                    if p:
+                        w_comps[j] = w_comps[j] + p * gamma
+            continue
+        t = s_d
+        for _ in range(c):
+            t = _ad_z(alg, t)
+        gamma = Fraction((-1) ** (c + d), factorial(c) * factorial(d))
+        for a in range(n):
+            x = t.get((-1, a))
+            y = t.get((-1, n + a))
+            if x or y:
+                part = Poly.zero(n, k)
+                if x:
+                    part = part + x
+                if y:
+                    part = part + y * GaussianRational(0, 1)
+                z_comps[a] = z_comps[a] + part * gamma
+        t = _ad_z(alg, t)
+        gamma = Fraction((-1) ** (c + 1 + d), factorial(c + 1) * factorial(d))
+        for j in range(k):
+            p = t.get((-2, j))
+            if p:
+                w_comps[j] = w_comps[j] + p * gamma
+    return PolyVectorField(n, k, z_comps, w_comps)
+
+
+def monomial_subs(p, mapping):
+    """``Poly.subs`` before grouping: one product and one sum per monomial."""
+    n, k = p.n, p.k
+    block = {"z": 0, "zb": n, "w": 2 * n, "wb": 2 * n + k, "u": 2 * n + 2 * k}
+    sub = {block[kind] + index: q for (kind, index), q in mapping.items()}
+    powers = {v: [Poly.constant(n, k, 1), q] for v, q in sub.items()}
+
+    def pw(v, e):
+        lst = powers[v]
+        while len(lst) <= e:
+            lst.append(lst[-1] * lst[1])
+        return lst[e]
+
+    total = Poly(n, k)
+    for m, c in p.terms.items():
+        rest = list(m)
+        factor = None
+        for v in sub:
+            e = m[v]
+            if e:
+                rest[v] = 0
+                factor = pw(v, e) if factor is None else factor * pw(v, e)
+        base = Poly(n, k, {tuple(rest): c})
+        total = total + (base if factor is None else base * factor)
+    return total
+
+
+def two_sided_surface_restriction(p, model):
+    """Substitute w -> u + iP, conj(w) -> u - iP into ``p``."""
+    P = model.defining_polys()
+    i = GaussianRational(0, 1)
+    mapping = {}
+    for j in range(model.k):
+        u = Poly.variable(model.n, model.k, "u", j)
+        mapping[("w", j)] = u + P[j] * i
+        mapping[("wb", j)] = u - P[j] * i
+    return monomial_subs(p, mapping)
+
+
+def two_sided_verify_hol(field, model):
+    """Residuals of ``verify_hol`` before the one-sided restriction: the
+    restriction of Re(X rho_j) = (expr + conj(expr)) / 2 for every j."""
+    if field.n != model.n or field.k != model.k:
+        raise DimensionError("field and model have different (n, k)")
+    P = model.defining_polys()
+    half_over_i = GaussianRational(0, Fraction(-1, 2))
+    residuals = []
+    for j in range(model.k):
+        expr = field.w_comps[j] * half_over_i
+        for a in range(model.n):
+            f = field.z_comps[a]
+            if f:
+                expr = expr - f * P[j].diff("z", a)
+        r = (expr + expr.formal_conjugate()) * _HALF
+        residuals.append(two_sided_surface_restriction(r, model))
+    return tuple(residuals)

@@ -340,6 +340,25 @@ def test_report_codim5(capsys):
             "order 4, so 3-jets do not determine)") in out
 
 
+def test_report_verifies_each_top_field_once(capsys, monkeypatch):
+    """The jet certificates reuse the witness's tangency certificate."""
+    from crprolong import cli, verify
+    calls = []
+    original = verify.verify_hol
+
+    def counting(field, model):
+        calls.append(field)
+        return original(field, model)
+
+    monkeypatch.setattr(verify, "verify_hol", counting)
+    monkeypatch.setattr(cli, "verify_hol", counting)
+    code, out, err = run(capsys, ["report", "--catalog", "codim4", "--json"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["counterexample_2jet"]["certified"] and data["sharpness"]["certified"]
+    assert len(calls) == data["top_fields_verified"]["count"]
+
+
 def test_report_heisenberg(capsys):
     code, out, err = run(capsys, ["report", "--catalog", "heisenberg"])
     assert code == 0

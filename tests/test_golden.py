@@ -14,8 +14,10 @@ import pathlib
 
 import pytest
 
+from crprolong import catalog
 from crprolong.cli import main
 from crprolong.model import QuadricModel
+from crprolong.poly import Poly, PolyVectorField
 from crprolong.scalars import GR_I
 
 GOLDEN = {
@@ -50,6 +52,29 @@ GOLDEN_VALIDATE = {
                   "00537e9fc5a3a2e536c10f9dbb7ca01faab4c0a17dbf3aeee56ae2fbffd4070d"),
 }
 
+
+def _non_hermitian_field():
+    """A non-tangent field on n = 2, k = 1 with z, w and mixed-degree terms."""
+    n, k = 2, 1
+    z1, z2 = (Poly.variable(n, k, "z", a) for a in range(n))
+    w1 = Poly.variable(n, k, "w", 0)
+    return PolyVectorField(n, k, [z1 * w1 + z2 * GR_I, z1 * z2],
+                           [z2 * z2 * 3 + w1 * z1 + w1 * w1 * GR_I])
+
+
+# verify --json on non-tangent fields: (catalog name or forms, field, digest).
+# The residual bytes of the second case depend on the conjugate half being
+# restricted with conj(P): its form [[1, i], [i, 2]] is not Hermitian, and
+# `verify` does not validate the model it reads.
+GOLDEN_VERIFY = {
+    "codim4 display variant": (
+        "codim4", catalog.codim4_display_variant,
+        "545135d484b6bd9aac037939417ac830e0bb3fa8fd38ee660b4ecbb62ad74205"),
+    "non-hermitian": (
+        [[[1, GR_I], [GR_I, 2]]], _non_hermitian_field,
+        "043f1fe672bccc704ea346f00aa855fce54edf4381ceb377631d551bf906e180"),
+}
+
 REFERENCES = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "references.json"
 
 
@@ -79,6 +104,23 @@ def test_golden_validate_witness(name, tmp_path):
     code, out = run(["validate", "--json", str(path)])
     assert code == 1
     assert json.loads(out)[key] == witness
+    assert digest(out) == want
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_VERIFY))
+def test_golden_verify_residuals(name, tmp_path):
+    model, make_field, want = GOLDEN_VERIFY[name]
+    field_path = tmp_path / "field.json"
+    field_path.write_text(json.dumps(make_field().to_json()), encoding="utf-8")
+    if isinstance(model, str):
+        argv = ["verify", "--json", "--catalog", model]
+    else:
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(QuadricModel(model).to_json()), encoding="utf-8")
+        argv = ["verify", "--json", str(model_path)]
+    code, out = run(argv + ["--field", str(field_path)])
+    assert code == 1
+    assert json.loads(out)["verdict"] is False
     assert digest(out) == want
 
 

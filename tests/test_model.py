@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import apply, j_apply, reconstruct_model, validate_invariants
+
 from crprolong import catalog
 from crprolong.errors import (
     AlgebraError,
@@ -137,7 +139,7 @@ def test_validate_common_kernel():
     assert rep.kernel_witness is not None
     v = rep.kernel_witness
     for h in m.hermitian:
-        assert all(x.is_zero() for x in h.apply(v))
+        assert all(x.is_zero() for x in apply(h, v))
 
 
 def test_validate_definite_combination():
@@ -225,14 +227,14 @@ def test_bracket_antisymmetry_random():
         assert all(a == -b for a, b in zip(bxy, byx))
         assert lt.bracket(x, x) == (0,) * lt.k
         # J-compatibility on arbitrary vectors
-        assert lt.bracket(lt.j_apply(x), lt.j_apply(y)) == bxy
+        assert lt.bracket(j_apply(lt, x), j_apply(lt, y)) == bxy
 
 
 def test_j_apply_squares_to_minus_one():
     lt = build_levi_tanaka(catalog.make_codim4().model)
     rng = random.Random(52)
     x = tuple(Fraction(rng.randint(-3, 3)) for _ in range(2 * lt.n))
-    assert lt.j_apply(lt.j_apply(x)) == tuple(-v for v in x)
+    assert j_apply(lt, j_apply(lt, x)) == tuple(-v for v in x)
     idx, sign = lt.j_index(0)
     assert (idx, sign) == (lt.n, 1)
     idx, sign = lt.j_index(lt.n)
@@ -241,28 +243,28 @@ def test_j_apply_squares_to_minus_one():
 
 def test_invariants_pass_on_catalog():
     for name, m in all_catalog_models():
-        build_levi_tanaka(m).validate_invariants()
+        validate_invariants(build_levi_tanaka(m))
 
 
 def test_invariant_violations_raise():
     # not antisymmetric: nonzero diagonal cell
     with pytest.raises(AlgebraError, match="antisymmetric"):
-        LeviTanakaAlgebra(1, 1, [[(1,), (4,)], [(-4,), (0,)]]).validate_invariants()
+        validate_invariants(LeviTanakaAlgebra(1, 1, [[(1,), (4,)], [(-4,), (0,)]]))
     # antisymmetric but not J-invariant: [e1,e2] != [Je1,Je2]  (n=2)
     z = (Fraction(0),)
     table = [[z] * 4 for _ in range(4)]
     table[0][1], table[1][0] = (Fraction(4),), (Fraction(-4),)
     with pytest.raises(AlgebraError, match="J-invariant"):
-        LeviTanakaAlgebra(2, 1, table).validate_invariants()
+        validate_invariants(LeviTanakaAlgebra(2, 1, table))
     # all-zero brackets: not fundamental
     ztable = [[z] * 2 for _ in range(2)]
     with pytest.raises(AlgebraError, match="fundamental"):
-        LeviTanakaAlgebra(1, 1, ztable).validate_invariants()
+        validate_invariants(LeviTanakaAlgebra(1, 1, ztable))
     # fundamental and J-invariant, but e_2 and Je_2 bracket trivially (H = diag(1, 0))
     table = [[z] * 4 for _ in range(4)]
     table[2][0], table[0][2] = (Fraction(4),), (Fraction(-4),)
     with pytest.raises(AlgebraError, match="degenerate bracket"):
-        LeviTanakaAlgebra(2, 1, table).validate_invariants()
+        validate_invariants(LeviTanakaAlgebra(2, 1, table))
 
 
 def test_build_rejects_invalid_model():
@@ -272,4 +274,4 @@ def test_build_rejects_invalid_model():
 
 def test_reconstruct_round_trip():
     for name, m in all_catalog_models():
-        assert build_levi_tanaka(m).reconstruct_model() == m, name
+        assert reconstruct_model(build_levi_tanaka(m)) == m, name

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import evaluate
+
 from crprolong.errors import DimensionError, InputError
 from crprolong.poly import Poly, PolyVectorField
 from crprolong.scalars import GR_I, GR_ONE, GaussianRational
@@ -153,7 +155,7 @@ def test_subs_evaluate_consistency():
         q = p.subs({("z", 0): Poly.constant(n, k, c)})
         pt2 = list(pt)
         pt2[0] = c
-        assert q.evaluate(pt2) == p.evaluate(pt2)
+        assert evaluate(q, pt2) == evaluate(p, pt2)
 
 
 def test_evaluate_is_ring_homomorphism():
@@ -162,10 +164,10 @@ def test_evaluate_is_ring_homomorphism():
     for _ in range(20):
         p, q = rand_poly(rng, n, k), rand_poly(rng, n, k)
         pt = rand_point(rng, n, k)
-        assert (p + q).evaluate(pt) == p.evaluate(pt) + q.evaluate(pt)
-        assert (p * q).evaluate(pt) == p.evaluate(pt) * q.evaluate(pt)
+        assert evaluate(p + q, pt) == evaluate(p, pt) + evaluate(q, pt)
+        assert evaluate(p * q, pt) == evaluate(p, pt) * evaluate(q, pt)
     with pytest.raises(DimensionError):
-        Poly.variable(n, k, "z", 0).evaluate([1, 2])
+        evaluate(Poly.variable(n, k, "z", 0), [1, 2])
 
 
 def test_degrees_and_zero():

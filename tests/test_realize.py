@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import abstract_bracket, basis_index, realized_basis_map, sigma_sweep
+from helpers import (abstract_bracket, basis_index, grading_element_coeffs,
+                     realized_basis_map, sigma_sweep)
 from reference import dense_express_in_span
 
 from crprolong.errors import DimensionError, InputError
@@ -88,7 +89,7 @@ def test_realized_weights_heisenberg(heisenberg_result):
 def test_euler_is_realized_grading_element(heisenberg_result, codim5_result):
     for res in (heisenberg_result, codim5_result):
         alg = res.algebra
-        coeffs = alg.grading_element_coeffs()
+        coeffs = grading_element_coeffs(alg)
         assert realize_element(alg, 0, coeffs) == euler_field(res)
 
 
@@ -183,7 +184,7 @@ def test_express_in_span_euler(codim5_result):
     alg = codim5_result.algebra
     E = euler_field(codim5_result)
     coeffs = express_in_span(E, realize_basis(codim5_result, 0))
-    assert coeffs == tuple(alg.grading_element_coeffs())
+    assert coeffs == tuple(grading_element_coeffs(alg))
     assert express_in_span(E, realize_basis(codim5_result, 1)) is None
 
 
@@ -233,6 +234,18 @@ def test_realize_element_input_errors(heisenberg_result):
         realize_element(alg, 0, [1])      # g_0 is 2-dimensional here
     with pytest.raises(InputError):
         realize_element(alg, -3, [])
+
+
+def test_realize_basis_returns_a_new_list(codim5_result):
+    """The basis is realized once per algebra; a caller that mutates the list
+    it got cannot change what the next caller gets."""
+    first = realize_basis(codim5_result, 6)
+    want = list(first)
+    first.append(first[0])
+    first[0] = euler_field(codim5_result)
+    second = realize_basis(codim5_result, 6)
+    assert second is not first
+    assert second == want
 
 
 def test_realize_basis_of_vanishing_degree(heisenberg_result):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import norm, times_i
+
 from crprolong.scalars import (
     GR_I,
     GR_ONE,
@@ -64,8 +66,8 @@ def test_conjugate_and_norm():
         a = rand_gr(rng)
         assert a.conjugate().conjugate() == a
         assert (a * a.conjugate()).im == 0
-        assert a.norm() == a.re * a.re + a.im * a.im
-        assert a.times_i() == a * GR_I
+        assert norm(a) == a.re * a.re + a.im * a.im
+        assert times_i(a) == a * GR_I
 
 
 def test_i_squared():

@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from crprolong import catalog
-from crprolong.errors import DimensionError
+from crprolong.errors import DimensionError, InputError
 from crprolong.poly import Poly, PolyVectorField
 from crprolong.scalars import GR_I, GaussianRational
 from crprolong.verify import jet_certificate, surface_restriction, verify_hol
-from helpers import certify_jet_counterexample, check_rotation_identities, residual_probe
+from helpers import (certify_jet_counterexample, check_rotation_identities, evaluate,
+                     residual_probe)
 
 
 def heis_field(zc, wc):
@@ -166,6 +167,22 @@ def test_jet_certificate_top_field(codim5):
     assert cert.vanishing_order == 4
 
 
+def test_jet_certificate_reuses_tangency_certificate(codim5, heisenberg):
+    T = codim5.known_fields["T"]
+    tangency = verify_hol(T, codim5.model)
+    for jet in (2, 3):
+        assert (jet_certificate(T, codim5.model, jet, tangency)
+                == jet_certificate(T, codim5.model, jet))
+    # an equal field built separately is accepted; a different one is not
+    assert jet_certificate(T * 1, codim5.model, 2, tangency).certified
+    with pytest.raises(InputError):
+        jet_certificate(T * 2, codim5.model, 2, tangency)
+    z = Poly.variable(1, 1, "z", 0)
+    bad = heis_field(z, Poly.zero(1, 1))
+    cert = jet_certificate(bad, heisenberg.model, 0, verify_hol(bad, heisenberg.model))
+    assert not cert.tangent and not cert.certified
+
+
 def test_euler_fails_jet_one(codim5, heisenberg):
     from crprolong.realize import euler_field
 
@@ -256,7 +273,7 @@ def test_probe_values_match_polynomial_evaluation(heisenberg):
         zval = GaussianRational(zx, zy)
         point = [zval, zval.conjugate(), GaussianRational(0), GaussianRational(0),
                  GaussianRational(u)]
-        assert got == cert.residuals[0].evaluate(point)
+        assert got == evaluate(cert.residuals[0], point)
 
 
 def test_probe_shape_error(heisenberg):
