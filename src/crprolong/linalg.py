@@ -19,6 +19,12 @@ Design notes
   variable set to 1 and other free variables to 0, ordered by free column
   index.  Any elimination order yields this same basis, which is what makes
   all downstream output deterministic.
+* Each system is solved block by block: union-find links two columns when
+  they share a row, and each connected component (the coarse part of the
+  Dulmage-Mendelsohn decomposition; Pothen & Fan, ACM TOMS 16, 1990) is
+  eliminated on its own.  The kernel of a block-diagonal matrix is the direct
+  sum of the block kernels, and the canonical basis is unique, so the block
+  bases merged by free column are the global basis, byte for byte.
 * A system over Q(i) is realified: column 2a holds Re x_a and 2a + 1 holds
   Im x_a, and each equation gives one row for its real part and one for its
   imaginary part.  Realification maps the complex RREF block-wise onto the
@@ -228,34 +234,56 @@ def _rows_to_int(rows):
         if not row:
             continue
         d = lcm(*(v.denominator for v in row.values()))
-        out.append({c: int(v * d) for c, v in row.items()})
+        # v * d without a rational product; int entries work too
+        out.append({c: v.numerator * (d // v.denominator) for c, v in row.items()})
     return out
 
 
 def _content_normalize(row: dict) -> dict:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return row
-    if g > 1:
-        return {c: v // g for c, v in row.items()}
-    return row
+    g = gcd(*row.values())
+    return {c: v // g for c, v in row.items()} if g > 1 else row
 
 
 def sparse_int_nullspace(rows, ncols: int):
     """Exact kernel of an integer matrix given as sparse rows.
 
-    ``rows``: iterable of dict[col -> nonzero int].  Returns the canonical
-    nullspace basis as a list of sparse vectors, each a dict[col -> nonzero
-    Fraction] with a 1 at its free column, ordered by free column index; with
-    the zeros filled in it is the basis of the dense RREF route.
+    ``rows``: iterable of dict[col -> nonzero int], every col < ``ncols``.
+    Returns the canonical nullspace basis: sparse vectors dict[col -> nonzero
+    Fraction] with a 1 at their free column, ordered by free column index
+    (with the zeros filled in, the basis of the dense RREF route).
+
+    Each block (a connected component of the column graph, found by
+    union-find) is solved on its own, and a column in no row gives a unit
+    vector.  The kernel of a block-diagonal matrix is the direct sum of the
+    block kernels and the reduced trailing-column basis is unique, so the
+    block bases, merged by trailing column, are the global canonical basis.
     """
-    work = {}
+    rows = [row for row in rows if row]
+    parent = {c: c for row in rows for c in row}
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]     # path halving
+        return c
+
+    for row in rows:
+        root = find(next(iter(row)))
+        for c in row:
+            parent[find(c)] = root
+    blocks = {}
+    for row in rows:
+        blocks.setdefault(find(next(iter(row))), []).append(row)
+    basis = [{c: Fraction(1)} for c in range(ncols) if c not in parent]
+    for block in blocks.values():
+        basis += _block_kernel(block)
+    return sorted(basis, key=max)
+
+
+def _block_kernel(rows):
+    """Canonical kernel basis on the columns of ``rows``, one block."""
+    work = {rid: _content_normalize(row) for rid, row in enumerate(rows)}
     col_rows = {}           # col -> set of active row ids containing it
-    for rid, row in enumerate(r for r in rows if r):
-        row = _content_normalize(dict(row))
-        work[rid] = row
+    for rid, row in work.items():
         for c in row:
             col_rows.setdefault(c, set()).add(rid)
 
@@ -265,9 +293,7 @@ def sparse_int_nullspace(rows, ncols: int):
         # |value|, then smallest id.  Any choice gives the same canonical
         # answer; this one keeps fill-in low.
         pc = min((c for c, s in col_rows.items() if s),
-                 key=lambda c: (len(col_rows[c]), c), default=None)
-        if pc is None:
-            break
+                 key=lambda c: (len(col_rows[c]), c))
         pr = min(col_rows[pc], key=lambda r: (len(work[r]), abs(work[r][pc]), r))
         prow = work.pop(pr)
         pval = prow[pc]
@@ -299,7 +325,7 @@ def sparse_int_nullspace(rows, ncols: int):
         order.append((prow, pc))
 
     pivot_cols = {pc for _, pc in order}
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    free_cols = [c for c in col_rows if c not in pivot_cols]
 
     # back-substitute one kernel vector per free column (reverse elimination
     # order: each row's non-pivot support is free cols or later pivots)
@@ -307,10 +333,7 @@ def sparse_int_nullspace(rows, ncols: int):
     for f in free_cols:
         x = {f: Fraction(1)}
         for prow, pc in reversed(order):
-            s = Fraction(0)
-            for c, v in prow.items():
-                if c != pc and c in x:
-                    s += v * x[c]
+            s = sum(v * x[c] for c, v in prow.items() if c != pc and c in x)
             if s:
                 x[pc] = -s / prow[pc]
         raw.append(x)

@@ -24,12 +24,19 @@
   ``expr + conj(expr)`` to the surface with both w -> u + iP and
   conj(w) -> u - iP, monomial by monomial (``monomial_subs``).  The library
   restricts ``expr`` alone and conjugates.
+* The original sparse integer kernel (``single_pass_nullspace``, with its
+  helpers ``_content_normalize`` and ``_canonical_kernel_basis``): one
+  elimination over the whole system, each pivot column chosen by a scan of
+  every active column, and one back-substitution over every pivot row for
+  each free column.  The library splits the system into its blocks first
+  and eliminates each block on its own.  ``tests/oracle.py`` takes its rank
+  from this copy, so the oracle shares no code with the library's kernel.
 
 Tests compare the two routes entry by entry.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from crprolong.errors import (AlgebraError, DegenerateModelError, DimensionError,
                               InputError, InternalCheckError)
@@ -497,3 +504,133 @@ def two_sided_verify_hol(field, model):
         r = (expr + expr.formal_conjugate()) * _HALF
         residuals.append(two_sided_surface_restriction(r, model))
     return tuple(residuals)
+
+
+def _content_normalize(row: dict) -> dict:
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+        if g == 1:
+            return row
+    if g > 1:
+        return {c: v // g for c, v in row.items()}
+    return row
+
+
+def single_pass_nullspace(rows, ncols: int):
+    """Exact kernel of an integer matrix given as sparse rows.
+
+    ``rows``: iterable of dict[col -> nonzero int].  Returns the canonical
+    nullspace basis as a list of sparse vectors, each a dict[col -> nonzero
+    Fraction] with a 1 at its free column, ordered by free column index; with
+    the zeros filled in it is the basis of the dense RREF route.
+    """
+    work = {}
+    col_rows = {}           # col -> set of active row ids containing it
+    for rid, row in enumerate(r for r in rows if r):
+        row = _content_normalize(dict(row))
+        work[rid] = row
+        for c in row:
+            col_rows.setdefault(c, set()).add(rid)
+
+    order = []              # (pivot row dict, pivot col) in elimination order
+    while work:
+        # pivot column: fewest active rows; pivot row: shortest, then smallest
+        # |value|, then smallest id.  Any choice gives the same canonical
+        # answer; this one keeps fill-in low.
+        pc = min((c for c, s in col_rows.items() if s),
+                 key=lambda c: (len(col_rows[c]), c), default=None)
+        if pc is None:
+            break
+        pr = min(col_rows[pc], key=lambda r: (len(work[r]), abs(work[r][pc]), r))
+        prow = work.pop(pr)
+        pval = prow[pc]
+        for c in prow:
+            col_rows[c].discard(pr)
+        for rid in list(col_rows[pc]):
+            row = work[rid]
+            b = row[pc]
+            new = {}
+            for c, v in row.items():
+                t = pval * v
+                if c in prow:
+                    t -= b * prow[c]
+                if t:
+                    new[c] = t
+            for c, v in prow.items():
+                if c not in row:
+                    t = -b * v
+                    if t:
+                        new[c] = t
+            new = _content_normalize(new)
+            for c in row.keys() - new.keys():
+                col_rows[c].discard(rid)
+            for c in new.keys() - row.keys():
+                col_rows.setdefault(c, set()).add(rid)
+            work[rid] = new
+            if not new:
+                del work[rid]
+        order.append((prow, pc))
+
+    pivot_cols = {pc for _, pc in order}
+    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+
+    # back-substitute one kernel vector per free column (reverse elimination
+    # order: each row's non-pivot support is free cols or later pivots)
+    raw = []
+    for f in free_cols:
+        x = {f: Fraction(1)}
+        for prow, pc in reversed(order):
+            s = Fraction(0)
+            for c, v in prow.items():
+                if c != pc and c in x:
+                    s += v * x[c]
+            if s:
+                x[pc] = -s / prow[pc]
+        raw.append(x)
+
+    return _canonical_kernel_basis(raw)
+
+
+def _canonical_kernel_basis(vectors):
+    """Reduce a kernel basis to the canonical free-variable form.
+
+    Unique reduced form with respect to *trailing* positions: each basis
+    vector ends in a 1 at a distinct column and every other vector vanishes
+    there.  For a kernel this coincides with the basis read off the RREF of
+    the original matrix, independent of how the basis was produced.
+    """
+    zero = Fraction(0)
+    reduced = {}            # trailing col -> dict vector
+    for vec in vectors:
+        vec = {c: Fraction(v) for c, v in vec.items() if v}
+        while vec:
+            t = max(vec)
+            if t in reduced:
+                lead = reduced[t]
+                f = vec[t]
+                vec = {c: nv for c in vec.keys() | lead.keys()
+                       if (nv := vec.get(c, zero) - f * lead.get(c, zero))}
+                continue
+            inv = vec[t]
+            vec = {c: v / inv for c, v in vec.items()}
+            # clear the new vector at every existing trailing column (each
+            # reduced vector vanishes at the *other* trailing columns, so this
+            # cannot reintroduce anything)
+            for t2, lead in reduced.items():
+                if t2 in vec:
+                    f = vec[t2]
+                    vec = {c: nv for c in vec.keys() | lead.keys()
+                           if (nv := vec.get(c, zero) - f * lead.get(c, zero))}
+            for other in reduced.values():
+                if t in other:
+                    f = other[t]
+                    for c, v in vec.items():
+                        nv = other.get(c, zero) - f * v
+                        if nv:
+                            other[c] = nv
+                        else:
+                            other.pop(c, None)
+            reduced[t] = vec
+            break
+    return [reduced[t] for t in sorted(reduced)]

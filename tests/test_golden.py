@@ -18,6 +18,7 @@ from crprolong import catalog
 from crprolong.cli import main
 from crprolong.model import QuadricModel
 from crprolong.poly import Poly, PolyVectorField
+from crprolong.prolong import prolong_full
 from crprolong.scalars import GR_I
 
 GOLDEN = {
@@ -39,6 +40,17 @@ GOLDEN = {
         "704930d6d6828f2bfe1e2665df4e6c400e786d141d9c916ca5b24f766f664e23",
     "realize --degree 6 --json --catalog codim5":
         "2cafa3db208dd330558d33ca429f580232d5e01b3498e94214b227228a44ed6f",
+    # so_family(3) is the codim4 quadric, so these are the codim4 bytes
+    # reached through the family's own catalog path
+    "prolong --check-jacobi --structure --json --catalog so_family --n 3":
+        "ffb6ed4db06a0a9cbd4aaf5e011841fff684ba0935854548cdf7359701f0f1dd",
+}
+
+# sha256 of repr(sorted(pieces.items())) of a prolongation: every canonical
+# basis of systems with many blocks (so_family(4): 216 blocks in its largest
+# system), without the structure constants and 26 MB of a --structure run
+GOLDEN_PIECES = {
+    4: "3fca888e77aff344d12ec2852df1b491688e28beed1c209bc32a5df2899b5e47",
 }
 
 # validate --json on failing models: (forms, witness key, witness, digest)
@@ -94,6 +106,12 @@ def test_golden_digest(argv):
     code, out = run(argv.split())
     assert code == 0
     assert digest(out) == GOLDEN[argv]
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_PIECES))
+def test_golden_so_family_pieces(n):
+    pieces = prolong_full(catalog.make_so_family(n).model).algebra.pieces
+    assert digest(repr(sorted(pieces.items()))) == GOLDEN_PIECES[n]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_VALIDATE))

@@ -1,0 +1,158 @@
+"""The block-wise sparse kernel against the single-pass reference.
+
+``sparse_int_nullspace`` splits a system into the connected components of
+its column graph and eliminates each block on its own;
+``reference.single_pass_nullspace`` eliminates the whole system at once.
+Both must return the same canonical basis, vector for vector: on seeded
+block-diagonal matrices whose block columns are interleaved and permuted,
+on the edge cases of the input format, and on every system the
+prolongation builds for the catalog models.  ``_rows_to_int`` must give the
+integers of a rational product without forming one.
+"""
+
+import random
+from fractions import Fraction
+from math import lcm
+
+import pytest
+
+from reference import single_pass_nullspace
+
+from crprolong import catalog, prolong
+from crprolong.linalg import _rows_to_int, sparse_int_nullspace
+
+SEED = 83
+
+
+def _blocks(rows):
+    """Number of connected components of the column graph of ``rows``."""
+    comps = []
+    for row in filter(None, rows):
+        cols = set(row)
+        touching = [comp for comp in comps if comp & cols]
+        for comp in touching:
+            comps.remove(comp)
+            cols |= comp
+        comps.append(cols)
+    return len(comps)
+
+
+def _random_block(rng, cols):
+    """Integer rows on ``cols``, often rank-deficient, with the columns of a
+    block linked by a chain row so that the block is one component."""
+    nrows = rng.randint(1, len(cols) + 1)
+    rows = [{c: v for c in cols if (v := rng.randint(-3, 3)) and rng.random() < 0.6}
+            for _ in range(nrows)]
+    if rng.random() < 0.5 and nrows > 1:
+        # a combination of two rows: rank stays below the row count
+        a, b = rng.sample(range(nrows), 2)
+        fa, fb = rng.randint(-2, 2), rng.randint(1, 2)
+        combo = {c: v for c in cols
+                 if (v := fa * rows[a].get(c, 0) + fb * rows[b].get(c, 0))}
+        rows.append(combo)
+    rows.append({c: rng.choice((-2, -1, 1, 2)) for c in cols})
+    return rows
+
+
+def _block_diagonal(rng, nblocks, spare=0):
+    """Rows of ``nblocks`` blocks whose columns are interleaved and permuted,
+    plus ``spare`` columns in no row, zero rows and duplicate rows; the rows
+    are shuffled."""
+    sizes = [rng.randint(1, 6) for _ in range(nblocks)]
+    ncols = sum(sizes) + spare
+    perm = list(range(ncols))
+    rng.shuffle(perm)
+    rows, start = [], 0
+    for size in sizes:
+        rows += _random_block(rng, perm[start:start + size])
+        start += size
+    rows += [{} for _ in range(rng.randint(0, 2))]
+    rows += [dict(rng.choice(rows)) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(rows)
+    return rows, ncols
+
+
+def _assert_same(rows, ncols):
+    got = sparse_int_nullspace(rows, ncols)
+    want = single_pass_nullspace(rows, ncols)
+    assert got == want
+    assert all(type(v) is Fraction for vec in got for v in vec.values())
+    return got
+
+
+def test_block_diagonal_matrices_match_reference():
+    rng = random.Random(SEED)
+    seen_blocks, seen_dims = set(), set()
+    for t in range(120):
+        rows, ncols = _block_diagonal(rng, rng.randint(1, 7), spare=t % 3)
+        basis = _assert_same(rows, ncols + t % 4)   # ncols past the last used column
+        seen_blocks.add(_blocks(rows))
+        seen_dims.add(len(basis))
+    assert 1 in seen_blocks and max(seen_blocks) >= 5
+    assert 0 in seen_dims and max(seen_dims) >= 5
+
+
+def test_one_block_and_empty_systems():
+    rng = random.Random(SEED + 1)
+    for _ in range(20):
+        ncols = rng.randint(2, 8)
+        rows = _random_block(rng, list(range(ncols)))
+        assert _blocks(rows) == 1
+        _assert_same(rows, ncols)
+    assert sparse_int_nullspace([], 0) == single_pass_nullspace([], 0) == []
+    assert _assert_same([], 3) == [{0: 1}, {1: 1}, {2: 1}]
+    assert _assert_same([{}, {}], 2) == [{0: 1}, {1: 1}]
+
+
+def test_generator_rows():
+    rng = random.Random(SEED + 2)
+    rows, ncols = _block_diagonal(rng, 4, spare=2)
+    got = sparse_int_nullspace((row for row in rows), ncols)
+    assert got == single_pass_nullspace(rows, ncols)
+
+
+def _prolong_systems(model, monkeypatch):
+    """Every (rows, ncols) that ``prolong_full`` hands to the kernel."""
+    systems = []
+
+    def capture(rows, ncols):
+        systems.append((rows, ncols))
+        return sparse_int_nullspace(rows, ncols)
+
+    monkeypatch.setattr(prolong, "sparse_int_nullspace", capture)
+    prolong.prolong_full(model, use_cache=False)
+    return systems
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "codim4", "codim5", "so_family(3)"])
+def test_prolongation_systems_match_reference(name, monkeypatch):
+    model = (catalog.make_so_family(int(name[10])) if name.startswith("so_family")
+             else catalog.get(name)).model
+    systems = _prolong_systems(model, monkeypatch)
+    assert systems
+    for rows, ncols in systems:
+        _assert_same(rows, ncols)
+    if name != "heisenberg":
+        assert max(_blocks(rows) for rows, _ in systems) > 1
+
+
+def test_rows_to_int_matches_rational_product():
+    rng = random.Random(SEED + 3)
+    rows = []
+    for _ in range(200):
+        row = {}
+        for c in rng.sample(range(12), rng.randint(0, 5)):
+            num = rng.choice([v for v in range(-9, 10) if v])
+            row[c] = num if rng.random() < 0.3 else Fraction(num, rng.randint(1, 12))
+        rows.append(row)
+    got = _rows_to_int(rows)
+    want = []
+    for row in rows:
+        if row:
+            d = lcm(*(v.denominator for v in row.values()))
+            want.append({c: int(v * d) for c, v in row.items()})
+    assert got == want
+    assert all(type(v) is int for row in got for v in row.values())
+    # the i = 0 rows of a prolongation system carry plain ints
+    assert _rows_to_int([{0: 1, 3: -1}, {}, {2: Fraction(1, 2), 5: 3}]) == \
+        [{0: 1, 3: -1}, {2: 1, 5: 6}]
