@@ -12,7 +12,7 @@ import sys
 import time
 
 from . import catalog as _catalog
-from .errors import (AlgebraError, CRProlongError, InputError,
+from .errors import (AlgebraError, CRProlongError, DimensionError, InputError,
                      InternalCheckError, ValidationError)
 from .model import QuadricModel, tumanov_search
 from .poly import PolyVectorField
@@ -149,7 +149,15 @@ def cmd_realize(args) -> int:
 
 def cmd_verify(args) -> int:
     model, entry = _load_model(args)
-    field = PolyVectorField.from_json(_read_json(args.field))
+    raw = _read_json(args.field)
+    try:
+        frame = int(raw["n"]), int(raw["k"])
+    except (KeyError, ValueError, TypeError, OverflowError):
+        frame = None        # from_json names what is malformed
+    # compared before from_json allocates n + k polynomials
+    if frame not in (None, (model.n, model.k)):
+        raise DimensionError("field and model have different (n, k)")
+    field = PolyVectorField.from_json(raw)
     cert = verify_hol(field, model)
     data = cert.to_json()
     lines = [f"tangency verdict: {'true' if cert.verdict else 'false'}"]

@@ -10,14 +10,17 @@ Design notes
   are the leading principal minors, which the definiteness search reads.
 * Every kernel, rank test and span solve goes through
   ``sparse_int_nullspace``: it eliminates integer rows held as dicts of
-  columns with gcd content removal (fraction-free, no entry blowup) and then
-  canonicalizes.  Rational rows are scaled to integers row by row first
-  (``_rows_to_int``).  Its kernel vectors stay sparse ({column: Fraction});
-  only ``ExactMatrix.nullspace`` writes them out as dense tuples.
+  columns with gcd content removal (fraction-free, no entry blowup), one
+  column at a time in ascending order, and back-substitutes.  Rational rows
+  are scaled to integers row by row first (``_rows_to_int``).  Its kernel
+  vectors stay sparse ({column: Fraction}); only ``ExactMatrix.nullspace``
+  writes them out as dense tuples.
 * Kernel bases are canonical: the unique basis obtained from the reduced
   row echelon form of the matrix, one vector per free column, the free
   variable set to 1 and other free variables to 0, ordered by free column
-  index.  Any elimination order yields this same basis, which is what makes
+  index.  Eliminated in ascending column order, the pivots are the RREF
+  pivots, so the back-substitution returns this basis itself, with no
+  canonicalization pass (the argument is in ``_block_kernel``).  That makes
   all downstream output deterministic.
 * Each system is solved block by block: union-find links two columns when
   they share a row, and each connected component (the coarse part of the
@@ -280,107 +283,53 @@ def sparse_int_nullspace(rows, ncols: int):
 
 
 def _block_kernel(rows):
-    """Canonical kernel basis on the columns of ``rows``, one block."""
-    work = {rid: _content_normalize(row) for rid, row in enumerate(rows)}
-    col_rows = {}           # col -> set of active row ids containing it
-    for rid, row in work.items():
-        for c in row:
-            col_rows.setdefault(c, set()).add(rid)
+    """Canonical kernel basis on the columns of ``rows``, one block.
 
-    order = []              # (pivot row dict, pivot col) in elimination order
-    while work:
-        # pivot column: fewest active rows; pivot row: shortest, then smallest
-        # |value|, then smallest id.  Any choice gives the same canonical
-        # answer; this one keeps fill-in low.
-        pc = min((c for c, s in col_rows.items() if s),
-                 key=lambda c: (len(col_rows[c]), c))
-        pr = min(col_rows[pc], key=lambda r: (len(work[r]), abs(work[r][pc]), r))
+    The columns are eliminated in ascending order.  When column c is
+    reached, every row still in ``work`` is zero on the columns left of c:
+    each of those was a pivot column, cleared from every other row, or a
+    free column, in no row then and so in no combination made later.  So c
+    gets a pivot exactly when it is a pivot of the reduced row echelon
+    form, and each pivot row has no column left of its pivot.
+
+    For a free column f, fix x_f = 1 and every other free entry 0.  By
+    induction from the right, every pivot column p right of f comes out 0:
+    the other columns of its row lie right of p, where x is 0 (free entries
+    by choice, pivots by induction).  So the vector ends at f, and it is the
+    unique kernel vector with those free entries, which is the canonical
+    vector of f.  Back-substitution through the pivots left of f, in
+    descending order, computes it.  The pivot row (shortest, then smallest
+    |value|, then smallest id) only keeps fill-in low.
+    """
+    work = {rid: _content_normalize(row) for rid, row in enumerate(rows)}
+    pivots = []             # (pivot row, pivot col), pivot cols ascending
+    free = []               # (free col, number of pivots left of it)
+    for pc in sorted({c for row in rows for c in row}):
+        active = [rid for rid, row in work.items() if pc in row]
+        if not active:
+            free.append((pc, len(pivots)))
+            continue
+        pr = min(active, key=lambda r: (len(work[r]), abs(work[r][pc]), r))
         prow = work.pop(pr)
         pval = prow[pc]
-        for c in prow:
-            col_rows[c].discard(pr)
-        for rid in list(col_rows[pc]):
-            row = work[rid]
-            b = row[pc]
-            new = {}
-            for c, v in row.items():
-                t = pval * v
-                if c in prow:
-                    t -= b * prow[c]
-                if t:
-                    new[c] = t
-            for c, v in prow.items():
-                if c not in row:
-                    t = -b * v
-                    if t:
-                        new[c] = t
-            new = _content_normalize(new)
-            for c in row.keys() - new.keys():
-                col_rows[c].discard(rid)
-            for c in new.keys() - row.keys():
-                col_rows.setdefault(c, set()).add(rid)
-            work[rid] = new
-            if not new:
-                del work[rid]
-        order.append((prow, pc))
+        for rid in active:
+            if rid == pr:
+                continue
+            row = work.pop(rid)
+            g = gcd(pval, row[pc])
+            a, b = pval // g, row[pc] // g
+            new = {c: t for c, v in row.items() if (t := a * v - b * prow.get(c, 0))}
+            new.update((c, -b * v) for c, v in prow.items() if c not in row)
+            if new:
+                work[rid] = _content_normalize(new)
+        pivots.append((prow, pc))
 
-    pivot_cols = {pc for _, pc in order}
-    free_cols = [c for c in col_rows if c not in pivot_cols]
-
-    # back-substitute one kernel vector per free column (reverse elimination
-    # order: each row's non-pivot support is free cols or later pivots)
-    raw = []
-    for f in free_cols:
+    basis = []
+    for f, k in free:
         x = {f: Fraction(1)}
-        for prow, pc in reversed(order):
-            s = sum(v * x[c] for c, v in prow.items() if c != pc and c in x)
+        for prow, pc in reversed(pivots[:k]):
+            s = sum(v * x[c] for c, v in prow.items() if c in x)
             if s:
                 x[pc] = -s / prow[pc]
-        raw.append(x)
-
-    return _canonical_kernel_basis(raw)
-
-
-def _canonical_kernel_basis(vectors):
-    """Reduce a kernel basis to the canonical free-variable form.
-
-    Unique reduced form with respect to *trailing* positions: each basis
-    vector ends in a 1 at a distinct column and every other vector vanishes
-    there.  For a kernel this coincides with the basis read off the RREF of
-    the original matrix, independent of how the basis was produced.
-    """
-    zero = Fraction(0)
-    reduced = {}            # trailing col -> dict vector
-    for vec in vectors:
-        vec = {c: Fraction(v) for c, v in vec.items() if v}
-        while vec:
-            t = max(vec)
-            if t in reduced:
-                lead = reduced[t]
-                f = vec[t]
-                vec = {c: nv for c in vec.keys() | lead.keys()
-                       if (nv := vec.get(c, zero) - f * lead.get(c, zero))}
-                continue
-            inv = vec[t]
-            vec = {c: v / inv for c, v in vec.items()}
-            # clear the new vector at every existing trailing column (each
-            # reduced vector vanishes at the *other* trailing columns, so this
-            # cannot reintroduce anything)
-            for t2, lead in reduced.items():
-                if t2 in vec:
-                    f = vec[t2]
-                    vec = {c: nv for c in vec.keys() | lead.keys()
-                           if (nv := vec.get(c, zero) - f * lead.get(c, zero))}
-            for other in reduced.values():
-                if t in other:
-                    f = other[t]
-                    for c, v in vec.items():
-                        nv = other.get(c, zero) - f * v
-                        if nv:
-                            other[c] = nv
-                        else:
-                            other.pop(c, None)
-            reduced[t] = vec
-            break
-    return [reduced[t] for t in sorted(reduced)]
-
+        basis.append(x)
+    return basis

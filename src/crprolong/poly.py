@@ -425,7 +425,7 @@ class PolyVectorField:
                 comps[int(idx) - 1] += p
         except InputError:
             raise
-        except (KeyError, ValueError, TypeError, IndexError) as exc:
+        except (KeyError, ValueError, TypeError, IndexError, OverflowError) as exc:
             raise InputError(f"malformed field JSON: {exc}") from exc
         return PolyVectorField(n, k, z, w)
 

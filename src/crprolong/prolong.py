@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .errors import InternalCheckError, NonterminationError
+from .errors import InputError, InternalCheckError, NonterminationError
 from .linalg import _rows_to_int, sparse_int_nullspace
 from .model import LeviTanakaAlgebra, QuadricModel, build_levi_tanaka
 
@@ -401,6 +401,8 @@ def prolong_full(model: QuadricModel, max_degree: int = 12,
     """Full prolongation, iterated until a zero degree (then one more degree
     is computed and asserted zero — m is generated by g_{-1}, so a single
     vanishing degree kills everything above it)."""
+    if max_degree < 0:
+        raise InputError(f"degree cap must be nonnegative, got {max_degree}")
     key = (model.fingerprint(), max_degree)
     if use_cache and key in _CACHE:
         _CACHE.move_to_end(key)

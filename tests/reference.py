@@ -27,10 +27,13 @@
 * The original sparse integer kernel (``single_pass_nullspace``, with its
   helpers ``_content_normalize`` and ``_canonical_kernel_basis``): one
   elimination over the whole system, each pivot column chosen by a scan of
-  every active column, and one back-substitution over every pivot row for
-  each free column.  The library splits the system into its blocks first
-  and eliminates each block on its own.  ``tests/oracle.py`` takes its rank
-  from this copy, so the oracle shares no code with the library's kernel.
+  every active column (Markowitz order), one back-substitution over every
+  pivot row for each free column, and a canonicalization pass.  It is now
+  the only route that pivots in Markowitz order and canonicalizes
+  afterwards.  The library splits the system into its blocks first and
+  eliminates each block in ascending column order, which gives the
+  canonical basis directly.  ``tests/oracle.py`` takes its rank from this
+  copy, so the oracle shares no code with the library's kernel.
 
 Tests compare the two routes entry by entry.
 """

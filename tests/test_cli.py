@@ -236,6 +236,13 @@ def test_prolong_max_degree_too_small(capsys):
     assert "internal check failed" in err
 
 
+@pytest.mark.parametrize("argv", [["prolong"], ["realize", "--degree", "0"], ["report"]])
+def test_negative_max_degree_is_input_error(capsys, argv):
+    code, out, err = run(capsys, argv + ["--catalog", "heisenberg", "--max-degree", "-1"])
+    assert code == 2
+    assert "degree cap must be nonnegative, got -1" in err
+
+
 # ---------------------------------------------------------------------------
 # realize
 # ---------------------------------------------------------------------------
@@ -321,6 +328,27 @@ def test_verify_frame_mismatch(capsys, tmp_path):
                                   "--field", path])
     assert code == 2
     assert "error:" in err
+
+
+def test_verify_frame_checked_before_field_is_built(capsys, tmp_path, monkeypatch):
+    def unreachable(data):
+        raise AssertionError("field built before its (n, k) was checked")
+
+    monkeypatch.setattr(PolyVectorField, "from_json", staticmethod(unreachable))
+    path = write_json(tmp_path / "wide.json", {"n": 300000, "k": 1, "terms": []})
+    code, out, err = run(capsys, ["verify", "--catalog", "heisenberg",
+                                  "--field", path])
+    assert code == 2
+    assert "field and model have different (n, k)" in err
+
+
+@pytest.mark.parametrize("n", ["one", float("inf")])
+def test_verify_malformed_frame(capsys, tmp_path, n):
+    path = write_json(tmp_path / "bad.json", {"n": n, "k": 1, "terms": []})
+    code, out, err = run(capsys, ["verify", "--catalog", "heisenberg",
+                                  "--field", path])
+    assert code == 2
+    assert "malformed field JSON" in err
 
 
 # ---------------------------------------------------------------------------

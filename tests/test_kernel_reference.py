@@ -24,8 +24,8 @@ from crprolong.linalg import _rows_to_int, sparse_int_nullspace
 SEED = 83
 
 
-def _blocks(rows):
-    """Number of connected components of the column graph of ``rows``."""
+def _components(rows):
+    """Column sets of the connected components of the column graph of ``rows``."""
     comps = []
     for row in filter(None, rows):
         cols = set(row)
@@ -34,14 +34,19 @@ def _blocks(rows):
             comps.remove(comp)
             cols |= comp
         comps.append(cols)
-    return len(comps)
+    return comps
 
 
 def _random_block(rng, cols):
     """Integer rows on ``cols``, often rank-deficient, with the columns of a
-    block linked by a chain row so that the block is one component."""
-    nrows = rng.randint(1, len(cols) + 1)
-    rows = [{c: v for c in cols if (v := rng.randint(-3, 3)) and rng.random() < 0.6}
+    block linked by a chain row so that the block is one component.  A block
+    of 15 or more columns gets sparse rows, at most ``len(cols) - 2`` of them
+    plus the chain row, so it is rank-deficient and its elimination fills in."""
+    if len(cols) >= 15:
+        nrows, density = rng.randint(len(cols) // 2, len(cols) - 2), 0.2
+    else:
+        nrows, density = rng.randint(1, len(cols) + 1), 0.6
+    rows = [{c: v for c in cols if (v := rng.randint(-3, 3)) and rng.random() < density}
             for _ in range(nrows)]
     if rng.random() < 0.5 and nrows > 1:
         # a combination of two rows: rank stays below the row count
@@ -54,11 +59,11 @@ def _random_block(rng, cols):
     return rows
 
 
-def _block_diagonal(rng, nblocks, spare=0):
-    """Rows of ``nblocks`` blocks whose columns are interleaved and permuted,
-    plus ``spare`` columns in no row, zero rows and duplicate rows; the rows
-    are shuffled."""
-    sizes = [rng.randint(1, 6) for _ in range(nblocks)]
+def _block_diagonal(rng, nblocks, spare=0, size=(1, 6)):
+    """Rows of ``nblocks`` blocks of ``size`` columns (a range) whose columns
+    are interleaved and permuted, plus ``spare`` columns in no row, zero rows
+    and duplicate rows; the rows are shuffled."""
+    sizes = [rng.randint(*size) for _ in range(nblocks)]
     ncols = sum(sizes) + spare
     perm = list(range(ncols))
     rng.shuffle(perm)
@@ -82,14 +87,21 @@ def _assert_same(rows, ncols):
 
 def test_block_diagonal_matrices_match_reference():
     rng = random.Random(SEED)
-    seen_blocks, seen_dims = set(), set()
+    seen_blocks, seen_dims, large = set(), set(), 0
     for t in range(120):
-        rows, ncols = _block_diagonal(rng, rng.randint(1, 7), spare=t % 3)
+        if t % 5 == 4:      # every fifth matrix has blocks of 15-30 columns
+            size, nblocks = (15, 30), rng.randint(1, 3)
+        else:
+            size, nblocks = (1, 6), rng.randint(1, 7)
+        rows, ncols = _block_diagonal(rng, nblocks, spare=t % 3, size=size)
         basis = _assert_same(rows, ncols + t % 4)   # ncols past the last used column
-        seen_blocks.add(_blocks(rows))
+        comps = _components(rows)
+        seen_blocks.add(len(comps))
         seen_dims.add(len(basis))
+        large += sum(len(comp) >= 15 for comp in comps)
     assert 1 in seen_blocks and max(seen_blocks) >= 5
     assert 0 in seen_dims and max(seen_dims) >= 5
+    assert large >= 24
 
 
 def test_one_block_and_empty_systems():
@@ -97,7 +109,7 @@ def test_one_block_and_empty_systems():
     for _ in range(20):
         ncols = rng.randint(2, 8)
         rows = _random_block(rng, list(range(ncols)))
-        assert _blocks(rows) == 1
+        assert len(_components(rows)) == 1
         _assert_same(rows, ncols)
     assert sparse_int_nullspace([], 0) == single_pass_nullspace([], 0) == []
     assert _assert_same([], 3) == [{0: 1}, {1: 1}, {2: 1}]
@@ -133,7 +145,7 @@ def test_prolongation_systems_match_reference(name, monkeypatch):
     for rows, ncols in systems:
         _assert_same(rows, ncols)
     if name != "heisenberg":
-        assert max(_blocks(rows) for rows, _ in systems) > 1
+        assert max(len(_components(rows)) for rows, _ in systems) > 1
 
 
 def test_rows_to_int_matches_rational_product():
