@@ -40,18 +40,6 @@ class CatalogEntry:
     description: str
     model: QuadricModel
     known_fields: dict = _dcfield(default_factory=dict)
-    expected: dict = _dcfield(default_factory=dict)
-    notes: str = ""
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "model": self.model.to_json(),
-            "known_fields": {k: f.to_json() for k, f in self.known_fields.items()},
-            "expected": dict(self.expected),
-            "notes": self.notes,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -119,13 +107,6 @@ def make_codim5() -> CatalogEntry:
                     "100 with top weighted degree 6",
         model=model,
         known_fields={"X": X, "Y": Y, "Z": Z, "U": U, "T": T, "F": F},
-        expected={
-            "top_degree": 6,
-            "jet_order": 4,
-            "dims": {-2: 5, -1: 8, 0: 17, 1: 20, 2: 21, 3: 16, 4: 8, 5: 4, 6: 1},
-            "validation": True,
-            "tumanov_witness": (0, 0, 1, 0, 0),
-        },
     )
 
 
@@ -167,34 +148,6 @@ def make_codim4() -> CatalogEntry:
                     "three base variables plus a coupling form); top weighted degree 4",
         model=model,
         known_fields={"G": G},
-        expected={
-            "top_degree": 4,
-            "jet_order": 3,
-            "dims": {-2: 4, -1: 12, 0: 23, 1: 24, 2: 15, 3: 6, 4: 1},
-            "validation": True,
-        },
-        notes="The attached degree-4 field G is the unique (up to scale) "
-              "automorphism of top weight; see codim4_display_variant for a "
-              "w-relabeled variant that is not tangent.",
-    )
-
-
-def codim4_display_variant() -> PolyVectorField:
-    """The degree-4 field with the roles of w2 and w3 interchanged (w2 -> -w3,
-    w3 -> w2 relative to the tangent field G).  Not an automorphism of the
-    codim4 model; kept as a negative test vector."""
-    n, k = 6, 4
-    z = [Poly.variable(n, k, "z", a) for a in range(n)]
-    w = [Poly.variable(n, k, "w", j) for j in range(k)]
-    zero = Poly.zero(n, k)
-    w1, w2, w3 = w[0], w[1], w[2]
-    return PolyVectorField(
-        n, k,
-        [zero, zero, zero,
-         (w1 * w3 * z[2] * -1 + w2 * w3 * z[1] + w3 * w3 * z[0]) * _I,
-         (w2 * w3 * z[0] - w1 * w2 * z[2] + w2 * w2 * z[1]) * _I,
-         (w1 * w3 * z[0] * -1 - w1 * w2 * z[1] + w1 * w1 * z[2]) * _I],
-        [zero] * k,
     )
 
 
@@ -209,12 +162,6 @@ def make_heisenberg() -> CatalogEntry:
         description="sphere model Im w = |z1|^2 in C^2; symmetry algebra of "
                     "dimension 8 with top weighted degree 2",
         model=model,
-        expected={
-            "top_degree": 2,
-            "jet_order": 2,
-            "dims": {-2: 1, -1: 2, 0: 2, 1: 2, 2: 1},
-            "validation": True,
-        },
     )
 
 
@@ -235,28 +182,12 @@ def make_so_family(n: int) -> CatalogEntry:
     hermitian = [_pair_matrix(nn, a, b) for a, b in _so_pairs(n)]
     hermitian.append(_mat(nn, {key: 1 for j in range(n) for key in ((j, n + j), (n + j, j))}))
     model = QuadricModel(hermitian)
-    expected = {
-        "top_degree": 2 * n - 2,
-        "jet_order": n,
-        "validation": True,
-    }
-    if n == 3:
-        expected["dims"] = {-2: 4, -1: 12, 0: 23, 1: 24, 2: 15, 3: 6, 4: 1}
-    if n == 4:
-        expected["dims"] = {-2: 7, -1: 16, 0: 40, 1: 56, 2: 58, 3: 48, 4: 22, 5: 8, 6: 1}
     return CatalogEntry(
         name=f"so_family(n={n})",
         description=f"quadric in C^{(n + 2) * (n + 1) // 2} with so({n},{n + 2}) "
                     "symmetry; unusually high jet-determination order n",
         model=model,
-        expected=expected,
     )
-
-
-# The su-family equations for m=2, in their natural order (real pair,
-# imaginary pair, squares, coupling), match the codim5 equations in this
-# order: su equation i is codim5 equation SU2_TO_CODIM5[i].
-SU2_TO_CODIM5 = (0, 1, 3, 4, 2)
 
 
 def make_su_family(m: int) -> CatalogEntry:
@@ -274,19 +205,11 @@ def make_su_family(m: int) -> CatalogEntry:
     hermitian.append(_mat(nn, {key: 1 for j in range(m)
                                for key in ((j, 2 * m - 1 - j), (2 * m - 1 - j, j))}))
     model = QuadricModel(hermitian)
-    expected = {
-        "top_degree": 4 * m - 2,
-        "jet_order": 2 * m,
-        "validation": True,
-    }
-    if m == 2:
-        expected["dims"] = {-2: 5, -1: 8, 0: 17, 1: 20, 2: 21, 3: 16, 4: 8, 5: 4, 6: 1}
     return CatalogEntry(
         name=f"su_family(m={m})",
         description=f"quadric in C^{(m + 1) ** 2} with su({m},{m + 1}) symmetry; "
                     "jet-determination order 2m",
         model=model,
-        expected=expected,
     )
 
 
@@ -331,13 +254,6 @@ def extend_codim(entry: CatalogEntry, extra: int) -> CatalogEntry:
     for t in range(extra):
         hermitian.append(_mat(n2, {(n + t, n + t): 1}))
     model = QuadricModel(hermitian)
-    expected = {}
-    if "top_degree" in entry.expected:
-        expected["top_degree"] = max(entry.expected["top_degree"], 2)
-        expected["jet_order"] = max(entry.expected.get("jet_order", 2), 2)
-    expected["validation"] = True
-    if entry.name == "codim5" and extra == 1:
-        expected["dims"] = {-2: 6, -1: 10, 0: 19, 1: 22, 2: 22, 3: 16, 4: 8, 5: 4, 6: 1}
     fields = {name: _embed_field(f, n2, k2) for name, f in entry.known_fields.items()}
     return CatalogEntry(
         name=f"{entry.name}+{extra}",
@@ -346,8 +262,6 @@ def extend_codim(entry: CatalogEntry, extra: int) -> CatalogEntry:
                     "positive-degree symmetries",
         model=model,
         known_fields=fields,
-        expected=expected,
-        notes=entry.notes,
     )
 
 

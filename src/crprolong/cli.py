@@ -17,7 +17,8 @@ from .errors import (AlgebraError, CRProlongError, DimensionError, InputError,
 from .model import QuadricModel, tumanov_search
 from .poly import PolyVectorField
 from .prolong import prolong_full
-from .realize import euler_field, realize_basis
+from .realize import realize_basis
+from .scalars import json_int
 from .verify import jet_certificate, verify_hol
 
 
@@ -151,8 +152,8 @@ def cmd_verify(args) -> int:
     model, entry = _load_model(args)
     raw = _read_json(args.field)
     try:
-        frame = int(raw["n"]), int(raw["k"])
-    except (KeyError, ValueError, TypeError, OverflowError):
+        frame = json_int(raw["n"]), json_int(raw["k"])
+    except (KeyError, ValueError, TypeError):
         frame = None        # from_json names what is malformed
     # compared before from_json allocates n + k polynomials
     if frame not in (None, (model.n, model.k)):

@@ -9,10 +9,10 @@ Design notes
   ``gi_bareiss`` is that one elimination loop; without row swaps its pivots
   are the leading principal minors, which the definiteness search reads.
 * Every kernel, rank test and span solve goes through
-  ``sparse_int_nullspace``: it eliminates integer rows held as dicts of
+  ``sparse_int_nullspace``: it scales its rational rows to integers row by
+  row (``_rows_to_int``), then eliminates the integer rows held as dicts of
   columns with gcd content removal (fraction-free, no entry blowup), one
-  column at a time in ascending order, and back-substitutes.  Rational rows
-  are scaled to integers row by row first (``_rows_to_int``).  Its kernel
+  column at a time in ascending order, and back-substitutes.  Its kernel
   vectors stay sparse ({column: Fraction}); only ``ExactMatrix.nullspace``
   writes them out as dense tuples.
 * Kernel bases are canonical: the unique basis obtained from the reduced
@@ -42,7 +42,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DimensionError, InternalCheckError
-from .scalars import GR_ONE, GR_ZERO, GaussianRational
+from .scalars import GR_ZERO, GaussianRational, json_int
 
 # ---------------------------------------------------------------------------
 # fraction-free Gaussian elimination over Z[i]
@@ -107,15 +107,6 @@ class ExactMatrix:
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("ExactMatrix is immutable")
-
-    # -- constructors ---------------------------------------------------
-    @staticmethod
-    def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix([[GR_ONE if i == j else GR_ZERO for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "ExactMatrix":
-        return ExactMatrix([[GR_ZERO] * cols for _ in range(rows)])
 
     # -- basics ----------------------------------------------------------
     def __getitem__(self, ij):
@@ -182,7 +173,7 @@ class ExactMatrix:
 
     @staticmethod
     def from_lists(data) -> "ExactMatrix":
-        return ExactMatrix([[GaussianRational.parse(x) if isinstance(x, str) else x
+        return ExactMatrix([[GaussianRational.parse(x) if isinstance(x, str) else json_int(x)
                              for x in row] for row in data])
 
     # -- elimination -------------------------------------------------------
@@ -206,23 +197,8 @@ class ExactMatrix:
             rows += (re_row, im_row)
         return [tuple(GaussianRational(v.get(2 * a, 0), v.get(2 * a + 1, 0))
                       for a in range(self.cols))
-                for v in sparse_int_nullspace(_rows_to_int(rows), 2 * self.cols)
+                for v in sparse_int_nullspace(rows, 2 * self.cols)
                 if max(v) % 2 == 0]
-
-    def determinant(self) -> GaussianRational:
-        if self.rows != self.cols:
-            raise DimensionError("determinant of non-square matrix")
-        if self.rows == 0:
-            return GR_ONE
-        # clear denominators row by row; Bareiss over Z[i]
-        scale = Fraction(1)
-        m = []
-        for row in self.entries:
-            d = lcm(*(lcm(x.re.denominator, x.im.denominator) for x in row))
-            scale *= d
-            m.append([(int(x.re * d), int(x.im * d)) for x in row])
-        *_, (dr, di) = gi_bareiss(m)
-        return GaussianRational(Fraction(dr) / scale, Fraction(di) / scale)
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +224,10 @@ def _content_normalize(row: dict) -> dict:
 
 
 def sparse_int_nullspace(rows, ncols: int):
-    """Exact kernel of an integer matrix given as sparse rows.
+    """Exact kernel of a rational matrix given as sparse rows.
 
-    ``rows``: iterable of dict[col -> nonzero int], every col < ``ncols``.
+    ``rows``: iterable of dict[col -> nonzero int or Fraction], every col <
+    ``ncols``; each row is scaled to integers first (``_rows_to_int``).
     Returns the canonical nullspace basis: sparse vectors dict[col -> nonzero
     Fraction] with a 1 at their free column, ordered by free column index
     (with the zeros filled in, the basis of the dense RREF route).
@@ -261,7 +238,7 @@ def sparse_int_nullspace(rows, ncols: int):
     block kernels and the reduced trailing-column basis is unique, so the
     block bases, merged by trailing column, are the global canonical basis.
     """
-    rows = [row for row in rows if row]
+    rows = _rows_to_int(rows)
     parent = {c: c for row in rows for c in row}
 
     def find(c):

@@ -31,9 +31,7 @@ from typing import Optional
 from .errors import AlgebraError, DegenerateModelError, DimensionError, InputError
 from .linalg import ExactMatrix, gi_bareiss
 from .poly import Poly
-from .scalars import GaussianRational
-
-_F0 = Fraction(0)
+from .scalars import GaussianRational, json_int
 
 
 class QuadricModel:
@@ -78,7 +76,7 @@ class QuadricModel:
     @staticmethod
     def from_json(data) -> "QuadricModel":
         try:
-            n, k = int(data["n"]), int(data["k"])
+            n, k = json_int(data["n"]), json_int(data["k"])
             mats = [ExactMatrix.from_lists(h) for h in data["hermitian"]]
         except (KeyError, ValueError, TypeError) as exc:
             raise InputError(f"malformed model JSON: {exc}") from exc
@@ -279,25 +277,6 @@ class LeviTanakaAlgebra:
         """Return (index, sign) with J(basis_s) = sign * basis_index."""
         n = self.n
         return (s + n, 1) if s < n else (s - n, -1)
-
-    def bracket(self, x, y):
-        """Bracket of two g_{-1} coefficient vectors; returns a k-vector."""
-        n2 = 2 * self.n
-        if len(x) != n2 or len(y) != n2:
-            raise DimensionError("vectors must have length 2n")
-        out = [_F0] * self.k
-        for a, xa in enumerate(x):
-            if not xa:
-                continue
-            row = self.mbracket[a]
-            for b, yb in enumerate(y):
-                if yb:
-                    cell = row[b]
-                    f = xa * yb
-                    for j in range(self.k):
-                        if cell[j]:
-                            out[j] += f * cell[j]
-        return tuple(out)
 
 
 def build_levi_tanaka(model: QuadricModel) -> LeviTanakaAlgebra:

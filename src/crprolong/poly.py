@@ -18,7 +18,7 @@ from fractions import Fraction
 from operator import add
 
 from .errors import DimensionError, InputError
-from .scalars import GR_ONE, GaussianRational
+from .scalars import GR_ONE, GaussianRational, json_int
 
 
 def _nvars(n: int, k: int) -> int:
@@ -237,9 +237,6 @@ class Poly:
             return NotImplemented
         return self.n == other.n and self.k == other.k and self.terms == other.terms
 
-    def total_degree(self):
-        return max((sum(m) for m in self.terms), default=None)
-
     def min_total_degree(self):
         return min((sum(m) for m in self.terms), default=None)
 
@@ -408,7 +405,7 @@ class PolyVectorField:
     @staticmethod
     def from_json(data) -> "PolyVectorField":
         try:
-            n, k = int(data["n"]), int(data["k"])
+            n, k = json_int(data["n"]), json_int(data["k"])
             z = [Poly.zero(n, k) for _ in range(n)]
             w = [Poly.zero(n, k) for _ in range(k)]
             for t in data["terms"]:
@@ -417,7 +414,7 @@ class PolyVectorField:
                 if comps is None or not (idx.isascii() and idx.isdigit()
                                          and 1 <= int(idx) <= len(comps)):
                     raise InputError(f"bad target {target!r}")
-                ze, we = list(map(int, t["z_exp"])), list(map(int, t["w_exp"]))
+                ze, we = list(map(json_int, t["z_exp"])), list(map(json_int, t["w_exp"]))
                 if len(ze) != n or len(we) != k or min(ze + we, default=0) < 0:
                     raise InputError("bad exponent vector")
                 mono = tuple(ze) + (0,) * n + tuple(we) + (0,) * (2 * k)

@@ -39,7 +39,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .errors import InputError, InternalCheckError, NonterminationError
-from .linalg import _rows_to_int, sparse_int_nullspace
+from .linalg import sparse_int_nullspace
 from .model import LeviTanakaAlgebra, QuadricModel, build_levi_tanaka
 
 _F0 = Fraction(0)
@@ -120,7 +120,7 @@ def prolong_step(lt: LeviTanakaAlgebra, pieces: dict, i: int):
                     rows.append(row)
 
     out = []
-    for vec in sparse_int_nullspace(_rows_to_int(rows), nphi + k * m2):
+    for vec in sparse_int_nullspace(rows, nphi + k * m2):
         phi, psi = [[] for _ in range(n2)], [[] for _ in range(k)]
         for col, v in sorted(vec.items()):
             if col < nphi:
@@ -208,7 +208,7 @@ class GradedLieAlgebra:
             for c, v in vec.items():
                 if c < nphi:
                     columns.setdefault(c, {})[g] = v
-        if sparse_int_nullspace(_rows_to_int(columns.values()), len(piece)):
+        if sparse_int_nullspace(columns.values(), len(piece)):
             raise InternalCheckError(
                 f"degree {d} elements are not determined by their g_-1 action")
         trailing = tuple(max(vec) for vec in flat)

@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import DimensionError, InputError
-from .linalg import _rows_to_int, sparse_int_nullspace
+from .linalg import sparse_int_nullspace
 from .poly import Poly, PolyVectorField
 from .prolong import GradedLieAlgebra, ProlongationResult
 from .scalars import GaussianRational
@@ -186,8 +186,7 @@ def express_in_span(target: PolyVectorField, fields) -> tuple | None:
                 re_row[col] = c.re
             if c.im:
                 im_row[col] = c.im
-    basis = sparse_int_nullspace(_rows_to_int(r for pair in rows.values() for r in pair),
-                                 len(fields) + 1)
+    basis = sparse_int_nullspace((r for pair in rows.values() for r in pair), len(fields) + 1)
     if basis and max(basis[-1]) == len(fields):
         return tuple(basis[-1].get(c, _F0) for c in range(len(fields)))
     return None

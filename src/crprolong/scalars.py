@@ -13,9 +13,6 @@ from fractions import Fraction
 
 Rational = Fraction
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``p`` or ``p/q`` (q > 0 after reduction is guaranteed by Fraction)."""
@@ -25,8 +22,12 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational: {text!r}") from exc
 
 
-def format_rational(x: Fraction) -> str:
-    return str(x)
+def json_int(x) -> int:
+    """An integer read from JSON: an int or its decimal text.  A JSON float or
+    boolean is not an exact integer, so it raises TypeError."""
+    if isinstance(x, (bool, float)):
+        raise TypeError(f"not an exact integer: {x!r}")
+    return int(x)
 
 
 _GAUSS_RE = _re.compile(r"^\((-?\d+(?:/\d+)?)\)\+\((-?\d+(?:/\d+)?)\)i$")
@@ -54,9 +55,6 @@ class GaussianRational:
     # -- predicates ---------------------------------------------------
     def is_zero(self) -> bool:
         return not self.re and not self.im
-
-    def is_real(self) -> bool:
-        return not self.im
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
@@ -148,6 +146,8 @@ class GaussianRational:
 
     @staticmethod
     def parse(text: str) -> "GaussianRational":
+        if not isinstance(text, str):
+            raise ValueError(f"not a Gaussian rational: {text!r}")
         m = _GAUSS_RE.match(text.strip())
         if not m:
             raise ValueError(f"not a Gaussian rational: {text!r}")

@@ -93,14 +93,6 @@ def _surface(model) -> _Surface:
     return surface
 
 
-def surface_restriction(p: Poly, model) -> Poly:
-    """Substitute w -> u + iP, conj(w) -> u - iP into ``p``."""
-    mapping = dict(_surface(model).holo)
-    for j, q in enumerate(model.defining_polys()):
-        mapping[("wb", j)] = Poly.variable(model.n, model.k, "u", j) - q * _I
-    return p.subs(mapping)
-
-
 def verify_hol(field: PolyVectorField, model) -> TangencyCertificate:
     """Check Re(X rho_j) == 0 on the surface for every j; exact, no tolerance."""
     if field.n != model.n or field.k != model.k:

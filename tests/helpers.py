@@ -1,18 +1,50 @@
 """Shared test helpers: realized fields against the abstract algebra,
-certificate checks on the catalog's known fields, and small operations that
-only tests need (exact evaluation, matrix-vector products, J on g_{-1}, the
-invariants of a Levi-Tanaka algebra and the forms read back from its
-brackets, the grading element and its check)."""
+certificate checks on the catalog's known fields, test vectors for the
+catalog models, and small operations that only tests need (exact evaluation,
+the real predicate and total degree, identity and zero matrices, matrix-vector
+products and determinants, the bracket and J on g_{-1}, the invariants of a
+Levi-Tanaka algebra and the forms read back from its brackets, the grading
+element and its check)."""
 
 from fractions import Fraction
+from math import lcm
 
 from crprolong.errors import AlgebraError, DimensionError, InternalCheckError
-from crprolong.linalg import ExactMatrix
+from crprolong.linalg import ExactMatrix, gi_bareiss
 from crprolong.model import QuadricModel
-from crprolong.poly import PolyVectorField
+from crprolong.poly import Poly, PolyVectorField
 from crprolong.realize import BRACKET_SIGN, realize_element
-from crprolong.scalars import GR_ZERO, GaussianRational
+from crprolong.scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational
 from crprolong.verify import jet_certificate, verify_hol
+
+
+# ---------------------------------------------------------------------------
+# test vectors for the catalog models
+# ---------------------------------------------------------------------------
+
+# The su-family equations for m=2, in their natural order (real pair,
+# imaginary pair, squares, coupling), match the codim5 equations in this
+# order: su equation i is codim5 equation SU2_TO_CODIM5[i].
+SU2_TO_CODIM5 = (0, 1, 3, 4, 2)
+
+
+def codim4_display_variant() -> PolyVectorField:
+    """The degree-4 field with the roles of w2 and w3 interchanged (w2 -> -w3,
+    w3 -> w2 relative to the tangent field G of the codim4 catalog entry).
+    Not an automorphism of the codim4 model: a negative test vector."""
+    n, k = 6, 4
+    z = [Poly.variable(n, k, "z", a) for a in range(n)]
+    w = [Poly.variable(n, k, "w", j) for j in range(k)]
+    zero = Poly.zero(n, k)
+    w1, w2, w3 = w[0], w[1], w[2]
+    return PolyVectorField(
+        n, k,
+        [zero, zero, zero,
+         (w1 * w3 * z[2] * -1 + w2 * w3 * z[1] + w3 * w3 * z[0]) * GR_I,
+         (w2 * w3 * z[0] - w1 * w2 * z[2] + w2 * w2 * z[1]) * GR_I,
+         (w1 * w3 * z[0] * -1 - w1 * w2 * z[1] + w1 * w1 * z[2]) * GR_I],
+        [zero] * k,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -34,6 +66,15 @@ def evaluate(p, point) -> GaussianRational:
     return acc
 
 
+def total_degree(p):
+    """Largest total degree of a term of ``p``; None for the zero polynomial."""
+    return max((sum(m) for m in p.terms), default=None)
+
+
+def is_real(a: GaussianRational) -> bool:
+    return not a.im
+
+
 def norm(a: GaussianRational) -> Fraction:
     """The field norm re^2 + im^2 (a nonnegative rational)."""
     return a.re * a.re + a.im * a.im
@@ -43,12 +84,58 @@ def times_i(a: GaussianRational) -> GaussianRational:
     return GaussianRational(-a.im, a.re)
 
 
+def identity(n: int) -> ExactMatrix:
+    return ExactMatrix([[GR_ONE if i == j else GR_ZERO for j in range(n)] for i in range(n)])
+
+
+def zeros(rows: int, cols: int) -> ExactMatrix:
+    return ExactMatrix([[GR_ZERO] * cols for _ in range(rows)])
+
+
+def determinant(m: ExactMatrix) -> GaussianRational:
+    """Exact determinant: denominators cleared row by row, then one Bareiss
+    pass over the Gaussian integers."""
+    if m.rows != m.cols:
+        raise DimensionError("determinant of non-square matrix")
+    if m.rows == 0:
+        return GR_ONE
+    scale = Fraction(1)
+    rows = []
+    for row in m.entries:
+        d = lcm(*(lcm(x.re.denominator, x.im.denominator) for x in row))
+        scale *= d
+        rows.append([(int(x.re * d), int(x.im * d)) for x in row])
+    *_, (dr, di) = gi_bareiss(rows)
+    return GaussianRational(Fraction(dr) / scale, Fraction(di) / scale)
+
+
 def apply(m: ExactMatrix, vec):
     """Matrix times column vector (sequence of GaussianRational-likes)."""
     if len(vec) != m.cols:
         raise DimensionError("vector length mismatch")
     vec = [GaussianRational(v) if not isinstance(v, GaussianRational) else v for v in vec]
     return tuple(sum((a * v for a, v in zip(row, vec)), GR_ZERO) for row in m.entries)
+
+
+def lt_bracket(lt, x, y):
+    """Bracket of two g_{-1} coefficient vectors of a Levi-Tanaka algebra;
+    returns a k-vector."""
+    n2 = 2 * lt.n
+    if len(x) != n2 or len(y) != n2:
+        raise DimensionError("vectors must have length 2n")
+    out = [Fraction(0)] * lt.k
+    for a, xa in enumerate(x):
+        if not xa:
+            continue
+        row = lt.mbracket[a]
+        for b, yb in enumerate(y):
+            if yb:
+                cell = row[b]
+                f = xa * yb
+                for j in range(lt.k):
+                    if cell[j]:
+                        out[j] += f * cell[j]
+    return tuple(out)
 
 
 def j_apply(lt, vec):

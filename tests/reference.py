@@ -41,6 +41,8 @@ Tests compare the two routes entry by entry.
 from fractions import Fraction
 from math import factorial, gcd
 
+from helpers import determinant
+
 from crprolong.errors import (AlgebraError, DegenerateModelError, DimensionError,
                               InputError, InternalCheckError)
 from crprolong.linalg import ExactMatrix
@@ -325,7 +327,7 @@ def dense_definite_combination(model, bound, limit=3000):
         combo = _combine(model.hermitian, c)
         pos = neg = True
         for i, sub in enumerate(_leading_minors(combo)):
-            x = sub.determinant()
+            x = determinant(sub)
             if x.im:
                 raise AlgebraError("non-real principal minor of a Hermitian matrix")
             if not x.re > 0:
@@ -358,7 +360,7 @@ def dense_tumanov_search(model, bound: int = 2):
     if not all(h.is_hermitian() for h in model.hermitian):
         raise DegenerateModelError("tumanov search requires Hermitian forms")
     for c in _signed_tuples(model.k, bound):
-        if _combine(model.hermitian, c).determinant():
+        if determinant(_combine(model.hermitian, c)):
             return c
     return None
 

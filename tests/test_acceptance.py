@@ -23,15 +23,16 @@ import time
 
 import pytest
 
-from crprolong.catalog import SU2_TO_CODIM5, make_so_family, make_su_family
+from crprolong.catalog import make_so_family, make_su_family
 from crprolong.model import tumanov_search
 from crprolong.poly import PolyVectorField
 from crprolong.prolong import prolong_full
 from crprolong.realize import euler_field, express_in_span, realize_basis
 from crprolong.scalars import GaussianRational
 from crprolong.verify import verify_hol
-from helpers import (basis_index, certify_jet_counterexample, check_rotation_identities,
-                     realized_basis_map, sigma_sweep, tangency_sweep)
+from helpers import (SU2_TO_CODIM5, basis_index, certify_jet_counterexample,
+                     check_rotation_identities, determinant, realized_basis_map, sigma_sweep,
+                     tangency_sweep)
 from oracle import hol_profile
 
 
@@ -48,7 +49,7 @@ def test_criterion_01(codim5):
     assert report.all_passed
     witness = tumanov_search(model)
     assert witness == (0, 0, 1, 0, 0)
-    assert model.hermitian[2].determinant() == GaussianRational(1)
+    assert determinant(model.hermitian[2]) == GaussianRational(1)
     assert time.perf_counter() - t0 < 1.0
 
 

@@ -2,14 +2,39 @@ import json
 
 import pytest
 
+from helpers import SU2_TO_CODIM5, codim4_display_variant
+
 from crprolong import catalog
 from crprolong.errors import InputError
 from crprolong.model import tumanov_search
 from crprolong.poly import Poly
 from crprolong.prolong import prolong_full
 from crprolong.realize import express_in_span, realize_basis
-from crprolong.scalars import GR_I, GaussianRational
+from crprolong.scalars import GR_I
 from crprolong.verify import verify_hol
+
+# What the catalog entries are known to prolong to, by entry name: the dims of
+# each graded piece, the top degree and the jet order; codim5's first Tumanov
+# combination.  The families predict top degree 2n - 2 and jet order n (so),
+# and 4m - 2 and 2m (su); so_family(n=5) and su_family(m=3) are too large for
+# this suite and carry the predictions only.
+EXPECTED = {
+    "heisenberg": {"dims": {-2: 1, -1: 2, 0: 2, 1: 2, 2: 1}, "top_degree": 2, "jet_order": 2},
+    "codim4": {"dims": {-2: 4, -1: 12, 0: 23, 1: 24, 2: 15, 3: 6, 4: 1},
+               "top_degree": 4, "jet_order": 3},
+    "codim5": {"dims": {-2: 5, -1: 8, 0: 17, 1: 20, 2: 21, 3: 16, 4: 8, 5: 4, 6: 1},
+               "top_degree": 6, "jet_order": 4, "tumanov_witness": (0, 0, 1, 0, 0)},
+    "codim5+1": {"dims": {-2: 6, -1: 10, 0: 19, 1: 22, 2: 22, 3: 16, 4: 8, 5: 4, 6: 1},
+                 "top_degree": 6, "jet_order": 4},
+    "so_family(n=3)": {"dims": {-2: 4, -1: 12, 0: 23, 1: 24, 2: 15, 3: 6, 4: 1},
+                       "top_degree": 4, "jet_order": 3},
+    "so_family(n=4)": {"dims": {-2: 7, -1: 16, 0: 40, 1: 56, 2: 58, 3: 48, 4: 22, 5: 8, 6: 1},
+                       "top_degree": 6, "jet_order": 4},
+    "so_family(n=5)": {"top_degree": 8, "jet_order": 5},
+    "su_family(m=2)": {"dims": {-2: 5, -1: 8, 0: 17, 1: 20, 2: 21, 3: 16, 4: 8, 5: 4, 6: 1},
+                       "top_degree": 6, "jet_order": 4},
+    "su_family(m=3)": {"top_degree": 10, "jet_order": 6},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +90,7 @@ def test_codim4_matrix_entries(codim4):
 
 def test_codim4_field_and_variant_differ(codim4):
     good = codim4.known_fields["G"]
-    bad = catalog.codim4_display_variant()
+    bad = codim4_display_variant()
     assert good != bad
     assert good.weighted_degree() == 4 and bad.weighted_degree() == 4
     assert verify_hol(good, codim4.model).verdict
@@ -86,18 +111,22 @@ def test_every_fixed_entry_validates_and_has_tumanov_witness():
         assert tumanov_search(entry.model, bound=2) is not None, name
 
 
-def test_expected_blocks_match_prolongation(codim5_result, codim4_result,
-                                            heisenberg_result):
-    for entry, res in ((catalog.make_codim5(), codim5_result),
-                       (catalog.make_codim4(), codim4_result),
-                       (catalog.make_heisenberg(), heisenberg_result)):
-        assert res.dims == entry.expected["dims"]
-        assert res.top_degree == entry.expected["top_degree"]
-        assert res.jet_order == entry.expected["jet_order"]
+def test_expected_blocks_match_prolongation():
+    entries = [catalog.get(name) for name in ("heisenberg", "codim4", "codim5")]
+    entries += [catalog.get("codim5", extra=1), catalog.make_so_family(3),
+                catalog.make_so_family(4), catalog.make_su_family(2)]
+    assert {e.name for e in entries} == {name for name, want in EXPECTED.items()
+                                         if "dims" in want}
+    for entry in entries:
+        res = prolong_full(entry.model)
+        want = EXPECTED[entry.name]
+        assert res.dims == want["dims"], entry.name
+        assert res.top_degree == want["top_degree"], entry.name
+        assert res.jet_order == want["jet_order"], entry.name
 
 
 def test_codim5_tumanov_witness_matches_expected(codim5):
-    assert tumanov_search(codim5.model) == codim5.expected["tumanov_witness"]
+    assert tumanov_search(codim5.model) == EXPECTED["codim5"]["tumanov_witness"]
 
 
 def test_known_fields_lie_in_their_degree_slices(codim5, codim5_result,
@@ -118,16 +147,16 @@ def test_so3_is_byte_identical_to_codim4(codim4):
     so3 = catalog.make_so_family(3)
     assert json.dumps(so3.model.to_json(), sort_keys=True) == \
         json.dumps(codim4.model.to_json(), sort_keys=True)
-    assert so3.expected["dims"] == codim4.expected["dims"]
+    assert EXPECTED["so_family(n=3)"]["dims"] == EXPECTED["codim4"]["dims"]
 
 
 def test_su2_matches_codim5_after_permutation(codim5):
     su2 = catalog.make_su_family(2)
-    perm = catalog.SU2_TO_CODIM5
+    perm = SU2_TO_CODIM5
     assert sorted(perm) == list(range(5))
     for i, h in enumerate(su2.model.hermitian):
         assert h == codim5.model.hermitian[perm[i]], i
-    assert su2.expected["dims"] == codim5.expected["dims"]
+    assert EXPECTED["su_family(m=2)"]["dims"] == EXPECTED["codim5"]["dims"]
 
 
 def test_su2_prolongs_like_codim5(codim5_result):
@@ -140,12 +169,16 @@ def test_su2_prolongs_like_codim5(codim5_result):
 def test_family_counts_and_predictions():
     so5 = catalog.make_so_family(5)
     assert so5.model.n == 10 and so5.model.k == 5 * 4 // 2 + 1
-    assert so5.expected["top_degree"] == 8 and so5.expected["jet_order"] == 5
     su3 = catalog.make_su_family(3)
     assert su3.model.n == 6 and su3.model.k == 3 + 3 + 3 + 1
-    assert su3.expected["top_degree"] == 10 and su3.expected["jet_order"] == 6
     for entry in (so5, su3):
         assert entry.model.validate().all_passed
+    for n in (3, 4, 5):
+        want = EXPECTED[f"so_family(n={n})"]
+        assert (want["top_degree"], want["jet_order"]) == (2 * n - 2, n)
+    for m in (2, 3):
+        want = EXPECTED[f"su_family(m={m})"]
+        assert (want["top_degree"], want["jet_order"]) == (4 * m - 2, 2 * m)
 
 
 def test_family_input_errors():
@@ -214,12 +247,3 @@ def test_names_and_get():
     with pytest.raises(InputError):
         catalog.get("su_family")
 
-
-def test_entry_json_round_trips_model(codim5):
-    data = codim5.to_json()
-    from crprolong.model import QuadricModel
-    from crprolong.poly import PolyVectorField
-
-    assert QuadricModel.from_json(data["model"]) == codim5.model
-    for name, fj in data["known_fields"].items():
-        assert PolyVectorField.from_json(fj) == codim5.known_fields[name]

@@ -177,6 +177,25 @@ def test_validate_wrong_schema(capsys, tmp_path):
     assert "malformed model JSON" in err
 
 
+# JSON numbers that are not exact: a float, a boolean, and 1e999 (read as
+# infinity) as a count and as an entry
+INEXACT_MODELS = {
+    "entry 0.1": {"n": 1, "k": 1, "hermitian": [[[0.1]]]},
+    "entry true": {"n": 1, "k": 1, "hermitian": [[[True]]]},
+    "n 1e999": {"n": float("inf"), "k": 1, "hermitian": [[["(1)+(0)i"]]]},
+    "entry 1e999": {"n": 1, "k": 1, "hermitian": [[[float("inf")]]]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(INEXACT_MODELS))
+def test_model_inexact_number_is_malformed(capsys, tmp_path, name):
+    path = write_json(tmp_path / "inexact.json", INEXACT_MODELS[name])
+    for command in ("validate", "prolong"):
+        code, out, err = run(capsys, [command, path])
+        assert code == 2, command
+        assert "malformed model JSON" in err
+
+
 def test_unknown_catalog_name(capsys):
     code, out, err = run(capsys, ["validate", "--catalog", "nonsense"])
     assert code == 2
@@ -345,6 +364,17 @@ def test_verify_frame_checked_before_field_is_built(capsys, tmp_path, monkeypatc
 @pytest.mark.parametrize("n", ["one", float("inf")])
 def test_verify_malformed_frame(capsys, tmp_path, n):
     path = write_json(tmp_path / "bad.json", {"n": n, "k": 1, "terms": []})
+    code, out, err = run(capsys, ["verify", "--catalog", "heisenberg",
+                                  "--field", path])
+    assert code == 2
+    assert "malformed field JSON" in err
+
+
+@pytest.mark.parametrize("key, value", [("z_exp", [1.7]), ("coeff", 1), ("coeff", None)],
+                         ids=["exponent 1.7", "coeff 1", "coeff null"])
+def test_verify_malformed_term(capsys, tmp_path, key, value):
+    term = {"target": "z1", "z_exp": [1], "w_exp": [0], "coeff": "(0)+(1)i", key: value}
+    path = write_json(tmp_path / "bad.json", {"n": 1, "k": 1, "terms": [term]})
     code, out, err = run(capsys, ["verify", "--catalog", "heisenberg",
                                   "--field", path])
     assert code == 2

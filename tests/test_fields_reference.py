@@ -13,8 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from reference import (chain_realize_element, two_sided_surface_restriction,
-                       two_sided_verify_hol)
+from reference import chain_realize_element, two_sided_verify_hol
 from test_differential import random_models
 
 from crprolong import catalog
@@ -23,7 +22,7 @@ from crprolong.poly import Poly, PolyVectorField
 from crprolong.prolong import prolong_full
 from crprolong.realize import realize_basis, realize_element
 from crprolong.scalars import GR_I, GaussianRational
-from crprolong.verify import surface_restriction, verify_hol
+from crprolong.verify import verify_hol
 
 SEED = 73
 
@@ -96,12 +95,3 @@ def test_residuals_match_two_sided_route_non_hermitian():
         cert = verify_hol(field, NON_HERMITIAN)
         assert not cert.verdict
         assert cert.residuals == two_sided_verify_hol(field, NON_HERMITIAN)
-
-
-@pytest.mark.parametrize("model", [catalog.get("codim4").model, NON_HERMITIAN],
-                         ids=["codim4", "non-hermitian"])
-def test_surface_restriction_matches_reference(model):
-    rng = random.Random(SEED)
-    for _ in range(6):
-        p = _random_poly(rng, model.n, model.k, ("z", "zb", "w", "wb", "u"), terms=6)
-        assert surface_restriction(p, model) == two_sided_surface_restriction(p, model)

@@ -20,6 +20,7 @@ from crprolong.model import QuadricModel
 from crprolong.poly import Poly, PolyVectorField
 from crprolong.prolong import prolong_full
 from crprolong.scalars import GR_I
+from helpers import codim4_display_variant
 
 GOLDEN = {
     "prolong --check-jacobi --structure --json --catalog heisenberg":
@@ -80,12 +81,18 @@ def _non_hermitian_field():
 # `verify` does not validate the model it reads.
 GOLDEN_VERIFY = {
     "codim4 display variant": (
-        "codim4", catalog.codim4_display_variant,
+        "codim4", codim4_display_variant,
         "545135d484b6bd9aac037939417ac830e0bb3fa8fd38ee660b4ecbb62ad74205"),
     "non-hermitian": (
         [[[1, GR_I], [GR_I, 2]]], _non_hermitian_field,
         "043f1fe672bccc704ea346f00aa855fce54edf4381ceb377631d551bf906e180"),
 }
+
+# the catalog listing, and the names and bytes of the files that
+# `catalog --export DIR --n 4 --m 2` writes (each file: name, newline, bytes,
+# newline, in name order)
+GOLDEN_CATALOG_LISTING = "8c4b935f2f7d36dfa862b45f481290fb396d6424f40f1ec7e2ddae58d184d637"
+GOLDEN_CATALOG_EXPORT = "48223206abef04677088e3951a64d35b335f9ec740bd9132f65ec79fadae12a8"
 
 REFERENCES = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "references.json"
 
@@ -140,6 +147,21 @@ def test_golden_verify_residuals(name, tmp_path):
     assert code == 1
     assert json.loads(out)["verdict"] is False
     assert digest(out) == want
+
+
+def test_golden_catalog_listing():
+    code, out = run(["catalog"])
+    assert code == 0
+    assert digest(out) == GOLDEN_CATALOG_LISTING
+
+
+def test_golden_catalog_export(tmp_path):
+    code, _ = run(["catalog", "--export", str(tmp_path), "--n", "4", "--m", "2"])
+    assert code == 0
+    h = hashlib.sha256()
+    for path in sorted(tmp_path.iterdir()):
+        h.update(path.name.encode("utf-8") + b"\n" + path.read_bytes() + b"\n")
+    assert h.hexdigest() == GOLDEN_CATALOG_EXPORT
 
 
 def test_golden_agrees_with_benchmark_pins():

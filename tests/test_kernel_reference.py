@@ -6,7 +6,8 @@ its column graph and eliminates each block on its own;
 Both must return the same canonical basis, vector for vector: on seeded
 block-diagonal matrices whose block columns are interleaved and permuted,
 on the edge cases of the input format, and on every system the
-prolongation builds for the catalog models.  ``_rows_to_int`` must give the
+prolongation builds for the catalog models (the library takes its rational
+rows, the reference the same rows scaled to integers).  ``_rows_to_int`` must give the
 integers of a rational product without forming one.
 """
 
@@ -124,12 +125,15 @@ def test_generator_rows():
 
 
 def _prolong_systems(model, monkeypatch):
-    """Every (rows, ncols) that ``prolong_full`` hands to the kernel."""
+    """Every system that ``prolong_full`` hands to the kernel, as (its rows
+    scaled to integers, ncols, the kernel's answer on its rational rows)."""
     systems = []
 
     def capture(rows, ncols):
-        systems.append((rows, ncols))
-        return sparse_int_nullspace(rows, ncols)
+        rows = list(rows)
+        basis = sparse_int_nullspace(rows, ncols)
+        systems.append((_rows_to_int(rows), ncols, basis))
+        return basis
 
     monkeypatch.setattr(prolong, "sparse_int_nullspace", capture)
     prolong.prolong_full(model, use_cache=False)
@@ -142,10 +146,10 @@ def test_prolongation_systems_match_reference(name, monkeypatch):
              else catalog.get(name)).model
     systems = _prolong_systems(model, monkeypatch)
     assert systems
-    for rows, ncols in systems:
-        _assert_same(rows, ncols)
+    for rows, ncols, basis in systems:
+        assert _assert_same(rows, ncols) == basis
     if name != "heisenberg":
-        assert max(len(_components(rows)) for rows, _ in systems) > 1
+        assert max(len(_components(rows)) for rows, _, _ in systems) > 1
 
 
 def test_rows_to_int_matches_rational_product():

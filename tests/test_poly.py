@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import evaluate
+from helpers import evaluate, total_degree
 
 from crprolong.errors import DimensionError, InputError
 from crprolong.poly import Poly, PolyVectorField
@@ -46,7 +46,7 @@ def rand_field(rng, n, k, nterms=3):
 
 def test_variable_and_constant():
     z1 = Poly.variable(2, 1, "z", 0)
-    assert z1.total_degree() == 1
+    assert total_degree(z1) == 1
     assert Poly.constant(2, 1, 0).is_zero()
     assert Poly.zero(2, 1) == Poly.constant(2, 1, 0)
     with pytest.raises(InputError):
@@ -175,9 +175,9 @@ def test_degrees_and_zero():
     z = Poly.variable(n, k, "z", 0)
     w = Poly.variable(n, k, "w", 0)
     p = z * z + w
-    assert p.total_degree() == 2
+    assert total_degree(p) == 2
     assert p.min_total_degree() == 1
-    assert Poly.zero(n, k).total_degree() is None
+    assert total_degree(Poly.zero(n, k)) is None
     assert Poly.zero(n, k).min_total_degree() is None
     assert not Poly.zero(n, k)
     assert bool(p)

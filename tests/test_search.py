@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import determinant
 from reference import _combine, _leading_minors, dense_definite_combination, dense_tumanov_search
 
 from crprolong import catalog
@@ -83,7 +84,7 @@ def test_random_searches_match_reference(model):
 
 def _definite_sign(matrix):
     """1 or -1 if the Hermitian matrix is positive or negative definite, else 0."""
-    minors = [sub.determinant().re for sub in _leading_minors(matrix)]
+    minors = [determinant(sub).re for sub in _leading_minors(matrix)]
     for s in (1, -1):
         if all(x * s ** m > 0 for m, x in enumerate(minors, 1)):
             return s
