@@ -6,8 +6,10 @@ Entries:
               field T with vanishing 2-jet, and a degree-6 field F.
   codim4      n=6, k=4 quadric in C^10 with a degree-4 automorphism G.
   heisenberg  the sphere model Im w = |z1|^2 in C^2.
-  so_family   one quadric per integer n >= 3; so(n, n+2) symmetry.
-  su_family   one quadric per integer m >= 2; su(m, m+1) symmetry.
+  so_family   one quadric per integer n >= 3; top degree 2n - 2 and jet order n
+              (computed for n <= 6).
+  su_family   one quadric per integer m >= 2; top degree 4m - 2 and jet order 2m
+              (computed for m <= 4).
 
 extend_codim appends fresh sphere directions (new variable + equation
 Im w_new = |z_new|^2) to any entry, raising the codimension while leaving the
@@ -184,8 +186,8 @@ def make_so_family(n: int) -> CatalogEntry:
     model = QuadricModel(hermitian)
     return CatalogEntry(
         name=f"so_family(n={n})",
-        description=f"quadric in C^{(n + 2) * (n + 1) // 2} with so({n},{n + 2}) "
-                    "symmetry; unusually high jet-determination order n",
+        description=f"quadric in C^{(n + 2) * (n + 1) // 2}; unusually high "
+                    "jet-determination order n",
         model=model,
     )
 
@@ -207,8 +209,7 @@ def make_su_family(m: int) -> CatalogEntry:
     model = QuadricModel(hermitian)
     return CatalogEntry(
         name=f"su_family(m={m})",
-        description=f"quadric in C^{(m + 1) ** 2} with su({m},{m + 1}) symmetry; "
-                    "jet-determination order 2m",
+        description=f"quadric in C^{(m + 1) ** 2}; jet-determination order 2m",
         model=model,
     )
 

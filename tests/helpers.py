@@ -205,7 +205,10 @@ def grading_element_coeffs(alg):
     if bad is not None:
         raise InternalCheckError(
             f"(id, 2 id) pair not closed in g_0: first mismatch at column {bad}")
-    return coeffs
+    dense = [Fraction(0)] * alg.dims[0]
+    for g, c in coeffs:
+        dense[g] = c
+    return tuple(dense)
 
 
 def check_grading(alg) -> bool:

@@ -20,6 +20,10 @@
   ``_ad_z``/``_ad_w`` chain runs on every coefficient vector.  The library
   runs it once per basis vector and realizes a combination as the same
   combination of the cached basis fields.
+* The original Jacobi check (``full_jacobi_sweep``): the exact identity on
+  every basis triple.  The library sweeps only the triples with a g_{-1}
+  member or a negative total degree and certifies the rest by Tanaka's
+  lemma.
 * The original tangency check (``two_sided_verify_hol``): it restricts
   ``expr + conj(expr)`` to the surface with both w -> u + iP and
   conj(w) -> u - iP, monomial by monomial (``monomial_subs``).  The library
@@ -39,7 +43,7 @@ Tests compare the two routes entry by entry.
 """
 
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 from helpers import determinant
 
@@ -310,6 +314,68 @@ def _dense_bracket_pair(alg, pieces, i, ai, j, aj, bkt, expr, total):
             if s != psi_h[jj][t]:
                 raise InternalCheckError("bracket closure mismatch on g_{-2} action")
     return coeffs
+
+
+def full_jacobi_sweep(alg):
+    """``GradedLieAlgebra.check_jacobi`` before the lemma: the exact Jacobi
+    identity on every basis triple, in basis order; returns the triple count.
+
+    The library's copy also left the middle loop as soon as
+    p + q + b < -2, which skipped every triple (W_i, ., .) but the last W
+    when the top degree b is below 2; this copy checks those triples too.
+    """
+    sc = alg.structure_constants()
+    den = lcm(*{x.denominator for block in sc.values() for row in block
+                for vec in row for x in vec})
+    # integer tables for both orders of each degree pair, scaled by den
+    tables = {}
+    for (p, q), block in sc.items():
+        tables[(p, q)] = [[tuple((t, x.numerator * (den // x.denominator))
+                                 for t, x in enumerate(vec) if x) for vec in row]
+                          for row in block]
+        if p != q:
+            tables[(q, p)] = [[tuple((t, -x) for t, x in row[b]) for row in tables[(p, q)]]
+                              for b in range(len(tables[(p, q)][0]))]
+    degs = [d for d in alg.degrees() if alg.dims[d]]
+    basis = [(d, i) for d in degs for i in range(alg.dims[d])]
+    b = alg.top_degree()
+    checked = 0
+
+    def term(p, ap, q, aq, r, ar, acc):
+        tab = tables.get((p, q))
+        tab2 = tables.get((p + q, r))
+        if tab is None or tab2 is None:
+            return
+        for m, vm in tab[ap][aq]:
+            for t, x in tab2[m][ar]:
+                acc[t] += vm * x
+
+    nb = len(basis)
+    for x in range(nb):
+        p, ap = basis[x]
+        for y in range(x + 1, nb):
+            q, aq = basis[y]
+            for zz in range(y + 1, nb):
+                r, ar = basis[zz]
+                s = p + q + r
+                if s < -2:
+                    continue
+                if s > b:
+                    break
+                dim_t = alg.dims.get(s, 0)
+                if not dim_t:
+                    continue
+                acc = [0] * dim_t
+                term(p, ap, q, aq, r, ar, acc)
+                term(q, aq, r, ar, p, ap, acc)
+                term(r, ar, p, ap, q, aq, acc)
+                if any(acc):
+                    t = next(t for t, v in enumerate(acc) if v)
+                    raise InternalCheckError(
+                        f"Jacobi failure on basis triple ({p},{ap}), ({q},{aq}), "
+                        f"({r},{ar}) (degree, index): component {t} of g_{s}")
+                checked += 1
+    return checked
 
 
 def dense_definite_combination(model, bound, limit=3000):

@@ -1,19 +1,28 @@
-"""Structure constants and the Jacobi sweep: reference route and failure modes.
+"""Structure constants and the Jacobi certificate: reference routes and
+failure modes.
 
 The library reads bracket coefficients off the canonical kernel basis; the
 dense expression route in ``reference.py`` must give the same constants.
-Each failure-mode test corrupts a copy of an algebra in one way and checks
-that the exact checks refuse it with a message that locates the fault.
+``check_jacobi`` sweeps only the direct triples (a g_{-1} member or a
+negative total degree) and certifies the rest by Tanaka's lemma; the full
+sweep over every basis triple in ``reference.py`` must give the same verdict
+and count.  Each failure-mode test corrupts a copy of an algebra in one way
+and checks that the exact checks refuse it with a message that locates the
+fault.
 """
 
+import re
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from reference import dense_structure_constants
+from reference import dense_structure_constants, full_jacobi_sweep
+from test_catalog import EXPECTED
 
 from crprolong.errors import InternalCheckError
-from crprolong.prolong import GradedLieAlgebra
+from crprolong.linalg import sparse_int_nullspace
+from crprolong.prolong import GradedLieAlgebra, jacobi_triple_count
 
 
 def copy_with_element(alg, d, g, phi=None, psi=None):
@@ -93,3 +102,178 @@ def test_changed_structure_constant_fails_jacobi(heisenberg_result):
                        match=r"Jacobi failure on basis triple \(-2,0\), \(0,0\), "
                              r"\(1,0\) \(degree, index\): component 0 of g_-1"):
         copy.check_jacobi()
+
+
+# ---------------------------------------------------------------------------
+# the direct sweep against the full reference sweep
+# ---------------------------------------------------------------------------
+
+
+def copy_with_constant(alg, key, alpha, beta, delta):
+    """A fresh algebra whose stored constants equal those of ``alg`` except
+    that ``delta`` ({component: change}) is added to sc[key][alpha][beta]."""
+    copy = GradedLieAlgebra(alg.lt, dict(alg.pieces))
+    block = copy.structure_constants()[key]
+    vec = list(block[alpha][beta])
+    for t, x in delta.items():
+        vec[t] += x
+    block[alpha][beta] = tuple(vec)
+    return copy
+
+
+def _outcome(sweep, alg):
+    try:
+        return "pass", sweep(alg)
+    except InternalCheckError as exc:
+        return "fail", str(exc)
+
+
+_JACOBI_FAILURE = re.compile(r"Jacobi failure on basis triple \((-?\d+),\d+\), "
+                             r"\((-?\d+),\d+\), \((-?\d+),\d+\)")
+
+
+def assert_sweeps_agree(alg):
+    """check_jacobi and the full sweep agree on the verdict and the count.
+    They agree on the message too, unless check_jacobi refuses a premise of
+    the lemma before its sweep, or the full sweep first fails on a triple
+    that the direct sweep leaves to the lemma."""
+    verdict, got = _outcome(GradedLieAlgebra.check_jacobi, alg)
+    ref_verdict, want = _outcome(full_jacobi_sweep, alg)
+    assert verdict == ref_verdict
+    failure = _JACOBI_FAILURE.match(want) if ref_verdict == "fail" else None
+    if failure is None:
+        assert got == want
+    elif _JACOBI_FAILURE.match(got):
+        degrees = [int(d) for d in failure.groups()]
+        if -1 in degrees or sum(degrees) < 0:
+            assert got == want
+
+
+@pytest.mark.parametrize("name", ["heisenberg_result", "codim4_result", "codim5_result",
+                                  "extended_result"])
+def test_direct_sweep_agrees_with_full_sweep_on_catalog(name, request):
+    alg = request.getfixturevalue(name).algebra
+    assert_sweeps_agree(alg)
+    assert alg.check_jacobi() == full_jacobi_sweep(alg) > 0
+
+
+def _changed_psi(alg):
+    phi, psi = alg.pieces[2][0]
+    return copy_with_element(alg, 2, 0, psi=(((0, Fraction(1)),) + psi[0],))
+
+
+def _dependent_phi(alg):
+    return copy_with_element(alg, 1, 1, phi=alg.pieces[1][0][0])
+
+
+def _broken_trailing(alg):
+    phi, psi = alg.pieces[1][0]
+
+    def double(table):
+        return tuple(tuple((t, 2 * x) for t, x in row) for row in table)
+
+    return copy_with_element(alg, 1, 0, phi=double(phi), psi=double(psi))
+
+
+def _delta_off_g1_span(alg):
+    """{a: delta_a}: a functional on g_0 that vanishes on [g_-1, g_1]."""
+    rows = [{t: x for t, x in enumerate(vec) if x}
+            for row in alg.structure_constants()[(-1, 1)] for vec in row]
+    (delta,) = sparse_int_nullspace(rows, alg.dim(0))
+    return delta
+
+
+def _changed_w_action(alg):
+    # [W_0, B^0_a] gains delta_a W_0 for a functional delta that vanishes on
+    # [g_-1, g_1]: the g_-1 triples (W, X, c) read these constants only
+    # through [X, c] in [g_-1, g_1], so only the negative-total class
+    # (W, a, a'), (W, W', c) sees the change
+    copy = GradedLieAlgebra(alg.lt, dict(alg.pieces))
+    block = copy.structure_constants()[(-2, 0)]
+    for a, x in _delta_off_g1_span(alg).items():
+        block[0][a] = (block[0][a][0] + x,) + block[0][a][1:]
+    return copy
+
+
+CORRUPTIONS = {
+    "uncorrupted": ("heisenberg_result", lambda alg: copy_with_element(alg, 2, 0)),
+    "changed psi entry": ("heisenberg_result", _changed_psi),
+    "dependent phi parts": ("heisenberg_result", _dependent_phi),
+    "broken trailing column": ("heisenberg_result", _broken_trailing),
+    "changed (0,1) constant": ("heisenberg_result",
+                               lambda alg: copy_with_constant(alg, (0, 1), 0, 0, {0: 1})),
+    "changed (-2,0) constants": ("codim5_result", _changed_w_action),
+    "changed (0,2) constant": ("heisenberg_result",
+                               lambda alg: copy_with_constant(alg, (0, 2), 0, 0, {0: 1})),
+    "changed (-1,0) constant": ("heisenberg_result",
+                                lambda alg: copy_with_constant(alg, (-1, 0), 0, 0, {0: 1})),
+    "changed (1,1) constant": ("heisenberg_result",
+                               lambda alg: copy_with_constant(alg, (1, 1), 0, 1, {0: 1})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+def test_direct_sweep_agrees_with_full_sweep_on_corrupted_copies(name, request):
+    fixture, corrupt = CORRUPTIONS[name]
+    assert_sweeps_agree(corrupt(request.getfixturevalue(fixture).algebra))
+
+
+def test_changed_w_action_fails_negative_total_class(codim5_result):
+    alg = codim5_result.algebra
+    assert _delta_off_g1_span(alg) == {8: -1, 12: 1, 16: 1}
+    with pytest.raises(InternalCheckError,
+                       match=r"Jacobi failure on basis triple \(-2,0\), \(0,5\), "
+                             r"\(0,8\) \(degree, index\): component 2 of g_-2"):
+        _changed_w_action(alg).check_jacobi()
+
+
+def test_changed_nonnegative_constant_fails_g1_class(heisenberg_result):
+    # [g_0, g_2] appears in no direct triple of negative total degree, and the
+    # full sweep first fails on (-2,0), (0,0), (2,0), which the lemma covers
+    copy = copy_with_constant(heisenberg_result.algebra, (0, 2), 0, 0, {0: 1})
+    with pytest.raises(InternalCheckError,
+                       match=r"Jacobi failure on basis triple \(-1,0\), \(0,0\), "
+                             r"\(2,0\) \(degree, index\): component 0 of g_1"):
+        copy.check_jacobi()
+
+
+def test_changed_g1_action_fails_faithfulness_premise(heisenberg_result):
+    copy = copy_with_constant(heisenberg_result.algebra, (-1, 0), 0, 0, {0: 1})
+    with pytest.raises(InternalCheckError,
+                       match=r"stored bracket of basis elements \(-1,0\) and \(0,0\) "
+                             r"\(degree, index\) is not the negated phi table of \(0,0\)"):
+        copy.check_jacobi()
+
+
+def test_one_sided_diagonal_constant_fails_antisymmetry(heisenberg_result):
+    copy = copy_with_constant(heisenberg_result.algebra, (1, 1), 0, 1, {0: 1})
+    with pytest.raises(InternalCheckError,
+                       match=r"bracket of basis elements \(1,0\) and \(1,1\) "
+                             r"\(degree, index\) is not antisymmetric"):
+        copy.check_jacobi()
+
+
+# ---------------------------------------------------------------------------
+# the covered triple count
+# ---------------------------------------------------------------------------
+
+# su_family(m=3), from prolong_full; the oracle cannot reach this size
+SU3_DIMS = {-2: 10, -1: 12, 0: 37, 1: 60, 2: 99, 3: 150, 4: 146, 5: 150, 6: 90,
+            7: 54, 8: 18, 9: 6, 10: 1}
+
+
+def brute_triple_count(dims):
+    """Triples of distinct basis elements whose total degree is a nonzero piece."""
+    degrees = [d for d in sorted(dims) for _ in range(dims[d])]
+    return sum(1 for x, y, z in combinations(degrees, 3) if dims.get(x + y + z))
+
+
+@pytest.mark.parametrize("name", sorted(n for n, want in EXPECTED.items() if "dims" in want))
+def test_triple_count_matches_enumeration(name):
+    dims = EXPECTED[name]["dims"]
+    assert jacobi_triple_count(dims) == brute_triple_count(dims)
+
+
+def test_triple_count_of_the_families():
+    assert jacobi_triple_count(EXPECTED["so_family(n=4)"]["dims"]) == 1_961_311
+    assert jacobi_triple_count(SU3_DIMS) == 39_083_091
