@@ -25,10 +25,14 @@ Brackets between nonnegative degrees are reconstructed from the actions
 The canonical kernel basis has a 1 at each element's trailing column and 0
 there in every other element, so the coefficients of h are read off at those
 columns; one exact comparison of h with the combination over the whole
-(phi, psi) vector is the closure assertion.  The Jacobi identity is certified
-by a direct sweep plus lemma: an exact sweep, on integer tables with one
-common denominator, over the triples with a g_{-1} member or a negative total
-degree, and Tanaka's lemma for all other triples (see ``check_jacobi``).
+(phi, psi) vector is the closure assertion.  The structure constants keep the
+piece format: each bracket is the sorted nonzero (index, value) pairs of its
+coefficients, and only ``ProlongationResult.to_json`` fills in the zeros.
+
+The Jacobi identity is certified by a direct sweep plus lemma: an exact sweep,
+on integer tables with one common denominator, over the triples with a g_{-1}
+member or a negative total degree, and Tanaka's lemma for all other triples
+(see ``check_jacobi``).
 """
 
 from __future__ import annotations
@@ -80,7 +84,6 @@ def prolong_step(lt: LeviTanakaAlgebra, pieces: dict, i: int):
     if i < 0:
         raise ValueError("prolong_step needs i >= 0")
     n2, k = 2 * lt.n, lt.k
-    mb = lt.mbracket
     m1, m2 = len(pieces[i - 1]), len(pieces[i - 2])
     m3 = len(pieces.get(i - 3, ()))     # g_{-3} = 0
     nphi = n2 * m1
@@ -97,10 +100,10 @@ def prolong_step(lt: LeviTanakaAlgebra, pieces: dict, i: int):
     # (a) psi([X_a, X_b]) - [phi X_a, X_b] + [phi X_b, X_a] = 0   in g_{i-2}
     on_x = _by_target(pieces[i - 1], 0, n2, m2)     # [B_m, X_s] component c
     for a in range(n2):
+        xa = pieces[-1][a][0]                       # [X_a, X_b] in g_{-2}
         for b in range(a + 1, n2):
-            ab = mb[a][b]
             for c in range(m2):
-                row = {nphi + l * m2 + c: x for l, x in enumerate(ab) if x}
+                row = {nphi + l * m2 + c: x for l, x in xa[b]}
                 for m, v in on_x[b][c]:
                     row[a * m1 + m] = -v
                 for m, v in on_x[a][c]:
@@ -139,11 +142,11 @@ def _nonzero(vec):
     return tuple((i, x) for i, x in enumerate(vec) if x)
 
 
-def _dense(entries, width: int, sign: int = 1):
-    """Dense tuple of the sparse (index, value) pairs, times ``sign``."""
+def _dense(entries, width: int):
+    """Dense tuple of the sparse (index, value) pairs."""
     out = [_F0] * width
     for t, x in entries:
-        out[t] = sign * x
+        out[t] = x
     return tuple(out)
 
 
@@ -244,38 +247,36 @@ class GradedLieAlgebra:
     def structure_constants(self):
         """Brackets of basis pairs, canonical keys (i, j) with i <= j.
 
-        Values: nested lists sc[(i, j)][alpha][beta] = coefficient tuple over
-        the basis of g_{i+j}.  Pairs whose bracket lands outside the computed
-        range are identically zero and omitted.
+        ``sc[(i, j)][a][b]`` is the sorted nonzero (index, value) pairs of
+        [B^i_a, B^j_b] over the basis of g_{i+j}, the format of the pieces.
+        The (-1, d) and (-2, d) blocks are the negated, transposed phi and
+        psi tables.  Pairs whose bracket lands outside the computed range are
+        identically zero and omitted.  The tables are cached on the algebra
+        and shared with every caller; do not mutate them.
         """
         if self._sc is not None:
             return self._sc
-        b = self.top_degree()
         dims = self.dims
         sc = {}
-        # lower[(p, q)][a][b']: sparse ((t, value), ...) of [B^p_a, B^q_b'],
-        # for both orders of every degree pair computed so far
+        # lower[(p, q)][a][b']: [B^p_a, B^q_b'] for both orders of every
+        # degree pair computed so far; sc holds the same tables by canonical key
         lower = {}
         for d, piece in self.pieces.items():
-            if d >= -1:
-                sc[(-1, d)] = [[_dense(phi[s], dims[d - 1], -1) for phi, _ in piece]
-                               for s in range(2 * self.n)]
-            if d >= 0:
-                sc[(-2, d)] = [[_dense(psi[j], dims[d - 2], -1) for _, psi in piece]
-                               for j in range(self.k)]
             lower[(d, -1)] = [phi for phi, _ in piece]
             lower[(d, -2)] = [psi for _, psi in piece]
+            if d >= -1:
+                sc[(-1, d)] = lower[(-1, d)] = _swapped(lower[(d, -1)])
+            if d >= 0:
+                sc[(-2, d)] = lower[(-2, d)] = _swapped(lower[(d, -2)])
 
-        for total in range(0, b + 1):
+        for total in range(0, self.top_degree() + 1):
             for i in range(0, total // 2 + 1):
                 j = total - i
-                block = [[self._bracket_pair(i, ai, j, aj, lower)
-                          for aj in range(dims[j])] for ai in range(dims[i])]
-                lower[(i, j)] = block
+                sc[(i, j)] = lower[(i, j)] = [
+                    [self._bracket_pair(i, ai, j, aj, lower) for aj in range(dims[j])]
+                    for ai in range(dims[i])]
                 if i != j:
-                    lower[(j, i)] = _swapped(block)
-                sc[(i, j)] = [[_dense(entries, dims[total]) for entries in row]
-                              for row in block]
+                    lower[(j, i)] = _swapped(sc[(i, j)])
         self._sc = sc
         return sc
 
@@ -344,7 +345,6 @@ class GradedLieAlgebra:
         failure names the first failing direct triple in basis order.
         """
         sc = self.structure_constants()
-        dims = self.dims
         for d, piece in self.pieces.items():
             if d < 0:
                 continue
@@ -352,23 +352,19 @@ class GradedLieAlgebra:
             block = sc[(-1, d)]
             for a, (phi, _) in enumerate(piece):
                 for s in range(2 * self.n):
-                    if block[s][a] != _dense(phi[s], dims[d - 1], -1):
+                    if block[s][a] != tuple((t, -x) for t, x in phi[s]):
                         raise InternalCheckError(
                             f"stored bracket of basis elements (-1,{s}) and ({d},{a}) "
                             f"(degree, index) is not the negated phi table of ({d},{a})")
         # integer tables for both orders of each degree pair, scaled by one
-        # common denominator.  The zeros that structure_constants() stores are
-        # all the object _F0, so an identity test skips them cheaply; any other
-        # entry is scaled and kept only if it is nonzero.
-        tables = {key: [[tuple((t, x) for t, x in enumerate(vec) if x is not _F0)
-                         for vec in row] for row in block]
-                  for key, block in sc.items()}
-        den = lcm(*{x.denominator for block in tables.values() for row in block
-                    for vec in row for _, x in vec})
-        for (p, q), block in list(tables.items()):
+        # common denominator
+        den = lcm(*{x.denominator for block in sc.values() for row in block
+                    for entries in row for _, x in entries})
+        tables = {}
+        for (p, q), block in sc.items():
             tables[(p, q)] = block = [
-                [tuple((t, v) for t, x in vec if (v := x.numerator * (den // x.denominator)))
-                 for vec in row] for row in block]
+                [tuple((t, x.numerator * (den // x.denominator)) for t, x in entries)
+                 for entries in row] for row in block]
             if p != q:
                 tables[(q, p)] = _swapped(block)
                 continue
@@ -378,6 +374,7 @@ class GradedLieAlgebra:
                         raise InternalCheckError(
                             f"bracket of basis elements ({p},{a}) and ({p},{c}) "
                             f"(degree, index) is not antisymmetric")
+        dims = self.dims
         failures = (_jacobi_block(tables, dims, p, q, r) for p, q, r, _ in _degree_triples(dims)
                     if -1 in (p, q, r) or p + q + r < 0)
         first = min(filter(None, failures), default=None)
@@ -472,7 +469,8 @@ class ProlongationResult:
         if include_structure:
             sc = self.algebra.structure_constants()
             out["structure_constants"] = {
-                f"{i},{j}": [[[f"({x})+(0)i" for x in vec] for vec in row] for row in block]
+                f"{i},{j}": [[[f"({x})+(0)i" for x in _dense(entries, self.dims[i + j])]
+                              for entries in row] for row in block]
                 for (i, j), block in sorted(sc.items())
             }
         return out

@@ -4,7 +4,7 @@ catalog models, and small operations that only tests need (exact evaluation,
 the real predicate and total degree, identity and zero matrices, matrix-vector
 products and determinants, the bracket and J on g_{-1}, the invariants of a
 Levi-Tanaka algebra and the forms read back from its brackets, the grading
-element and its check)."""
+element and its check, and the structure constants with zeros filled in)."""
 
 from fractions import Fraction
 from math import lcm
@@ -205,17 +205,30 @@ def grading_element_coeffs(alg):
     if bad is not None:
         raise InternalCheckError(
             f"(id, 2 id) pair not closed in g_0: first mismatch at column {bad}")
-    dense = [Fraction(0)] * alg.dims[0]
-    for g, c in coeffs:
-        dense[g] = c
-    return tuple(dense)
+    return dense(coeffs, alg.dims[0])
+
+
+def dense(entries, width):
+    """Coefficient tuple of sparse (index, value) pairs, zeros filled in."""
+    out = [Fraction(0)] * width
+    for t, x in entries:
+        out[t] = x
+    return tuple(out)
+
+
+def dense_constants(alg):
+    """The stored structure constants of ``alg`` with zeros filled in:
+    ``[B^p_a, B^q_b]`` as a coefficient tuple over g_{p+q}, the layout of
+    ``reference.dense_structure_constants``."""
+    return {(p, q): [[dense(entries, alg.dims[p + q]) for entries in row] for row in block]
+            for (p, q), block in alg.structure_constants().items()}
 
 
 def check_grading(alg) -> bool:
     """[(id, 2 id), f] = -d f for f in g_d, d >= 1 (eigenvalue -d; the
     conventional grading element is the negative of this pair)."""
     e0 = grading_element_coeffs(alg)
-    sc = alg.structure_constants()
+    sc = dense_constants(alg)
     for d in alg.degrees():
         if d < 1 or not alg.dims[d]:
             continue
@@ -248,7 +261,7 @@ def abstract_bracket(alg, d1, a1, d2, a2):
     total = d1 + d2
     if block is None:
         return total, None
-    return total, block[a1][a2]
+    return total, dense(block[a1][a2], alg.dims[total])
 
 
 def basis_index(alg):

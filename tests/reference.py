@@ -204,7 +204,9 @@ def dense_pieces(alg):
 def dense_structure_constants(alg):
     """Structure constants of ``alg`` by the dense expression route.
 
-    Same keys and values as ``GradedLieAlgebra.structure_constants``.
+    Same keys as ``GradedLieAlgebra.structure_constants``; each value is the
+    full coefficient tuple that ``helpers.dense_constants`` makes of the
+    library's sparse pairs.
     """
     b = alg.top_degree()
     mb = alg.lt.mbracket
@@ -326,12 +328,12 @@ def full_jacobi_sweep(alg):
     """
     sc = alg.structure_constants()
     den = lcm(*{x.denominator for block in sc.values() for row in block
-                for vec in row for x in vec})
+                for entries in row for _, x in entries})
     # integer tables for both orders of each degree pair, scaled by den
     tables = {}
     for (p, q), block in sc.items():
         tables[(p, q)] = [[tuple((t, x.numerator * (den // x.denominator))
-                                 for t, x in enumerate(vec) if x) for vec in row]
+                                 for t, x in entries) for entries in row]
                           for row in block]
         if p != q:
             tables[(q, p)] = [[tuple((t, -x) for t, x in row[b]) for row in tables[(p, q)]]

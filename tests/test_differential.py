@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from helpers import tangency_sweep
+from helpers import dense_constants, tangency_sweep
 from oracle import hol_profile
 from reference import dense_structure_constants, full_jacobi_sweep
 
@@ -55,6 +55,16 @@ def test_random_model_matches_oracle_and_reference(model):
     alg = result.algebra
     top = result.top_degree
     assert hol_profile(model, top + 1) == {d: alg.dim(d) for d in range(-2, top + 2)}
-    assert alg.structure_constants() == dense_structure_constants(alg)
+    assert dense_constants(alg) == dense_structure_constants(alg)
     assert alg.check_jacobi() == full_jacobi_sweep(alg) > 0
     assert tangency_sweep(result) == sum(alg.dims.values())
+
+
+@pytest.mark.parametrize("model", random_models(),
+                         ids=lambda m: f"n{m.n}k{m.k}")
+def test_random_model_json_renders_dense_reference(model):
+    # these constants have fractional entries and no golden digest pins them
+    result = prolong_full(model)
+    want = {f"{i},{j}": [[[f"({x})+(0)i" for x in vec] for vec in row] for row in block]
+            for (i, j), block in sorted(dense_structure_constants(result.algebra).items())}
+    assert result.to_json()["structure_constants"] == want

@@ -1,8 +1,9 @@
 """Structure constants and the Jacobi certificate: reference routes and
 failure modes.
 
-The library reads bracket coefficients off the canonical kernel basis; the
-dense expression route in ``reference.py`` must give the same constants.
+The library reads bracket coefficients off the canonical kernel basis and
+stores them as sorted nonzero (index, value) pairs; the dense expression
+route in ``reference.py`` must give the same constants with zeros filled in.
 ``check_jacobi`` sweeps only the direct triples (a g_{-1} member or a
 negative total degree) and certifies the rest by Tanaka's lemma; the full
 sweep over every basis triple in ``reference.py`` must give the same verdict
@@ -17,6 +18,7 @@ from itertools import combinations
 
 import pytest
 
+from helpers import dense_constants
 from reference import dense_structure_constants, full_jacobi_sweep
 from test_catalog import EXPECTED
 
@@ -35,14 +37,46 @@ def copy_with_element(alg, d, g, phi=None, psi=None):
     return GradedLieAlgebra(alg.lt, pieces)
 
 
+def shifted(entries, delta):
+    """The sparse (index, value) pairs ``entries`` plus ``delta``
+    ({component: change}), zeros dropped."""
+    vec = dict(entries)
+    for t, x in delta.items():
+        vec[t] = vec.get(t, Fraction(0)) + x
+    return tuple((t, x) for t, x in sorted(vec.items()) if x)
+
+
 def test_read_off_matches_dense_route_heisenberg(heisenberg_result):
     alg = heisenberg_result.algebra
-    assert dense_structure_constants(alg) == alg.structure_constants()
+    assert dense_structure_constants(alg) == dense_constants(alg)
 
 
 def test_read_off_matches_dense_route_codim4(codim4_result):
     alg = codim4_result.algebra
-    assert dense_structure_constants(alg) == alg.structure_constants()
+    assert dense_structure_constants(alg) == dense_constants(alg)
+
+
+@pytest.mark.parametrize("name", ["heisenberg_result", "codim5_result"])
+def test_constants_are_sorted_nonzero_pairs(name, request):
+    alg = request.getfixturevalue(name).algebra
+    sc = alg.structure_constants()
+    for (p, q), block in sc.items():
+        for entries in (entries for row in block for entries in row):
+            assert isinstance(entries, tuple)
+            indices = [t for t, _ in entries]
+            assert indices == sorted(set(indices))
+            assert all(isinstance(t, int) and 0 <= t < alg.dims[p + q] for t in indices)
+            assert all(isinstance(x, Fraction) and x for _, x in entries)
+    # [X_s, B_a] = -[B_a, X_s] and [W_j, B_a] = -[B_a, W_j]: the pieces' tables
+    # negated and transposed
+    n2, k = 2 * alg.n, alg.k
+    for d, piece in alg.pieces.items():
+        if d >= -1:
+            assert sc[(-1, d)] == [[tuple((t, -x) for t, x in phi[s]) for phi, _ in piece]
+                                   for s in range(n2)]
+        if d >= 0:
+            assert sc[(-2, d)] == [[tuple((t, -x) for t, x in psi[j]) for _, psi in piece]
+                                   for j in range(k)]
 
 
 def test_uncorrupted_copy_passes(heisenberg_result):
@@ -96,8 +130,7 @@ def test_changed_structure_constant_fails_jacobi(heisenberg_result):
     alg = heisenberg_result.algebra
     copy = GradedLieAlgebra(alg.lt, dict(alg.pieces))
     sc = copy.structure_constants()
-    vec = sc[(0, 1)][0][0]
-    sc[(0, 1)][0][0] = (vec[0] + 1,) + vec[1:]
+    sc[(0, 1)][0][0] = shifted(sc[(0, 1)][0][0], {0: 1})
     with pytest.raises(InternalCheckError,
                        match=r"Jacobi failure on basis triple \(-2,0\), \(0,0\), "
                              r"\(1,0\) \(degree, index\): component 0 of g_-1"):
@@ -114,10 +147,7 @@ def copy_with_constant(alg, key, alpha, beta, delta):
     that ``delta`` ({component: change}) is added to sc[key][alpha][beta]."""
     copy = GradedLieAlgebra(alg.lt, dict(alg.pieces))
     block = copy.structure_constants()[key]
-    vec = list(block[alpha][beta])
-    for t, x in delta.items():
-        vec[t] += x
-    block[alpha][beta] = tuple(vec)
+    block[alpha][beta] = shifted(block[alpha][beta], delta)
     return copy
 
 
@@ -177,8 +207,7 @@ def _broken_trailing(alg):
 
 def _delta_off_g1_span(alg):
     """{a: delta_a}: a functional on g_0 that vanishes on [g_-1, g_1]."""
-    rows = [{t: x for t, x in enumerate(vec) if x}
-            for row in alg.structure_constants()[(-1, 1)] for vec in row]
+    rows = [dict(entries) for row in alg.structure_constants()[(-1, 1)] for entries in row]
     (delta,) = sparse_int_nullspace(rows, alg.dim(0))
     return delta
 
@@ -191,7 +220,7 @@ def _changed_w_action(alg):
     copy = GradedLieAlgebra(alg.lt, dict(alg.pieces))
     block = copy.structure_constants()[(-2, 0)]
     for a, x in _delta_off_g1_span(alg).items():
-        block[0][a] = (block[0][a][0] + x,) + block[0][a][1:]
+        block[0][a] = shifted(block[0][a], {0: x})
     return copy
 
 
