@@ -108,6 +108,8 @@ def cmd_prolong(args) -> int:
     model, entry = _load_model(args)
     t0 = time.perf_counter()
     result = prolong_full(model, max_degree=args.max_degree)
+    if args.structure:
+        result.algebra.structure_constants()
     jacobi_count = None
     if args.check_jacobi:
         jacobi_count = result.algebra.check_jacobi()

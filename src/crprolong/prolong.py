@@ -22,12 +22,16 @@ run byte-reproducible.
 
 Brackets between nonnegative degrees are reconstructed from the actions
 ([h, X] = [f, [g, X]] - [g, [f, X]]) as sparse vectors in that same layout.
-The canonical kernel basis has a 1 at each element's trailing column and 0
-there in every other element, so the coefficients of h are read off at those
-columns; one exact comparison of h with the combination over the whole
-(phi, psi) vector is the closure assertion.  The structure constants keep the
-piece format: each bracket is the sorted nonzero (index, value) pairs of its
-coefficients, and only ``ProlongationResult.to_json`` fills in the zeros.
+They are accumulated in integers: each degree's tables and each finished
+block of brackets are scaled once to integers over one denominator, and every
+bracket of an (i, j) block is summed over that block's one denominator, the
+lcm of its four products of table denominators.  The canonical kernel basis
+has a 1 at each element's trailing column and 0 there in every other element,
+so the coefficients of h are read off at those columns; one exact integer
+comparison of h with the combination over the whole (phi, psi) vector is the
+closure assertion.  The structure constants keep the piece format: each
+bracket is the sorted nonzero (index, Fraction) pairs of its coefficients,
+and only ``ProlongationResult.to_json`` fills in the zeros.
 
 The Jacobi identity is certified by a direct sweep plus lemma: an exact sweep,
 on integer tables with one common denominator, over the triples with a g_{-1}
@@ -166,11 +170,25 @@ def _flat(elem, m1: int, m2: int) -> dict:
     return vec
 
 
+def _scaled(tables):
+    """Tables of sparse (index, Fraction) pairs as integer numerators over one
+    common denominator: (den, [scaled table, ...])."""
+    den = lcm(*{x.denominator for table in tables for row in table
+                for entries in row for _, x in entries})
+    return den, [[[tuple((t, x.numerator * (den // x.denominator)) for t, x in entries)
+                   for entries in row] for row in table] for table in tables]
+
+
 class _SparseBasis(NamedTuple):
-    """Kernel-layout view of the canonical basis of one degree d >= 0:
-    ``flat[g]`` is B_g as {column: value}; ``trailing[g]`` is its last column
-    and ``index`` maps each trailing column back to g.
+    """Integer view of the canonical basis of one degree d >= 0, scaled by one
+    denominator ``den``: ``phi[g]`` and ``psi[g]`` are den times the tables of
+    B_g, ``flat[g]`` is den * B_g in the kernel layout as {column: value},
+    ``trailing[g]`` is its last column and ``index`` maps each trailing column
+    back to g.
     """
+    den: int
+    phi: list
+    psi: list
     flat: tuple
     trailing: tuple
     index: dict
@@ -199,14 +217,16 @@ class GradedLieAlgebra:
         return sorted(self.dims)
 
     def _sparse(self, d: int) -> _SparseBasis:
-        """Kernel-layout view of the g_d basis, checked once: the phi parts are
-        independent (faithfulness) and each element has a 1 at its trailing
-        column where every other element vanishes (canonical kernel form)."""
+        """Integer view of the g_d basis, scaled once and checked once: the phi
+        parts are independent (faithfulness) and each element has a 1 at its
+        trailing column where every other element vanishes (canonical kernel
+        form)."""
         view = self._views.get(d)
         if view is not None:
             return view
         piece = self.pieces[d]
-        flat = tuple(_flat(elem, self.dims[d - 1], self.dims[d - 2]) for elem in piece)
+        den, (phi, psi) = _scaled([[phi for phi, _ in piece], [psi for _, psi in piece]])
+        flat = tuple(_flat(elem, self.dims[d - 1], self.dims[d - 2]) for elem in zip(phi, psi))
         # the phi parts are independent iff the transposed system has no kernel
         nphi = 2 * self.n * self.dims[d - 1]
         columns = {}
@@ -220,28 +240,34 @@ class GradedLieAlgebra:
         trailing = tuple(max(vec) for vec in flat)
         for g, t in enumerate(trailing):
             others = [h for h, vec in enumerate(flat) if h != g and t in vec]
-            if flat[g][t] != 1 or others:
+            if flat[g][t] != den or others:
                 raise InternalCheckError(
                     f"degree {d} basis element {g} is not in canonical kernel form at "
-                    f"its trailing column {t}: value {flat[g][t]}, also nonzero in "
-                    f"elements {others}")
+                    f"its trailing column {t}: value {Fraction(flat[g][t], den)}, also "
+                    f"nonzero in elements {others}")
         index = {t: g for g, t in enumerate(trailing)}
-        view = self._views[d] = _SparseBasis(flat, trailing, index)
+        view = self._views[d] = _SparseBasis(den, phi, psi, flat, trailing, index)
         return view
 
-    def _read_off(self, d: int, vec: dict):
-        """Coefficients of the sparse (phi, psi) vector ``vec`` in the g_d
-        basis as sorted (index, value) pairs, read at its nonzero trailing
-        columns, and the first column where ``vec`` differs from that
-        combination (None when it is equal)."""
+    def _read_off(self, d: int, vec: dict, den: int):
+        """Coefficients of the (phi, psi) vector vec / den in the g_d basis as
+        sorted (index, Fraction) pairs, and the first column where it differs
+        from that combination (None when it is equal).
+
+        ``vec`` holds integers, as {column: value}.  The coefficients are its
+        values at the trailing columns over den.  With the basis scaled to
+        ``flat[g]`` = E B_g, vec / den equals the combination iff
+        E vec = sum_g vec[trailing[g]] flat[g], which is compared in integers.
+        """
         view = self._sparse(d)
-        coeffs = tuple(sorted((view.index[col], x) for col, x in vec.items()
-                              if x and col in view.index))
-        rest = dict(vec)
+        coeffs = sorted((view.index[col], x) for col, x in vec.items()
+                        if x and col in view.index)
+        rest = {col: x * view.den for col, x in vec.items()}
         for g, c in coeffs:
             for col, x in view.flat[g].items():
-                rest[col] = rest.get(col, _F0) - c * x
-        return coeffs, min((col for col, x in rest.items() if x), default=None)
+                rest[col] = rest.get(col, 0) - c * x
+        return (tuple((g, Fraction(c, den)) for g, c in coeffs),
+                min((col for col, x in rest.items() if x), default=None))
 
     # -- structure constants -------------------------------------------------
     def structure_constants(self):
@@ -253,58 +279,76 @@ class GradedLieAlgebra:
         psi tables.  Pairs whose bracket lands outside the computed range are
         identically zero and omitted.  The tables are cached on the algebra
         and shared with every caller; do not mutate them.
+
+        The brackets are computed in integers.  Each degree's phi and psi
+        tables are scaled by one denominator (``_sparse``), and so is each
+        (i, j) block, for both orders, when it is finished.  Each block has
+        one denominator for all its pairs (see ``_bracket_pair``).
         """
         if self._sc is not None:
             return self._sc
         dims = self.dims
         sc = {}
-        # lower[(p, q)][a][b']: [B^p_a, B^q_b'] for both orders of every
-        # degree pair computed so far; sc holds the same tables by canonical key
-        lower = {}
         for d, piece in self.pieces.items():
-            lower[(d, -1)] = [phi for phi, _ in piece]
-            lower[(d, -2)] = [psi for _, psi in piece]
             if d >= -1:
-                sc[(-1, d)] = lower[(-1, d)] = _swapped(lower[(d, -1)])
+                sc[(-1, d)] = _swapped([phi for phi, _ in piece])
             if d >= 0:
-                sc[(-2, d)] = lower[(-2, d)] = _swapped(lower[(d, -2)])
-
+                sc[(-2, d)] = _swapped([psi for _, psi in piece])
+        # ints[(p, q)]: (den, den * table of [B^p_a, B^q_b]) for p >= 0, both
+        # orders of every block made so far and the phi (q = -1) and psi
+        # (q = -2) tables
+        ints = {}
         for total in range(0, self.top_degree() + 1):
+            view = self._sparse(total)
+            ints[(total, -1)], ints[(total, -2)] = (view.den, view.phi), (view.den, view.psi)
             for i in range(0, total // 2 + 1):
                 j = total - i
-                sc[(i, j)] = lower[(i, j)] = [
-                    [self._bracket_pair(i, ai, j, aj, lower) for aj in range(dims[j])]
+                # the denominators of the four terms of _bracket_pair
+                dens = [ints[(a, y)][0] * ints[(b, a + y)][0]
+                        for y in (-1, -2) for a, b in ((j, i), (i, j))]
+                den = lcm(*dens)
+                scale = den, [den // x for x in dens]
+                sc[(i, j)] = block = [
+                    [self._bracket_pair(i, ai, j, aj, ints, scale) for aj in range(dims[j])]
                     for ai in range(dims[i])]
+                den, (table,) = _scaled([block])
+                ints[(i, j)] = den, table
                 if i != j:
-                    lower[(j, i)] = _swapped(sc[(i, j)])
+                    ints[(j, i)] = den, _swapped(table)
         self._sc = sc
         return sc
 
-    def _bracket_pair(self, i, ai, j, aj, lower):
+    def _bracket_pair(self, i, ai, j, aj, ints, scale):
         """[B^i_ai, B^j_aj] in the g_{i+j} basis as sorted (index, value)
         pairs, with the closure check.
 
         The bracket h = [f, g] acts by [h, Y] = [f, [g, Y]] - [g, [f, Y]] on
-        the g_{-1} and g_{-2} basis; its coefficients are read off at the
-        trailing columns and h must equal that combination exactly.
+        the g_{-1} and g_{-2} basis.  Each of the four terms (g's then f's
+        action, on g_{-1} then g_{-2}) is a product of two integer tables of
+        ``ints``; ``scale`` is the block's one denominator D and the factors
+        that bring each product's denominator to D, so h accumulates in ints
+        over D.  Its coefficients are read off at the trailing columns and h
+        must equal that combination exactly (``_read_off``).
         """
         total = i + j
         w1, w2 = self.dims[total - 1], self.dims[total - 2]
-        (f_phi, f_psi), (g_phi, g_psi) = self.pieces[i][ai], self.pieces[j][aj]
+        den, (g1, f1, g2, f2) = scale
         h = {}
-        for g_rows, f_rows, f_on, g_on, width, base in (
-                (g_phi, f_phi, lower[(i, j - 1)][ai], lower[(j, i - 1)][aj], w1, 0),
-                (g_psi, f_psi, lower[(i, j - 2)][ai], lower[(j, i - 2)][aj],
-                 w2, 2 * self.n * w1)):
+        for y, g_mult, f_mult, width, base in ((-1, g1, f1, w1, 0),
+                                               (-2, g2, f2, w2, 2 * self.n * w1)):
+            g_rows, f_rows = ints[(j, y)][1][aj], ints[(i, y)][1][ai]
+            f_on, g_on = ints[(i, j + y)][1][ai], ints[(j, i + y)][1][aj]
             for g_row, f_row in zip(g_rows, f_rows):
                 for m, v in g_row:
+                    v *= g_mult
                     for t, x in f_on[m]:
-                        h[base + t] = h.get(base + t, _F0) + v * x
+                        h[base + t] = h.get(base + t, 0) + v * x
                 for m, v in f_row:
+                    v *= f_mult
                     for t, x in g_on[m]:
-                        h[base + t] = h.get(base + t, _F0) - v * x
+                        h[base + t] = h.get(base + t, 0) - v * x
                 base += width
-        coeffs, bad = self._read_off(total, h)
+        coeffs, bad = self._read_off(total, h, den)
         if bad is not None:
             raise InternalCheckError(
                 f"bracket of basis elements ({i},{ai}) and ({j},{aj}) (degree, index) "
@@ -358,13 +402,9 @@ class GradedLieAlgebra:
                             f"(degree, index) is not the negated phi table of ({d},{a})")
         # integer tables for both orders of each degree pair, scaled by one
         # common denominator
-        den = lcm(*{x.denominator for block in sc.values() for row in block
-                    for entries in row for _, x in entries})
         tables = {}
-        for (p, q), block in sc.items():
-            tables[(p, q)] = block = [
-                [tuple((t, x.numerator * (den // x.denominator)) for t, x in entries)
-                 for entries in row] for row in block]
+        for (p, q), block in zip(sc, _scaled(list(sc.values()))[1]):
+            tables[(p, q)] = block
             if p != q:
                 tables[(q, p)] = _swapped(block)
                 continue

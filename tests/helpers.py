@@ -199,9 +199,9 @@ def reconstruct_model(lt) -> QuadricModel:
 def grading_element_coeffs(alg):
     """Coefficients of the pair (id, 2 id) in the canonical g_0 basis."""
     n2 = 2 * alg.n
-    target = {s * n2 + s: Fraction(1) for s in range(n2)}
-    target.update({n2 * n2 + j * alg.k + j: Fraction(2) for j in range(alg.k)})
-    coeffs, bad = alg._read_off(0, target)
+    target = {s * n2 + s: 1 for s in range(n2)}
+    target.update({n2 * n2 + j * alg.k + j: 2 for j in range(alg.k)})
+    coeffs, bad = alg._read_off(0, target, 1)
     if bad is not None:
         raise InternalCheckError(
             f"(id, 2 id) pair not closed in g_0: first mismatch at column {bad}")

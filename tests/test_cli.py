@@ -239,6 +239,24 @@ def test_prolong_output_is_deterministic(capsys):
     assert out1 == out2
 
 
+def test_prolong_structure_timing_includes_structure_constants(capsys, monkeypatch):
+    """With --structure, --timing covers the structure constants it prints."""
+    import time
+    from crprolong.prolong import GradedLieAlgebra
+    original = GradedLieAlgebra.structure_constants
+
+    def slow(self):
+        time.sleep(0.3)
+        return original(self)
+
+    monkeypatch.setattr(GradedLieAlgebra, "structure_constants", slow)
+    clear_cache()
+    code, out, err = run(capsys, ["prolong", "--catalog", "heisenberg", "--json",
+                                  "--structure", "--timing"])
+    assert code == 0
+    assert json.loads(out)["timing_seconds"] >= 0.3
+
+
 def test_prolong_extended_model(capsys):
     code, out, err = run(capsys, ["prolong", "--catalog", "codim5",
                                   "--extra", "1", "--json"])

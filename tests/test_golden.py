@@ -54,6 +54,13 @@ GOLDEN_PIECES = {
     4: "3fca888e77aff344d12ec2852df1b491688e28beed1c209bc32a5df2899b5e47",
 }
 
+# sha256 of the reprs of sorted(structure_constants().items()), hashed item by
+# item: the constants of the largest model the suite runs, whose --structure
+# JSON is 26 MB
+GOLDEN_CONSTANTS = {
+    4: "4e9e8ff441fc8a6d18ecf1572ba0765e610bfa6d6514ed7c216823fd71a304d1",
+}
+
 # validate --json on failing models: (forms, witness key, witness, digest)
 GOLDEN_VALIDATE = {
     # one rank-one form; its kernel is spanned by (-i, 1)
@@ -119,6 +126,15 @@ def test_golden_digest(argv):
 def test_golden_so_family_pieces(n):
     pieces = prolong_full(catalog.make_so_family(n).model).algebra.pieces
     assert digest(repr(sorted(pieces.items()))) == GOLDEN_PIECES[n]
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_CONSTANTS))
+def test_golden_so_family_structure_constants(n):
+    sc = prolong_full(catalog.make_so_family(n).model).algebra.structure_constants()
+    h = hashlib.sha256()
+    for item in sorted(sc.items()):
+        h.update(repr(item).encode("utf-8"))
+    assert h.hexdigest() == GOLDEN_CONSTANTS[n]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_VALIDATE))

@@ -22,9 +22,11 @@ from helpers import dense_constants
 from reference import dense_structure_constants, full_jacobi_sweep
 from test_catalog import EXPECTED
 
+from crprolong import catalog
 from crprolong.errors import InternalCheckError
 from crprolong.linalg import sparse_int_nullspace
-from crprolong.prolong import GradedLieAlgebra, jacobi_triple_count
+from crprolong.model import QuadricModel
+from crprolong.prolong import GradedLieAlgebra, jacobi_triple_count, prolong_full
 
 
 def copy_with_element(alg, d, g, phi=None, psi=None):
@@ -51,8 +53,28 @@ def test_read_off_matches_dense_route_heisenberg(heisenberg_result):
     assert dense_structure_constants(alg) == dense_constants(alg)
 
 
-def test_read_off_matches_dense_route_codim4(codim4_result):
-    alg = codim4_result.algebra
+def scaled_codim4():
+    """codim4 with its forms H_j replaced by D H_j D, D = diag(3, 5, 1, ...):
+    an equivalent quadric whose constants have odd denominators (3, 5, 6, 10)
+    in positive degrees too, where codim4's have powers of 2 only."""
+    model = catalog.make_codim4().model
+    d = (3, 5) + (1,) * (model.n - 2)
+    return QuadricModel([[[h.entries[a][b] * (d[a] * d[b]) for b in range(model.n)]
+                          for a in range(model.n)] for h in model.hermitian])
+
+
+@pytest.mark.parametrize("scaled", [False, pytest.param(True, marks=pytest.mark.slow)],
+                         ids=["codim4", "scaled_codim4"])
+def test_read_off_matches_dense_route_codim4(codim4_result, scaled):
+    result = prolong_full(scaled_codim4()) if scaled else codim4_result
+    alg = result.algebra
+    assert alg.dims == codim4_result.algebra.dims
+    if scaled:
+        # a per-block multiplier is exercised by an odd denominator in a
+        # block of two positive degrees
+        assert any(x.denominator // (x.denominator & -x.denominator) > 1
+                   for (i, j), block in alg.structure_constants().items() if i >= 1
+                   for row in block for entries in row for _, x in entries)
     assert dense_structure_constants(alg) == dense_constants(alg)
 
 
@@ -86,16 +108,18 @@ def test_uncorrupted_copy_passes(heisenberg_result):
     assert copy.check_jacobi() == alg.check_jacobi()
 
 
-def test_changed_psi_entry_fails_closure(heisenberg_result):
+@pytest.mark.parametrize("value", [Fraction(1), Fraction(1, 3)], ids=["integer", "third"])
+def test_changed_psi_entry_fails_closure(heisenberg_result, value):
     # g_2 is one element with psi row (c4, c5) in columns 4, 5 of the
     # (phi, psi) layout; c4 = 0 and the trailing column is 5, so setting
-    # column 4 to 1 keeps the canonical form and the phi part, and only
-    # closure can fail
+    # column 4 to a nonzero value keeps the canonical form and the phi part,
+    # and only closure can fail.  The value 1/3 brings a denominator that no
+    # table of heisenberg has.
     alg = heisenberg_result.algebra
     phi, psi = alg.pieces[2][0]
     assert alg._sparse(2).trailing == (5,)
     assert [t for t, _ in psi[0]] == [1]
-    bad_psi = (((0, Fraction(1)),) + psi[0],)
+    bad_psi = (((0, value),) + psi[0],)
     copy = copy_with_element(alg, 2, 0, psi=bad_psi)
     with pytest.raises(InternalCheckError,
                        match=r"bracket of basis elements \(1,0\) and \(1,1\) "
