@@ -23,7 +23,17 @@ element sum c_m B_m is sum c_m realize(B_m), exactly and for complex c_m as
 well.  The chain therefore runs once per basis vector, the realized basis of
 each degree is kept on the algebra (``GradedLieAlgebra._realized``, which
 lives as long as the algebra does), and ``realize_element`` only combines
-those fields.
+those fields, in integers over one denominator.
+
+The chain runs on the packed Gaussian-integer core of ``poly``.  Each
+degree's phi and psi tables are scaled to integers once (``prolong._scaled``
+returns den_d and den_d times the tables).  ad_z multiplies an entry of
+degree d by z_a and the Gaussian integer -den_d [B, e_a] + i den_d [B, Je_a],
+ad_w by w_j and -den_d [B, W_j]; the true steps divide by 2 den_d and den_d,
+and those divisors are kept aside.  The degrees an entry passes through
+depend only on its stage (c, d), d steps of ad_w and then c of ad_z, so every
+entry of a stage carries the same divisor S(c, d), the product of those, and
+each unit field is collected over the one denominator lcm(c! d! S(c, d)).
 
 The map is real-linear and intertwines brackets up to one global sign:
 ``field_bracket(realize(A), realize(B)) = BRACKET_SIGN * realize([A, B])``
@@ -34,106 +44,114 @@ for right- vs left-invariant fields).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .errors import DimensionError, InputError
 from .linalg import sparse_int_nullspace
-from .poly import Poly, PolyVectorField
-from .prolong import GradedLieAlgebra, ProlongationResult
-from .scalars import GaussianRational
+from .poly import PolyVectorField, check_degree, gi_add_into, gi_trim, packing
+from .prolong import GradedLieAlgebra, ProlongationResult, _scaled
 
 BRACKET_SIGN = -1
 
 _F0 = Fraction(0)
-_HALF = Fraction(1, 2)
-_I = GaussianRational(0, 1)
 
 
-def _z_action(alg: GradedLieAlgebra, d: int, m: int) -> list:
-    """[(a, [(t, c)])]: ad(z_a eps_a) B_m = sum_t c z_a B_t in g_{d-1}."""
-    n = alg.n
-    phi = alg.pieces[d][m][0]
+def _tables(alg: GradedLieAlgebra, degree: int) -> dict:
+    """(den_d, [phi, psi]) of each degree -1..degree, scaled to integers."""
+    return {d: _scaled([[phi for phi, _ in alg.pieces[d]], [psi for _, psi in alg.pieces[d]]])
+            for d in range(-1, degree + 1)}
+
+
+def _z_action(n: int, phi) -> list:
+    """[(a, [(t, re, im)])]: ad(z_a eps_a) B = sum_t (re + i im) / (2 den) z_a B_t,
+    from the integer phi rows of B."""
     out = []
     for a in range(n):
-        ce = dict(phi[a])              # [B_m, e_a] = -[e_a, B_m]
-        cj = dict(phi[n + a])          # [B_m, Je_a]
+        ce = dict(phi[a])              # [B, e_a] = -[e_a, B]
+        cj = dict(phi[n + a])          # [B, Je_a]
         if ce or cj:
-            out.append((a, [(t, GaussianRational(-_HALF * ce.get(t, _F0),
-                                                 _HALF * cj.get(t, _F0)))
+            out.append((a, [(t, -ce.get(t, 0), cj.get(t, 0))
                             for t in sorted(ce.keys() | cj.keys())]))
     return out
 
 
-def _ad_z(alg: GradedLieAlgebra, state: dict, actions: dict) -> dict:
-    """Apply ad(sum z_a eps_a); each entry drops one degree.  ``actions``
-    memoizes ``_z_action`` by (d, m)."""
+def _ad_z(state: dict, tables: dict, actions: dict, units: tuple) -> dict:
+    """Apply ad(sum z_a eps_a) times 2 den_d; each entry drops one degree.
+    ``actions`` memoizes ``_z_action`` by (d, m)."""
     out = {}
     for (d, m), f in state.items():
         action = actions.get((d, m))
         if action is None:
-            action = actions[(d, m)] = _z_action(alg, d, m)
+            phi = tables[d][1][0][m]
+            action = actions[(d, m)] = _z_action(len(phi) // 2, phi)
         for a, coeffs in action:
-            fz = f.times_variable("z", a)
-            for t, c in coeffs:
-                out.setdefault((d - 1, t), []).append((fz, c))
-    return _collect(alg.n, alg.k, out)
+            for t, re, im in coeffs:
+                gi_add_into(out.setdefault((d - 1, t), {}), f, re, im, units[a])
+    return _trimmed(out)
 
 
-def _ad_w(alg: GradedLieAlgebra, state: dict) -> dict:
-    """Apply ad(sum w_j W_j); each entry drops two degrees."""
-    n, k = alg.n, alg.k
+def _ad_w(state: dict, tables: dict, units: tuple, n: int) -> dict:
+    """Apply ad(sum w_j W_j) times den_d; each entry drops two degrees."""
     out = {}
     for (d, m), f in state.items():
-        psi = alg.pieces[d][m][1]
-        for j in range(k):
-            if not psi[j]:
-                continue
-            fw = f.times_variable("w", j)
-            for t, x in psi[j]:        # [B_m, W_j] = -[W_j, B_m]
-                out.setdefault((d - 2, t), []).append((fw, -x))
-    return _collect(n, k, out)
+        for j, entries in enumerate(tables[d][1][1][m]):
+            for t, x in entries:       # [B_m, W_j] = -[W_j, B_m]
+                gi_add_into(out.setdefault((d - 2, t), {}), f, -x, 0, units[n + j])
+    return _trimmed(out)
 
 
-def _collect(n: int, k: int, terms: dict) -> dict:
-    """State entry -> the sum of its (polynomial, scalar) terms; zeros dropped."""
-    out = {key: Poly.combination(n, k, pairs) for key, pairs in terms.items()}
-    return {key: p for key, p in out.items() if p}
+def _trimmed(state: dict) -> dict:
+    """State entries without zero coefficients; zero entries dropped."""
+    out = {}
+    for key, p in state.items():
+        p = gi_trim(p)
+        if p:
+            out[key] = p
+    return out
 
 
-def _realize_unit(alg: GradedLieAlgebra, degree: int, m: int,
+def _realize_unit(alg: GradedLieAlgebra, tables: dict, degree: int, m: int,
                   actions: dict) -> PolyVectorField:
     """Run the chain on the basis element B_m of g_degree: collect the degree
     -1 and -2 entries of ad_z^c ad_w^d B_m with weight (-1)^(c+d)/(c! d!)."""
     n, k = alg.n, alg.k
-    z_terms = [[] for _ in range(n)]
-    w_terms = [[] for _ in range(k)]
-    s_d = {(degree, m): Poly.constant(n, k, 1)}
+    units = packing(n + k).units
+    check_degree(degree + 2)            # the largest stage has c + d = degree + 2
+    parts = []                          # (component, numerators, re, im, denominator)
+    s_d, w_scale = {(degree, m): {0: (1, 0)}}, 1
     for d in range((degree + 2) // 2 + 1):
         if d:
-            s_d = _ad_w(alg, s_d)
-        t = s_d
+            w_scale *= tables[degree - 2 * d + 2][0]
+            s_d = _ad_w(s_d, tables, units, n)
+        t, scale = s_d, w_scale
         for c in range(degree + 3 - 2 * d):     # down to degree -2
             if c:
-                t = _ad_z(alg, t, actions)
-            gamma = Fraction((-1) ** (c + d), factorial(c) * factorial(d))
+                scale *= 2 * tables[degree - 2 * d - c + 1][0]
+                t = _ad_z(t, tables, actions, units)
+            sign, den = (-1) ** (c + d), factorial(c) * factorial(d) * scale
             for (e, i), p in t.items():
                 if e == -2:
-                    w_terms[i].append((p, gamma))
+                    parts.append((n + i, p, sign, 0, den))
                 elif e == -1 and i < n:
-                    z_terms[i].append((p, gamma))
+                    parts.append((i, p, sign, 0, den))
                 elif e == -1:                   # y Je_a adds i y to z_a
-                    z_terms[i - n].append((p, gamma * _I))
-    return PolyVectorField(n, k, [Poly.combination(n, k, ts) for ts in z_terms],
-                           [Poly.combination(n, k, ts) for ts in w_terms])
+                    parts.append((i - n, p, 0, sign, den))
+    den = lcm(*(part[-1] for part in parts))
+    comps = [{} for _ in range(n + k)]
+    for i, p, re, im, d in parts:
+        gi_add_into(comps[i], p, re * (den // d), im * (den // d))
+    return PolyVectorField._of(n, k, den, [gi_trim(p) for p in comps])
 
 
 def _basis_fields(alg: GradedLieAlgebra, degree: int) -> tuple:
     """The realized canonical basis of g_degree, computed once per algebra."""
     fields = alg._realized.get(degree)
     if fields is None:
+        dim = alg.dim(degree)
+        tables = _tables(alg, degree) if dim else None
         actions = {}
         fields = alg._realized[degree] = tuple(
-            _realize_unit(alg, degree, m, actions) for m in range(alg.dim(degree)))
+            _realize_unit(alg, tables, degree, m, actions) for m in range(dim))
     return fields
 
 
@@ -144,12 +162,7 @@ def realize_element(alg: GradedLieAlgebra, degree: int, coeffs) -> PolyVectorFie
         raise DimensionError(f"expected {dim} coefficients for degree {degree}")
     if degree < -2:
         raise InputError("no such degree")
-    n, k = alg.n, alg.k
-    pairs = [(field, c) for field, c in zip(_basis_fields(alg, degree), coeffs) if c]
-    return PolyVectorField(
-        n, k,
-        [Poly.combination(n, k, [(f.z_comps[a], c) for f, c in pairs]) for a in range(n)],
-        [Poly.combination(n, k, [(f.w_comps[j], c) for f, c in pairs]) for j in range(k)])
+    return PolyVectorField.combination(alg.n, alg.k, zip(_basis_fields(alg, degree), coeffs))
 
 
 def realize_basis(result: ProlongationResult, degree: int):

@@ -7,18 +7,40 @@ in the polarized frame (z, zb independent; w = u + iP, conj(w) = u - iP)
 turns that into an identity in the polynomial ring over Q(i), so the verdict
 is exact: a field either is tangent or it is not.
 
-X rho_j = expr_j = g_j/(2i) - sum_a f_a dP_j/dz_a has no conj(w), as the
-field is holomorphic.  So Re(X rho_j) on the surface is (S + conj(S'))/2,
-with S and S' the restrictions of expr_j under w -> u + iP and
-w -> u + i conj(P): conjugation turns the second map into conj(w) -> u - iP.
-For Hermitian forms conj(P) = P, the maps are one map and one substitution
-serves both halves; `verify` reads model files without validating them, and
-a non-Hermitian one gets the second substitution.  Either way half the
-polynomial of the two-sided route is substituted, and no power of conj(w)
-is built.
+X rho_j = g_j/(2i) - sum_a f_a dP_j/dz_a has no conj(w), as the field is
+holomorphic.  So Re(X rho_j) on the surface is (S + conj(S'))/2, with S and
+S' the restrictions of X rho_j under w -> u + iP and w -> u + i conj(P):
+conjugation turns the second map into conj(w) -> u - iP.  For Hermitian
+forms conj(P) = P, the maps are one map and one substitution serves both
+halves; `verify` reads model files without validating them, and a
+non-Hermitian one gets the second substitution.
 
-The defining polynomials, their z-derivatives and the substitution maps are
-kept per model in a small least-recently-used memo.
+The check runs in integers, on the packed core of ``poly`` with a (z, zb, u)
+frame.  The field's components are Gaussian-integer polynomials F_a, G_j over
+its one denominator D, and the forms are scaled once per model by the lcm q
+of their denominators, P'_j = q P_j.  Then
+
+    E_j = 2i D (X rho_j) = (q G_j - 2i sum_a F_a dP'_j/dz_a) / q = A_j / q
+
+with A_j Gaussian-integral in (z, zb, w).  Under w -> u + iP the part of
+A_j with w-exponent beta becomes A_j[beta] (q u + i P')^beta / q^|beta|:
+its denominator depends only on its w-degree |beta|.  With N the largest
+w-degree in the field, each q^(N - |beta|) is an integer, so
+
+    R_j = sum_beta q^(N - |beta|) A_j[beta] (q u + i P')^beta = q^(N+1) E_j
+
+on the surface, exactly, in integers; R'_j is made the same way with
+conj(P').  As (S + conj(S'))/2 = (E_j - conj(E'_j)) / (4iD) and q^(N+1) is
+real and positive, the field is tangent iff every R_j equals the formal
+conjugate of R'_j (of R_j itself for Hermitian forms): E_j equals its formal
+conjugate.  The residual (R_j - conj(R'_j)) / (4iD q^(N+1)) is built as a
+Poly only when it is nonzero.
+
+The scaled forms, their z-derivatives and the substitution polynomials are
+kept per model in a small least-recently-used memo.  The products
+(q u + i P')^beta are built for each check in lexicographic order of beta,
+each from the longest prefix product it shares with the one before, so one
+chain of prefix products is held at a time.
 """
 
 from collections import OrderedDict
@@ -26,12 +48,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionError, InputError
-from .poly import Poly, PolyVectorField
+from .poly import (SLOT_BITS, Poly, PolyVectorField, check_degree, gi_add_into, gi_diff,
+                   gi_integral, gi_mul_into, gi_trim, packing)
 from .scalars import GaussianRational
-
-_HALF_OVER_I = GaussianRational(0, Fraction(-1, 2))  # 1/(2i)
-_HALF = Fraction(1, 2)
-_I = GaussianRational(0, 1)
 
 _SURFACES_SIZE = 8                      # models kept; the least recently used goes first
 _SURFACES: OrderedDict = OrderedDict()
@@ -65,21 +84,41 @@ class TangencyCertificate:
 
 
 class _Surface:
-    """What restriction to one model's surface needs, built once per model."""
+    """What restriction to one model's surface needs, built once per model in
+    the packed (z, zb, u) frame: q, -2i dP'_j/dz_a, and for each substitution
+    its polynomials q u_l + i P'_l."""
 
     def __init__(self, model):
         self.model = model
-        P = model.defining_polys()
-        self.dP = [[p.diff("z", a) for a in range(model.n)] for p in P]
-        self.holo = _w_map(model, P)
-        conj = [p.formal_conjugate() for p in P]
-        self.conj = self.holo if conj == P else _w_map(model, conj)
+        n, k = model.n, model.k
+        pk = packing(2 * n + k)
+        q, P = gi_integral([{pk.pack(m[:2 * n] + m[2 * n + 2 * k:]): c for m, c in p.terms.items()}
+                            for p in model.defining_polys()])
+        self.q = q
+        self.dP = [[{m: (2 * im, -2 * re) for m, (re, im) in gi_diff(p, pk, a).items()}
+                    for a in range(n)] for p in P]
+        self.swap = _swapper(n, k)
+        conj = [{self.swap(m): (re, -im) for m, (re, im) in p.items()} for p in P]
+        u = pk.units[2 * n:]
+        self.maps = [_w_map(P, u, q)]
+        if conj != P:
+            self.maps.append(_w_map(conj, u, q))
 
 
-def _w_map(model, P) -> dict:
-    """The substitution w_j -> u_j + i P_j."""
-    return {("w", j): Poly.variable(model.n, model.k, "u", j) + p * _I
-            for j, p in enumerate(P)}
+def _w_map(P, u, q) -> list:
+    """q times the substitution w_l -> u_l + i P_l: q u_l + i P'_l, one
+    polynomial per l."""
+    return [gi_add_into({u_l: (q, 0)}, p, 0, 1) for u_l, p in zip(u, P)]
+
+
+def _swapper(n: int, k: int):
+    """The z <-> zb exchange of packed (z, zb, u) monomials."""
+    zs, zbs, block = SLOT_BITS * (n + k), SLOT_BITS * k, (1 << SLOT_BITS * n) - 1
+
+    def swap(m):
+        z, zb = (m >> zs) & block, (m >> zbs) & block
+        return m ^ z << zs ^ zb << zbs | zb << zs | z << zbs
+    return swap
 
 
 def _surface(model) -> _Surface:
@@ -93,22 +132,92 @@ def _surface(model) -> _Surface:
     return surface
 
 
+def _by_w_exponent(field: PolyVectorField, top: int, zshift: int) -> dict:
+    """The field's terms grouped by w-exponent, {beta: {component: z-part}}:
+    beta as the sorted tuple of its variables (l repeated beta_l times), the
+    z-part packed in the (z, zb, u) frame, whose total degree sits ``top``
+    bits up and whose z block ``zshift`` bits up."""
+    n, k = field.n, field.k
+    ftop, wbits, zmask = SLOT_BITS * (n + k), SLOT_BITS * k, (1 << SLOT_BITS * n) - 1
+    unpack, seqs, groups = packing(k).unpack, {}, {}
+    for i, p in enumerate(field.comps):
+        for m, c in p.items():
+            beta = m & ((1 << wbits) - 1)
+            seq = seqs.get(beta)
+            if seq is None:
+                seq = seqs[beta] = tuple(l for l, e in enumerate(unpack(beta)) for _ in range(e))
+            degree = (m >> ftop) - len(seq)
+            groups.setdefault(seq, {}).setdefault(i, {})[
+                degree << top | ((m >> wbits) & zmask) << zshift] = c
+    return groups
+
+
+def _factors(w_map: list, seqs):
+    """(beta, prod_l w_map[l]^beta_l) for each sorted variable tuple beta of
+    ``seqs``, in order.
+    Sorted tuples that share a prefix are adjacent, so a stack of prefix
+    products builds each product from the one before with one multiplication
+    per variable past their common prefix."""
+    stack, last = [{0: (1, 0)}], ()
+    for seq in seqs:
+        c = 0
+        while c < len(last) and c < len(seq) and seq[c] == last[c]:
+            c += 1
+        del stack[c + 1:]
+        for l in seq[c:]:
+            stack.append(gi_trim(gi_mul_into({}, stack[-1], w_map[l])))
+        last = seq
+        yield seq, stack[-1]
+
+
 def verify_hol(field: PolyVectorField, model) -> TangencyCertificate:
     """Check Re(X rho_j) == 0 on the surface for every j; exact, no tolerance."""
     if field.n != model.n or field.k != model.k:
         raise DimensionError("field and model have different (n, k)")
+    n, k = model.n, model.k
     surface = _surface(model)
+    q = surface.q
+    pk = packing(2 * n + k)
+    groups = _by_w_exponent(field, pk.top, SLOT_BITS * (n + k))
+    if groups:
+        check_degree(2 * (max(max(p) for p in field.comps if p) >> SLOT_BITS * (n + k)) + 1)
+    top_w = max(map(len, groups), default=0)
+    A = {}                              # beta -> [q^(N - |beta|) A_j[beta] for each j]
+    for seq, parts in groups.items():
+        A[seq] = []
+        for j in range(k):
+            a = gi_add_into({}, parts.get(n + j, {}), q)
+            for v, dp in enumerate(surface.dP[j]):
+                if v in parts and dp:
+                    gi_mul_into(a, parts[v], dp)
+            if q > 1 and len(seq) < top_w:
+                a = gi_add_into({}, a, q ** (top_w - len(seq)))
+            A[seq].append(a)
+    R = [[{} for _ in surface.maps] for _ in range(k)]
+    for which, w_map in enumerate(surface.maps):
+        for seq, factor in _factors(w_map, sorted(A)):
+            for r, a in zip(R, A[seq]):
+                gi_mul_into(r[which], a, factor)
     residuals = []
-    for j in range(model.k):
-        # X(rho_j) = g_j/(2i) - sum_a f_a dP_j/dz_a   (rho_j holomorphic part)
-        expr = Poly.combination(model.n, model.k, [
-            (field.w_comps[j], _HALF_OVER_I),
-            *((f * dp, -1) for f, dp in zip(field.z_comps, surface.dP[j]) if f)])
-        s = expr.subs(surface.holo)
-        s_conj = s if surface.conj is surface.holo else expr.subs(surface.conj)
-        residuals.append((s + s_conj.formal_conjugate()) * _HALF)
+    for r in R:
+        diff = dict(r[0])
+        for m, (re, im) in r[-1].items():               # R_j - conj(R'_j)
+            m = surface.swap(m)
+            s = diff.get(m)
+            diff[m] = (-re, im) if s is None else (s[0] - re, s[1] + im)
+        residuals.append(_residual(n, k, gi_trim(diff), 4 * field.den * q ** (top_w + 1)))
     verdict = all(r.is_zero() for r in residuals)
-    return TangencyCertificate(model.n, model.k, verdict, tuple(residuals), field)
+    return TangencyCertificate(n, k, verdict, tuple(residuals), field)
+
+
+def _residual(n: int, k: int, diff: dict, den: int) -> Poly:
+    """The Poly diff / (i den) of a packed (z, zb, u) polynomial."""
+    if not diff:
+        return Poly.zero(n, k)
+    unpack, ws = packing(2 * n + k).unpack, (0,) * (2 * k)
+    return Poly._of(n, k, {e[:2 * n] + ws + e[2 * n:]:
+                           GaussianRational(Fraction(im, den), Fraction(-re, den))
+                           for m, (re, im) in diff.items() for e in (unpack(m),)})
 
 
 @dataclass(frozen=True)

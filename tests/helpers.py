@@ -1,7 +1,8 @@
 """Shared test helpers: realized fields against the abstract algebra,
 certificate checks on the catalog's known fields, test vectors for the
 catalog models, and small operations that only tests need (exact evaluation,
-the real predicate and total degree, identity and zero matrices, matrix-vector
+the real predicate, total degrees, derivatives, formal conjugates, powers and
+the action of a field on a Poly, identity and zero matrices, matrix-vector
 products and determinants, the bracket and J on g_{-1}, the invariants of a
 Levi-Tanaka algebra and the forms read back from its brackets, the grading
 element and its check, and the structure constants with zeros filled in)."""
@@ -9,7 +10,7 @@ element and its check, and the structure constants with zeros filled in)."""
 from fractions import Fraction
 from math import lcm
 
-from crprolong.errors import AlgebraError, DimensionError, InternalCheckError
+from crprolong.errors import AlgebraError, DimensionError, InputError, InternalCheckError
 from crprolong.linalg import ExactMatrix, gi_bareiss
 from crprolong.model import QuadricModel
 from crprolong.poly import Poly, PolyVectorField
@@ -69,6 +70,57 @@ def evaluate(p, point) -> GaussianRational:
 def total_degree(p):
     """Largest total degree of a term of ``p``; None for the zero polynomial."""
     return max((sum(m) for m in p.terms), default=None)
+
+
+def min_total_degree(p):
+    """Smallest total degree of a term of ``p``; None for the zero polynomial."""
+    return min((sum(m) for m in p.terms), default=None)
+
+
+def _position(p, kind: str, index: int) -> int:
+    """Monomial position of a variable of ``p``'s frame."""
+    n, k = p.n, p.k
+    return {"z": 0, "zb": n, "w": 2 * n, "wb": 2 * n + k, "u": 2 * n + 2 * k}[kind] + index
+
+
+def diff(p, kind: str, index: int) -> Poly:
+    """The partial derivative of a Poly by one variable."""
+    v = _position(p, kind, index)
+    return Poly(p.n, p.k, {m[:v] + (m[v] - 1,) + m[v + 1:]: c * m[v]
+                           for m, c in p.terms.items() if m[v]})
+
+
+def formal_conjugate(p) -> Poly:
+    """Conjugate coefficients; swap the z and zb, and the w and wb blocks;
+    u fixed."""
+    n, k = p.n, p.k
+    return Poly(n, k, {m[n:2 * n] + m[:n] + m[2 * n + k:2 * n + 2 * k] + m[2 * n:2 * n + k]
+                       + m[2 * n + 2 * k:]: c.conjugate() for m, c in p.terms.items()})
+
+
+def power(p, e: int) -> Poly:
+    """p ** e by repeated multiplication."""
+    if e < 0:
+        raise InputError("negative polynomial power")
+    out = Poly.constant(p.n, p.k, 1)
+    for _ in range(e):
+        out = out * p
+    return out
+
+
+def apply_field(field: PolyVectorField, p) -> Poly:
+    """X(p) for a Poly p in the full frame: the field differentiates in z and
+    w, so zb, wb and u content passes through untouched."""
+    if p.n != field.n or p.k != field.k:
+        raise DimensionError("argument polynomial from the wrong frame")
+    out = Poly.zero(p.n, p.k)
+    for a, f in enumerate(field.z_comps):
+        if f:
+            out = out + f * diff(p, "z", a)
+    for j, g in enumerate(field.w_comps):
+        if g:
+            out = out + g * diff(p, "w", j)
+    return out
 
 
 def is_real(a: GaussianRational) -> bool:
@@ -327,7 +379,7 @@ def check_rotation_identities(model, X, Y, Z, U) -> dict:
     """
     P = model.defining_polys()
     i = GaussianRational(0, 1)
-    app = {name: [f.apply_to(p) for p in P] for name, f in
+    app = {name: [apply_field(f, p) for p in P] for name, f in
            [("X", X), ("Y", Y), ("Z", Z), ("U", U)]}
 
     def only_third(name, source_index):

@@ -54,13 +54,7 @@ def _slots(n, k, b):
 def _unit_field(model, slot, coeff):
     n, k = model.n, model.k
     zexp, wexp = slot[2]
-    mono = Poly.constant(n, k, coeff)
-    for a, e in enumerate(zexp):
-        if e:
-            mono = mono * Poly.variable(n, k, "z", a) ** e
-    for j, e in enumerate(wexp):
-        if e:
-            mono = mono * Poly.variable(n, k, "w", j) ** e
+    mono = Poly(n, k, {tuple(zexp) + (0,) * n + tuple(wexp) + (0,) * (2 * k): coeff})
     zc = [Poly.zero(n, k)] * n
     wc = [Poly.zero(n, k)] * k
     if slot[0] == "z":

@@ -45,7 +45,7 @@ Tests compare the two routes entry by entry.
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
-from helpers import determinant
+from helpers import determinant, diff, formal_conjugate
 
 from crprolong.errors import (AlgebraError, DegenerateModelError, DimensionError,
                               InputError, InternalCheckError)
@@ -522,7 +522,8 @@ def chain_realize_element(alg, degree, coeffs):
 
 
 def monomial_subs(p, mapping):
-    """``Poly.subs`` before grouping: one product and one sum per monomial."""
+    """Simultaneous substitution {(kind, index) -> Poly} into ``p``: one
+    product and one sum per monomial."""
     n, k = p.n, p.k
     block = {"z": 0, "zb": n, "w": 2 * n, "wb": 2 * n + k, "u": 2 * n + 2 * k}
     sub = {block[kind] + index: q for (kind, index), q in mapping.items()}
@@ -573,8 +574,8 @@ def two_sided_verify_hol(field, model):
         for a in range(model.n):
             f = field.z_comps[a]
             if f:
-                expr = expr - f * P[j].diff("z", a)
-        r = (expr + expr.formal_conjugate()) * _HALF
+                expr = expr - f * diff(P[j], "z", a)
+        r = (expr + formal_conjugate(expr)) * _HALF
         residuals.append(two_sided_surface_restriction(r, model))
     return tuple(residuals)
 

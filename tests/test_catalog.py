@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 
 import pytest
@@ -5,6 +7,7 @@ import pytest
 from helpers import SU2_TO_CODIM5, codim4_display_variant
 
 from crprolong import catalog
+from crprolong.cli import main
 from crprolong.errors import InputError
 from crprolong.model import tumanov_search
 from crprolong.poly import Poly
@@ -16,8 +19,10 @@ from crprolong.verify import verify_hol
 # What the catalog entries are known to prolong to, by entry name: the dims of
 # each graded piece, the top degree and the jet order; codim5's first Tumanov
 # combination.  The families predict top degree 2n - 2 and jet order n (so),
-# and 4m - 2 and 2m (su); so_family(n=5) and su_family(m=3) are too large for
-# this suite and carry the predictions only.
+# and 4m - 2 and 2m (su).  The dims of so_family(n=5) and su_family(m=3), the
+# ladder entries, were recorded from prolong_full at commit 9578d02, because
+# the oracle cannot reach these sizes; the slow ladder tests check them
+# through `report --json`.
 EXPECTED = {
     "heisenberg": {"dims": {-2: 1, -1: 2, 0: 2, 1: 2, 2: 1}, "top_degree": 2, "jet_order": 2},
     "codim4": {"dims": {-2: 4, -1: 12, 0: 23, 1: 24, 2: 15, 3: 6, 4: 1},
@@ -30,11 +35,18 @@ EXPECTED = {
                        "top_degree": 4, "jet_order": 3},
     "so_family(n=4)": {"dims": {-2: 7, -1: 16, 0: 40, 1: 56, 2: 58, 3: 48, 4: 22, 5: 8, 6: 1},
                        "top_degree": 6, "jet_order": 4},
-    "so_family(n=5)": {"top_degree": 8, "jet_order": 5},
+    "so_family(n=5)": {"dims": {-2: 11, -1: 20, 0: 62, 1: 110, 2: 160, 3: 200, 4: 150,
+                                5: 100, 6: 35, 7: 10, 8: 1},
+                       "top_degree": 8, "jet_order": 5},
     "su_family(m=2)": {"dims": {-2: 5, -1: 8, 0: 17, 1: 20, 2: 21, 3: 16, 4: 8, 5: 4, 6: 1},
                        "top_degree": 6, "jet_order": 4},
-    "su_family(m=3)": {"top_degree": 10, "jet_order": 6},
+    "su_family(m=3)": {"dims": {-2: 10, -1: 12, 0: 37, 1: 60, 2: 99, 3: 150, 4: 146,
+                                5: 150, 6: 90, 7: 54, 8: 18, 9: 6, 10: 1},
+                       "top_degree": 10, "jet_order": 6},
 }
+
+LADDER = {"so_family(n=5)": ["--catalog", "so_family", "--n", "5"],
+          "su_family(m=3)": ["--catalog", "su_family", "--m", "3"]}
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +128,7 @@ def test_expected_blocks_match_prolongation():
     entries += [catalog.get("codim5", extra=1), catalog.make_so_family(3),
                 catalog.make_so_family(4), catalog.make_su_family(2)]
     assert {e.name for e in entries} == {name for name, want in EXPECTED.items()
-                                         if "dims" in want}
+                                         if "dims" in want} - LADDER.keys()
     for entry in entries:
         res = prolong_full(entry.model)
         want = EXPECTED[entry.name]
@@ -179,6 +191,27 @@ def test_family_counts_and_predictions():
     for m in (2, 3):
         want = EXPECTED[f"su_family(m={m})"]
         assert (want["top_degree"], want["jet_order"]) == (4 * m - 2, 2 * m)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_ladder_report(name):
+    """`report --json` on a ladder entry: its dims, top degree and jet order,
+    a tangent top field, and both jet certificates (the 2-jet counterexample
+    and the sharpness of the jet order) certified by that field."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["report", "--json", *LADDER[name]])
+    assert code == 0
+    data = json.loads(out.getvalue())
+    want = EXPECTED[name]
+    jet = want["jet_order"]
+    assert data["dims"] == {str(d): v for d, v in want["dims"].items()}
+    assert (data["top_degree"], data["jet_order"]) == (want["top_degree"], jet)
+    assert data["top_fields_verified"] == {"count": 1, "all_tangent": True}
+    for key, order in (("counterexample_2jet", 2), ("sharpness", jet - 1)):
+        assert data[key] == {"jet": order, "certified": True, "tangent": True,
+                             "nonzero": True, "vanishing_order": jet}
 
 
 def test_family_input_errors():

@@ -11,7 +11,7 @@ import pytest
 from crprolong.cli import main
 from crprolong.catalog import get
 from crprolong.model import QuadricModel
-from crprolong.poly import Poly, PolyVectorField
+from crprolong.poly import DEGREE_CAP, Poly, PolyVectorField
 from crprolong.prolong import clear_cache
 from crprolong.scalars import GaussianRational
 
@@ -356,6 +356,19 @@ def test_verify_field_target_out_of_range(capsys, tmp_path, target):
                                   "--field", path])
     assert code == 2
     assert f"bad target {target!r}" in err
+
+
+@pytest.mark.parametrize("exponent, code", [(DEGREE_CAP // 2 - 1, 1), (DEGREE_CAP // 2, 2),
+                                             (DEGREE_CAP, 2)])
+def test_verify_exponent_past_packed_limit(capsys, tmp_path, exponent, code):
+    """A field exponent must fit a packed slot, and the restriction to the
+    surface, of degree 2 e + 1, must too: past that `verify` exits 2."""
+    data = _heisenberg_field(GaussianRational(1)).to_json()
+    data["terms"][0]["z_exp"] = [exponent]
+    path = write_json(tmp_path / "big.json", data)
+    got, out, err = run(capsys, ["verify", "--catalog", "heisenberg", "--field", path])
+    assert got == code
+    assert ("packed limit" in err) == (code == 2)
 
 
 def test_verify_frame_mismatch(capsys, tmp_path):

@@ -1,13 +1,21 @@
 """The realization and the tangency check against their reference routes.
 
 The library realizes each degree's basis once and combines those fields, and
-restricts only the holomorphic half of Re(X rho_j) to the surface;
-``reference.py`` keeps the chain on every coefficient vector and the
-two-sided restriction.  Both must give the same fields and the same residual
-polynomials, on real and Gaussian-rational combinations, and on a model whose
-form is not Hermitian.
+checks tangency in integers: it restricts only the holomorphic half of
+Re(X rho_j) to the surface, scaled to Gaussian integers by a denominator per
+w-degree, and compares it with its formal conjugate.  ``reference.py`` keeps
+the chain on every coefficient vector and the two-sided restriction over
+Q(i) (``two_sided_surface_restriction``).  Both must give the same fields and
+the same residual polynomials: on real and Gaussian-rational combinations,
+on every realized basis field of the seeded differential models and of two
+rescaled codim4 quadrics (one with rational forms), on perturbed,
+non-tangent copies of those fields, and on a model file whose form is not
+Hermitian.
 """
 
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction
 
@@ -15,8 +23,10 @@ import pytest
 
 from reference import chain_realize_element, two_sided_verify_hol
 from test_differential import random_models
+from test_structure import scaled_codim4
 
 from crprolong import catalog
+from crprolong.cli import main
 from crprolong.model import QuadricModel
 from crprolong.poly import Poly, PolyVectorField
 from crprolong.prolong import prolong_full
@@ -95,3 +105,69 @@ def test_residuals_match_two_sided_route_non_hermitian():
         cert = verify_hol(field, NON_HERMITIAN)
         assert not cert.verdict
         assert cert.residuals == two_sided_verify_hol(field, NON_HERMITIAN)
+
+
+def rational_codim4():
+    """codim4 with its forms H_j replaced by D H_j D, D = diag(1/3, 1/5, 1, ...):
+    forms with denominators 3, 5 and 15, so each w-degree of a restriction
+    carries its own power of their lcm."""
+    model = catalog.make_codim4().model
+    d = (Fraction(1, 3), Fraction(1, 5)) + (1,) * (model.n - 2)
+    return QuadricModel([[[h.entries[a][b] * (d[a] * d[b]) for b in range(model.n)]
+                          for a in range(model.n)] for h in model.hermitian])
+
+
+TANGENT = ([(f"random{i}-n{m.n}k{m.k}", m) for i, m in enumerate(random_models())]
+           + [("scaled_codim4", scaled_codim4()), ("rational_codim4", rational_codim4())])
+
+
+@pytest.mark.parametrize("name, model", TANGENT, ids=[name for name, _ in TANGENT])
+def test_basis_residuals_match_two_sided_route(name, model):
+    """Every realized basis field is tangent on both routes; i times it is not,
+    nor is it plus a seeded random field (one per degree), and the residual
+    polynomials of those copies are the same on both routes."""
+    result = prolong_full(model)
+    rng = random.Random(SEED)
+    checked = 0
+    for d in result.algebra.degrees():
+        basis = realize_basis(result, d)
+        copies = [f * GR_I for f in basis]
+        copies += [basis[0] + _random_field(rng, model.n, model.k)] if basis else []
+        for field in basis + copies:
+            cert = verify_hol(field, model)
+            assert cert.verdict == (field in basis)
+            assert cert.residuals == two_sided_verify_hol(field, model)
+            checked += 1
+    assert checked == 2 * sum(result.dims.values()) + len(result.dims)
+
+
+def test_rational_codim4_restriction_has_fractional_residuals():
+    model = rational_codim4()
+    assert {x.denominator for p in model.defining_polys()
+            for c in p.terms.values() for x in (c.re, c.im)} == {1, 3, 5, 15}
+    top = realize_basis(prolong_full(model), 4)[0]
+    cert = verify_hol(top * GR_I, model)
+    assert any(c.re.denominator > 1 or c.im.denominator > 1
+               for r in cert.residuals for c in r.terms.values())
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def test_verify_json_matches_two_sided_route_on_non_hermitian_file(tmp_path):
+    """``verify --json`` on a model file with a non-Hermitian form prints the
+    residual text of the two-sided route."""
+    model_path, field_path = tmp_path / "model.json", tmp_path / "field.json"
+    model_path.write_text(json.dumps(NON_HERMITIAN.to_json()), encoding="utf-8")
+    model = QuadricModel.from_json(json.loads(model_path.read_text(encoding="utf-8")))
+    rng = random.Random(SEED + 1)
+    for _ in range(3):
+        field = _random_field(rng, 2, 1)
+        field_path.write_text(json.dumps(field.to_json()), encoding="utf-8")
+        code, out = _run(["verify", "--json", str(model_path), "--field", str(field_path)])
+        assert code == 1
+        assert json.loads(out)["residuals"] == [r.text() for r in two_sided_verify_hol(field, model)]

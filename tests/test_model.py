@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import apply, determinant, j_apply, lt_bracket, reconstruct_model, validate_invariants
+from helpers import (apply, determinant, formal_conjugate, j_apply, lt_bracket, reconstruct_model,
+                     validate_invariants)
 
 from crprolong import catalog
 from crprolong.errors import (
@@ -97,7 +98,7 @@ def test_defining_polys_codim5_second_form():
 def test_defining_polys_are_formally_real():
     for name, m in all_catalog_models():
         for p in m.defining_polys():
-            assert p.formal_conjugate() == p, name
+            assert formal_conjugate(p) == p, name
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import evaluate, total_degree
+from helpers import (apply_field, diff, evaluate, formal_conjugate, min_total_degree, power,
+                     total_degree)
+from reference import monomial_subs
 
 from crprolong.errors import DimensionError, InputError
-from crprolong.poly import Poly, PolyVectorField
+from crprolong.poly import DEGREE_CAP, Poly, PolyVectorField
 from crprolong.scalars import GR_I, GR_ONE, GaussianRational
 
 
@@ -94,10 +96,10 @@ def test_pow_matches_repeated_multiplication():
     p = rand_poly(rng, 2, 1)
     acc = Poly.constant(2, 1, 1)
     for e in range(5):
-        assert p ** e == acc
+        assert power(p, e) == acc
         acc = acc * p
     with pytest.raises(InputError):
-        p ** -1
+        power(p, -1)
 
 
 def test_diff_basics_and_leibniz():
@@ -105,14 +107,14 @@ def test_diff_basics_and_leibniz():
     z1 = Poly.variable(n, k, "z", 0)
     w1 = Poly.variable(n, k, "w", 0)
     p = z1 * z1 * w1
-    assert p.diff("z", 0) == 2 * z1 * w1
-    assert p.diff("w", 0) == z1 * z1
-    assert p.diff("z", 1).is_zero()
+    assert diff(p, "z", 0) == 2 * z1 * w1
+    assert diff(p, "w", 0) == z1 * z1
+    assert diff(p, "z", 1).is_zero()
     rng = random.Random(33)
     for _ in range(20):
         a, b = rand_poly(rng, n, k), rand_poly(rng, n, k)
-        assert (a * b).diff("z", 0) == a.diff("z", 0) * b + a * b.diff("z", 0)
-        assert a.diff("z", 0).diff("w", 1) == a.diff("w", 1).diff("z", 0)
+        assert diff(a * b, "z", 0) == diff(a, "z", 0) * b + a * diff(b, "z", 0)
+        assert diff(diff(a, "z", 0), "w", 1) == diff(diff(a, "w", 1), "z", 0)
 
 
 def test_formal_conjugate():
@@ -122,15 +124,15 @@ def test_formal_conjugate():
     w1 = Poly.variable(n, k, "w", 0)
     wb1 = Poly.variable(n, k, "wb", 0)
     u1 = Poly.variable(n, k, "u", 0)
-    assert (GR_I * z1).formal_conjugate() == -GR_I * zb1
-    assert w1.formal_conjugate() == wb1
-    assert u1.formal_conjugate() == u1
+    assert formal_conjugate(GR_I * z1) == -GR_I * zb1
+    assert formal_conjugate(w1) == wb1
+    assert formal_conjugate(u1) == u1
     rng = random.Random(34)
     for _ in range(20):
         p, q = rand_poly(rng, n, k), rand_poly(rng, n, k)
-        assert p.formal_conjugate().formal_conjugate() == p
-        assert (p * q).formal_conjugate() == p.formal_conjugate() * q.formal_conjugate()
-        assert (p + q).formal_conjugate() == p.formal_conjugate() + q.formal_conjugate()
+        assert formal_conjugate(formal_conjugate(p)) == p
+        assert formal_conjugate(p * q) == formal_conjugate(p) * formal_conjugate(q)
+        assert formal_conjugate(p + q) == formal_conjugate(p) + formal_conjugate(q)
 
 
 def test_subs_is_simultaneous():
@@ -138,11 +140,11 @@ def test_subs_is_simultaneous():
     z1 = Poly.variable(n, k, "z", 0)
     z2 = Poly.variable(n, k, "z", 1)
     p = z1 * z1 + z2
-    swapped = p.subs({("z", 0): z2, ("z", 1): z1})
+    swapped = monomial_subs(p, {("z", 0): z2, ("z", 1): z1})
     assert swapped == z2 * z2 + z1
     # substituting a polynomial
     w1 = Poly.variable(n, k, "w", 0)
-    assert (z1 * z1).subs({("z", 0): w1 + 1}) == w1 * w1 + 2 * w1 + 1
+    assert monomial_subs(z1 * z1, {("z", 0): w1 + 1}) == w1 * w1 + 2 * w1 + 1
 
 
 def test_subs_evaluate_consistency():
@@ -152,7 +154,7 @@ def test_subs_evaluate_consistency():
         p = rand_poly(rng, n, k)
         c = rand_coeff(rng)
         pt = rand_point(rng, n, k)
-        q = p.subs({("z", 0): Poly.constant(n, k, c)})
+        q = monomial_subs(p, {("z", 0): Poly.constant(n, k, c)})
         pt2 = list(pt)
         pt2[0] = c
         assert evaluate(q, pt2) == evaluate(p, pt2)
@@ -176,9 +178,9 @@ def test_degrees_and_zero():
     w = Poly.variable(n, k, "w", 0)
     p = z * z + w
     assert total_degree(p) == 2
-    assert p.min_total_degree() == 1
+    assert min_total_degree(p) == 1
     assert total_degree(Poly.zero(n, k)) is None
-    assert Poly.zero(n, k).min_total_degree() is None
+    assert min_total_degree(Poly.zero(n, k)) is None
     assert not Poly.zero(n, k)
     assert bool(p)
 
@@ -218,10 +220,10 @@ def test_apply_to_is_a_derivation():
     for _ in range(15):
         F = rand_field(rng, n, k)
         p, q = rand_poly(rng, n, k), rand_poly(rng, n, k)
-        assert F.apply_to(p * q) == F.apply_to(p) * q + p * F.apply_to(q)
+        assert apply_field(F, p * q) == apply_field(F, p) * q + p * apply_field(F, q)
         # zb, wb, u content passes through undifferentiated
         zb = Poly.variable(n, k, "zb", 0)
-        assert F.apply_to(zb).is_zero()
+        assert apply_field(F, zb).is_zero()
 
 
 def test_bracket_antisymmetry_and_jacobi():
@@ -242,7 +244,8 @@ def test_bracket_on_polynomials_matches_commutator():
     for _ in range(10):
         A, B = rand_field(rng, n, k, nterms=2), rand_field(rng, n, k, nterms=2)
         p = rand_poly(rng, n, k, kinds=("z", "w"))
-        assert A.bracket(B).apply_to(p) == A.apply_to(B.apply_to(p)) - B.apply_to(A.apply_to(p))
+        assert (apply_field(A.bracket(B), p)
+                == apply_field(A, apply_field(B, p)) - apply_field(B, apply_field(A, p)))
 
 
 def test_euler_field():
@@ -250,9 +253,9 @@ def test_euler_field():
     assert E.weighted_degree() == 0
     z1 = Poly.variable(2, 2, "z", 0)
     w2 = Poly.variable(2, 2, "w", 1)
-    assert E.apply_to(z1) == z1
-    assert E.apply_to(w2) == 2 * w2
-    assert E.apply_to(z1 * w2) == 3 * z1 * w2
+    assert apply_field(E, z1) == z1
+    assert apply_field(E, w2) == 2 * w2
+    assert apply_field(E, z1 * w2) == 3 * z1 * w2
 
 
 def test_weighted_degree():
@@ -323,6 +326,66 @@ def test_field_json_rejects_malformed():
                              "coeff": "(1)+(0)i"})
         with pytest.raises(InputError, match="bad target"):
             PolyVectorField.from_json(bad)
+
+
+def _term(target, z_exp, w_exp, coeff):
+    return {"target": target, "z_exp": z_exp, "w_exp": w_exp, "coeff": coeff}
+
+
+def test_field_json_sums_duplicate_terms_and_drops_cancelling_ones():
+    n, k = 1, 1
+    z = Poly.variable(n, k, "z", 0)
+    data = {"n": n, "k": k, "terms": [
+        _term("z1", [1], [0], "(1)+(0)i"),
+        _term("w1", [0], [1], "(2)+(0)i"),
+        _term("z1", [1], [0], "(1/2)+(1)i"),
+        _term("w1", [2], [0], "(0)+(1/3)i"),
+        _term("w1", [0], [1], "(-2)+(0)i"),
+        _term("z1", [0], [0], "(0)+(0)i"),
+    ]}
+    F = PolyVectorField.from_json(data)
+    assert F == PolyVectorField(n, k, [z * GaussianRational(Fraction(3, 2), 1)],
+                                [z * z * GaussianRational(0, Fraction(1, 3))])
+    assert F.to_json()["terms"] == [_term("z1", [1], [0], "(3/2)+(1)i"),
+                                    _term("w1", [2], [0], "(0)+(1/3)i")]
+    # a component whose terms all cancel is zero
+    data["terms"] = [_term("w1", [0], [1], "(1)+(1)i"), _term("w1", [0], [1], "(-1)+(-1)i")]
+    assert PolyVectorField.from_json(data) == PolyVectorField.zero(n, k)
+
+
+def test_exponent_at_slot_capacity_is_rejected():
+    """An exponent or total degree of DEGREE_CAP would carry into the next
+    packed slot: reading it raises InputError, one below it round-trips."""
+    n, k = 2, 1
+    data = {"n": n, "k": k, "terms": [_term("z1", [0, DEGREE_CAP], [0], "(1)+(0)i")]}
+    with pytest.raises(InputError, match="packed limit"):
+        PolyVectorField.from_json(data)
+    data["terms"] = [_term("z1", [1, DEGREE_CAP - 1], [0], "(1)+(0)i")]
+    with pytest.raises(InputError, match="packed limit"):
+        PolyVectorField.from_json(data)
+    data["terms"] = [_term("w1", [0, DEGREE_CAP - 1], [0], "(1)+(0)i")]
+    assert PolyVectorField.from_json(data).to_json() == data
+    big = Poly(n, k, {(0, DEGREE_CAP, 0, 0, 0, 0, 0): 1})
+    with pytest.raises(InputError, match="packed limit"):
+        PolyVectorField(n, k, [big, Poly.zero(n, k)], [Poly.zero(n, k)])
+
+
+def test_product_and_bracket_past_slot_capacity_are_rejected():
+    n, k = 2, 1
+    zero = Poly.zero(n, k)
+    half = Poly(n, k, {(0, DEGREE_CAP // 2 + 1, 0, 0, 0, 0, 0): 1})    # z2^(CAP/2 + 1)
+    A = PolyVectorField(n, k, [half, zero], [zero])                      # z2^h d/dz1
+    B = PolyVectorField(n, k, [zero, half], [zero])                      # z2^h d/dz2
+    with pytest.raises(InputError, match="packed limit"):
+        A * half
+    with pytest.raises(InputError, match="packed limit"):
+        A.bracket(B)                    # -h z2^(2h - 1) d/dz1
+    # below the limit the same shapes are exact
+    small = Poly(n, k, {(0, 3, 0, 0, 0, 0, 0): 1})
+    a = PolyVectorField(n, k, [small, zero], [zero])
+    b = PolyVectorField(n, k, [zero, small], [zero])
+    z2 = Poly.variable(n, k, "z", 1)
+    assert a.bracket(b) == PolyVectorField(n, k, [z2 * z2 * z2 * z2 * z2 * -3, zero], [zero])
 
 
 def test_field_text():
