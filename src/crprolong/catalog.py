@@ -22,7 +22,7 @@ from fractions import Fraction
 from .errors import InputError
 from .linalg import ExactMatrix
 from .model import QuadricModel
-from .poly import Poly, PolyVectorField
+from .poly import Poly, PolyVectorField, packing
 from .scalars import GR_ZERO, GaussianRational
 
 _I = GaussianRational(0, 1)
@@ -42,6 +42,7 @@ class CatalogEntry:
     description: str
     model: QuadricModel
     known_fields: dict = _dcfield(default_factory=dict)
+    top_degree: int | None = None       # a family's top degree, known before prolonging
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +190,7 @@ def make_so_family(n: int) -> CatalogEntry:
         description=f"quadric in C^{(n + 2) * (n + 1) // 2}; unusually high "
                     "jet-determination order n",
         model=model,
+        top_degree=2 * n - 2,
     )
 
 
@@ -211,6 +213,7 @@ def make_su_family(m: int) -> CatalogEntry:
         name=f"su_family(m={m})",
         description=f"quadric in C^{(m + 1) ** 2}; jet-determination order 2m",
         model=model,
+        top_degree=4 * m - 2,
     )
 
 
@@ -218,25 +221,17 @@ def make_su_family(m: int) -> CatalogEntry:
 # codimension extension
 # ---------------------------------------------------------------------------
 
-def _embed_poly(p: Poly, n2: int, k2: int) -> Poly:
-    n, k = p.n, p.k
-    out = {}
-    for mono, c in p.terms.items():
-        zp, zbp = mono[:n], mono[n:2 * n]
-        wp, wbp = mono[2 * n:2 * n + k], mono[2 * n + k:2 * n + 2 * k]
-        up = mono[2 * n + 2 * k:]
-        pad_n = (0,) * (n2 - n)
-        pad_k = (0,) * (k2 - k)
-        out[zp + pad_n + zbp + pad_n + wp + pad_k + wbp + pad_k + up + pad_k] = c
-    return Poly(n2, k2, out)
-
-
 def _embed_field(f: PolyVectorField, n2: int, k2: int) -> PolyVectorField:
-    zc = [_embed_poly(p, n2, k2) for p in f.z_comps]
-    zc.extend(Poly.zero(n2, k2) for _ in range(n2 - f.n))
-    wc = [_embed_poly(p, n2, k2) for p in f.w_comps]
-    wc.extend(Poly.zero(n2, k2) for _ in range(k2 - f.k))
-    return PolyVectorField(n2, k2, zc, wc)
+    """``f`` in the (z, w) frame of (n2, k2): zero exponents for the new z and
+    w, the same coefficients and denominator, and no new components."""
+    n, k = f.n, f.k
+    unpack, pack = packing(n + k).unpack, packing(n2 + k2).pack
+    pad_z, pad_w = (0,) * (n2 - n), (0,) * (k2 - k)
+    comps = [{pack(e[:n] + pad_z + e[n:] + pad_w): c for m, c in p.items()
+              for e in (unpack(m),)} for p in f.comps]
+    comps[n:n] = [{} for _ in pad_z]
+    comps.extend({} for _ in pad_w)
+    return PolyVectorField._of(n2, k2, f.den, comps)
 
 
 def extend_codim(entry: CatalogEntry, extra: int) -> CatalogEntry:
@@ -263,6 +258,7 @@ def extend_codim(entry: CatalogEntry, extra: int) -> CatalogEntry:
                     "positive-degree symmetries",
         model=model,
         known_fields=fields,
+        top_degree=entry.top_degree,
     )
 
 

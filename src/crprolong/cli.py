@@ -13,7 +13,7 @@ import time
 
 from . import catalog as _catalog
 from .errors import (AlgebraError, CRProlongError, DimensionError, InputError,
-                     InternalCheckError, ValidationError)
+                     InternalCheckError, NonterminationError, ValidationError)
 from .model import QuadricModel, tumanov_search
 from .poly import PolyVectorField
 from .prolong import prolong_full
@@ -33,16 +33,23 @@ def _read_json(path):
 
 
 def _load_model(args):
-    """Model from a positional file or --catalog NAME, plus a display name."""
+    """Model from a positional file or --catalog NAME, plus a display name.
+    A catalog family fails here if --max-degree is not above its top degree
+    (a negative cap is left to the input check of prolong_full)."""
     if getattr(args, "catalog", None):
         entry = _catalog.get(args.catalog, n=getattr(args, "n", None),
                              m=getattr(args, "m", None),
                              extra=getattr(args, "extra", 0) or 0)
-        return entry.model, entry
+        cap, top = getattr(args, "max_degree", -1), entry.top_degree
+        if top is not None and 0 <= cap <= top:
+            raise NonterminationError(
+                f"{entry.name} has top degree {top}, so its prolongation needs "
+                f"--max-degree {top + 1} or more (got {cap})")
+        return entry.model, entry.name
     if not getattr(args, "model", None):
         raise InputError("provide a model file or --catalog NAME")
     data = _read_json(args.model)
-    return QuadricModel.from_json(data), None
+    return QuadricModel.from_json(data), args.model
 
 
 def _write(path, text):
@@ -81,11 +88,10 @@ def _validation(model):
 
 
 def cmd_validate(args) -> int:
-    model, entry = _load_model(args)
+    model, name = _load_model(args)
     report, witness, passed = _validation(model)
     data = report.to_json()
     data["tumanov_witness"] = list(witness) if witness else None
-    name = entry.name if entry else args.model
     lines = [f"model: {name} (n={model.n}, k={model.k})"]
     for j, ok in enumerate(report.hermitian_ok):
         if not ok:
@@ -105,7 +111,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_prolong(args) -> int:
-    model, entry = _load_model(args)
+    model, name = _load_model(args)
     t0 = time.perf_counter()
     result = prolong_full(model, max_degree=args.max_degree)
     if args.structure:
@@ -119,7 +125,6 @@ def cmd_prolong(args) -> int:
         data["jacobi_triples_checked"] = jacobi_count
     if args.timing:
         data["timing_seconds"] = round(elapsed, 3)
-    name = entry.name if entry else args.model
     dims = result.dims
     lines = [f"model: {name} (n={model.n}, k={model.k})",
              "dims by degree: " + " ".join(f"{d}:{dims[d]}" for d in sorted(dims)),
@@ -135,7 +140,7 @@ def cmd_prolong(args) -> int:
 
 
 def cmd_realize(args) -> int:
-    model, entry = _load_model(args)
+    model, _ = _load_model(args)
     result = prolong_full(model, max_degree=args.max_degree)
     b = args.degree
     if b not in result.dims:
@@ -151,7 +156,7 @@ def cmd_realize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    model, entry = _load_model(args)
+    model, _ = _load_model(args)
     raw = _read_json(args.field)
     try:
         frame = json_int(raw["n"]), json_int(raw["k"])
@@ -173,8 +178,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    model, entry = _load_model(args)
-    name = entry.name if entry else args.model
+    model, name = _load_model(args)
     timing = {}
     t0 = time.perf_counter()
     vreport, witness, passed = _validation(model)

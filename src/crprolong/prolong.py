@@ -180,15 +180,11 @@ def _scaled(tables):
 
 
 class _SparseBasis(NamedTuple):
-    """Integer view of the canonical basis of one degree d >= 0, scaled by one
-    denominator ``den``: ``phi[g]`` and ``psi[g]`` are den times the tables of
-    B_g, ``flat[g]`` is den * B_g in the kernel layout as {column: value},
-    ``trailing[g]`` is its last column and ``index`` maps each trailing column
-    back to g.
-    """
+    """Integer view of the canonical basis of one degree d >= 0 over the
+    denominator ``den`` of its integer tables: ``flat[g]`` is den * B_g in the
+    kernel layout as {column: value}, ``trailing[g]`` is its last column and
+    ``index`` maps each trailing column back to g."""
     den: int
-    phi: list
-    psi: list
     flat: tuple
     trailing: tuple
     index: dict
@@ -203,6 +199,7 @@ class GradedLieAlgebra:
         self.pieces = pieces
         self.dims = {d: len(p) for d, p in sorted(pieces.items())}
         self._sc = None
+        self._ints = {}
         self._views = {}
         self._realized = {}             # degree -> realized basis fields (realize.py)
 
@@ -216,16 +213,22 @@ class GradedLieAlgebra:
     def degrees(self):
         return sorted(self.dims)
 
+    def _int_piece(self, d: int):
+        """(den_d, phi, psi): den_d times the tables of each B_m in g_d (d >= -1),
+        scaled once per algebra for ``_sparse``, the brackets and ``realize``."""
+        if d not in self._ints:
+            den, tables = _scaled([[elem[part] for elem in self.pieces[d]] for part in (0, 1)])
+            self._ints[d] = den, *tables
+        return self._ints[d]
+
     def _sparse(self, d: int) -> _SparseBasis:
-        """Integer view of the g_d basis, scaled once and checked once: the phi
-        parts are independent (faithfulness) and each element has a 1 at its
-        trailing column where every other element vanishes (canonical kernel
-        form)."""
+        """Integer view of the g_d basis, built and checked once: the phi parts
+        are independent (faithfulness) and each element has a 1 at its trailing
+        column where every other element vanishes (canonical kernel form)."""
         view = self._views.get(d)
         if view is not None:
             return view
-        piece = self.pieces[d]
-        den, (phi, psi) = _scaled([[phi for phi, _ in piece], [psi for _, psi in piece]])
+        den, phi, psi = self._int_piece(d)
         flat = tuple(_flat(elem, self.dims[d - 1], self.dims[d - 2]) for elem in zip(phi, psi))
         # the phi parts are independent iff the transposed system has no kernel
         nphi = 2 * self.n * self.dims[d - 1]
@@ -234,7 +237,7 @@ class GradedLieAlgebra:
             for c, v in vec.items():
                 if c < nphi:
                     columns.setdefault(c, {})[g] = v
-        if sparse_int_nullspace(columns.values(), len(piece)):
+        if sparse_int_nullspace(columns.values(), len(flat)):
             raise InternalCheckError(
                 f"degree {d} elements are not determined by their g_-1 action")
         trailing = tuple(max(vec) for vec in flat)
@@ -246,7 +249,7 @@ class GradedLieAlgebra:
                     f"its trailing column {t}: value {Fraction(flat[g][t], den)}, also "
                     f"nonzero in elements {others}")
         index = {t: g for g, t in enumerate(trailing)}
-        view = self._views[d] = _SparseBasis(den, phi, psi, flat, trailing, index)
+        view = self._views[d] = _SparseBasis(den, flat, trailing, index)
         return view
 
     def _read_off(self, d: int, vec: dict, den: int):
@@ -281,9 +284,9 @@ class GradedLieAlgebra:
         and shared with every caller; do not mutate them.
 
         The brackets are computed in integers.  Each degree's phi and psi
-        tables are scaled by one denominator (``_sparse``), and so is each
-        (i, j) block, for both orders, when it is finished.  Each block has
-        one denominator for all its pairs (see ``_bracket_pair``).
+        tables are read scaled by one denominator (``_int_piece``), and each
+        (i, j) block is scaled, for both orders, when it is finished.  Each
+        block has one denominator for all its pairs (see ``_bracket_pair``).
         """
         if self._sc is not None:
             return self._sc
@@ -299,8 +302,8 @@ class GradedLieAlgebra:
         # (q = -2) tables
         ints = {}
         for total in range(0, self.top_degree() + 1):
-            view = self._sparse(total)
-            ints[(total, -1)], ints[(total, -2)] = (view.den, view.phi), (view.den, view.psi)
+            den, phi, psi = self._int_piece(total)
+            ints[(total, -1)], ints[(total, -2)] = (den, phi), (den, psi)
             for i in range(0, total // 2 + 1):
                 j = total - i
                 # the denominators of the four terms of _bracket_pair

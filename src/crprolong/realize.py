@@ -25,15 +25,17 @@ each degree is kept on the algebra (``GradedLieAlgebra._realized``, which
 lives as long as the algebra does), and ``realize_element`` only combines
 those fields, in integers over one denominator.
 
-The chain runs on the packed Gaussian-integer core of ``poly``.  Each
-degree's phi and psi tables are scaled to integers once (``prolong._scaled``
-returns den_d and den_d times the tables).  ad_z multiplies an entry of
-degree d by z_a and the Gaussian integer -den_d [B, e_a] + i den_d [B, Je_a],
-ad_w by w_j and -den_d [B, W_j]; the true steps divide by 2 den_d and den_d,
-and those divisors are kept aside.  The degrees an entry passes through
-depend only on its stage (c, d), d steps of ad_w and then c of ad_z, so every
-entry of a stage carries the same divisor S(c, d), the product of those, and
-each unit field is collected over the one denominator lcm(c! d! S(c, d)).
+The chain runs on the packed Gaussian-integer core of ``poly``.  It reads
+each degree's phi and psi tables from the one integer table the algebra keeps
+per degree (``GradedLieAlgebra._int_piece``: den_d and den_d times the
+tables), scaled once per algebra and shared with the structure constants.
+ad_z multiplies an entry of degree d by z_a and the Gaussian integer
+-den_d [B, e_a] + i den_d [B, Je_a], ad_w by w_j and -den_d [B, W_j]; the
+true steps divide by 2 den_d and den_d, and those divisors are kept aside.
+The degrees an entry passes through depend only on its stage (c, d), d steps
+of ad_w and then c of ad_z, so every entry of a stage carries the same divisor
+S(c, d), the product of those, and each unit field is collected over the one
+denominator lcm(c! d! S(c, d)).
 
 The map is real-linear and intertwines brackets up to one global sign:
 ``field_bracket(realize(A), realize(B)) = BRACKET_SIGN * realize([A, B])``
@@ -49,17 +51,11 @@ from math import factorial, lcm
 from .errors import DimensionError, InputError
 from .linalg import sparse_int_nullspace
 from .poly import PolyVectorField, check_degree, gi_add_into, gi_trim, packing
-from .prolong import GradedLieAlgebra, ProlongationResult, _scaled
+from .prolong import GradedLieAlgebra, ProlongationResult
 
 BRACKET_SIGN = -1
 
 _F0 = Fraction(0)
-
-
-def _tables(alg: GradedLieAlgebra, degree: int) -> dict:
-    """(den_d, [phi, psi]) of each degree -1..degree, scaled to integers."""
-    return {d: _scaled([[phi for phi, _ in alg.pieces[d]], [psi for _, psi in alg.pieces[d]]])
-            for d in range(-1, degree + 1)}
 
 
 def _z_action(n: int, phi) -> list:
@@ -75,14 +71,15 @@ def _z_action(n: int, phi) -> list:
     return out
 
 
-def _ad_z(state: dict, tables: dict, actions: dict, units: tuple) -> dict:
+def _ad_z(state: dict, table, actions: dict, units: tuple) -> dict:
     """Apply ad(sum z_a eps_a) times 2 den_d; each entry drops one degree.
-    ``actions`` memoizes ``_z_action`` by (d, m)."""
+    ``table(d)`` is the integer table of g_d; ``actions`` memoizes
+    ``_z_action`` by (d, m)."""
     out = {}
     for (d, m), f in state.items():
         action = actions.get((d, m))
         if action is None:
-            phi = tables[d][1][0][m]
+            phi = table(d)[1][m]
             action = actions[(d, m)] = _z_action(len(phi) // 2, phi)
         for a, coeffs in action:
             for t, re, im in coeffs:
@@ -90,11 +87,11 @@ def _ad_z(state: dict, tables: dict, actions: dict, units: tuple) -> dict:
     return _trimmed(out)
 
 
-def _ad_w(state: dict, tables: dict, units: tuple, n: int) -> dict:
+def _ad_w(state: dict, table, units: tuple, n: int) -> dict:
     """Apply ad(sum w_j W_j) times den_d; each entry drops two degrees."""
     out = {}
     for (d, m), f in state.items():
-        for j, entries in enumerate(tables[d][1][1][m]):
+        for j, entries in enumerate(table(d)[2][m]):
             for t, x in entries:       # [B_m, W_j] = -[W_j, B_m]
                 gi_add_into(out.setdefault((d - 2, t), {}), f, -x, 0, units[n + j])
     return _trimmed(out)
@@ -110,24 +107,24 @@ def _trimmed(state: dict) -> dict:
     return out
 
 
-def _realize_unit(alg: GradedLieAlgebra, tables: dict, degree: int, m: int,
+def _realize_unit(alg: GradedLieAlgebra, degree: int, m: int,
                   actions: dict) -> PolyVectorField:
     """Run the chain on the basis element B_m of g_degree: collect the degree
     -1 and -2 entries of ad_z^c ad_w^d B_m with weight (-1)^(c+d)/(c! d!)."""
-    n, k = alg.n, alg.k
+    n, k, table = alg.n, alg.k, alg._int_piece
     units = packing(n + k).units
     check_degree(degree + 2)            # the largest stage has c + d = degree + 2
     parts = []                          # (component, numerators, re, im, denominator)
     s_d, w_scale = {(degree, m): {0: (1, 0)}}, 1
     for d in range((degree + 2) // 2 + 1):
         if d:
-            w_scale *= tables[degree - 2 * d + 2][0]
-            s_d = _ad_w(s_d, tables, units, n)
+            w_scale *= table(degree - 2 * d + 2)[0]
+            s_d = _ad_w(s_d, table, units, n)
         t, scale = s_d, w_scale
         for c in range(degree + 3 - 2 * d):     # down to degree -2
             if c:
-                scale *= 2 * tables[degree - 2 * d - c + 1][0]
-                t = _ad_z(t, tables, actions, units)
+                scale *= 2 * table(degree - 2 * d - c + 1)[0]
+                t = _ad_z(t, table, actions, units)
             sign, den = (-1) ** (c + d), factorial(c) * factorial(d) * scale
             for (e, i), p in t.items():
                 if e == -2:
@@ -147,11 +144,9 @@ def _basis_fields(alg: GradedLieAlgebra, degree: int) -> tuple:
     """The realized canonical basis of g_degree, computed once per algebra."""
     fields = alg._realized.get(degree)
     if fields is None:
-        dim = alg.dim(degree)
-        tables = _tables(alg, degree) if dim else None
         actions = {}
         fields = alg._realized[degree] = tuple(
-            _realize_unit(alg, tables, degree, m, actions) for m in range(dim))
+            _realize_unit(alg, degree, m, actions) for m in range(alg.dim(degree)))
     return fields
 
 

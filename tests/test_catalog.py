@@ -6,7 +6,7 @@ import pytest
 
 from helpers import SU2_TO_CODIM5, codim4_display_variant
 
-from crprolong import catalog
+from crprolong import catalog, cli
 from crprolong.cli import main
 from crprolong.errors import InputError
 from crprolong.model import tumanov_search
@@ -214,6 +214,38 @@ def test_ladder_report(name):
                              "nonzero": True, "vanishing_order": jet}
 
 
+def test_families_record_their_top_degree():
+    assert catalog.make_so_family(5).top_degree == EXPECTED["so_family(n=5)"]["top_degree"]
+    assert catalog.make_su_family(3).top_degree == EXPECTED["su_family(m=3)"]["top_degree"]
+    assert catalog.make_su_family(4).top_degree == 14
+    assert catalog.get("so_family", n=4, extra=2).top_degree == 6
+    assert catalog.make_codim5().top_degree is None
+
+
+@pytest.mark.parametrize("command", [["prolong"], ["realize", "--degree", "0"], ["report"]])
+def test_family_cap_below_top_fails_before_prolonging(command, monkeypatch, capsys):
+    """su_family(4) has top degree 14: the default cap of 12 is refused with
+    exit 3 before any prolongation runs."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("prolong_full called")
+
+    monkeypatch.setattr(cli, "prolong_full", refuse)
+    code = main([*command, "--catalog", "su_family", "--m", "4"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "su_family(m=4) has top degree 14" in err
+    assert "--max-degree 15 or more (got 12)" in err
+
+
+def test_family_cap_is_top_plus_one(capsys):
+    argv = ["prolong", "--json", "--catalog", "so_family", "--n", "3"]
+    assert main([*argv, "--max-degree", "4"]) == 3
+    assert "needs --max-degree 5 or more (got 4)" in capsys.readouterr().err
+    assert main([*argv, "--max-degree", "5"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["dims"] == {str(d): v for d, v in EXPECTED["so_family(n=3)"]["dims"].items()}
+
+
 def test_family_input_errors():
     with pytest.raises(InputError):
         catalog.make_so_family(2)
@@ -253,6 +285,19 @@ def test_extended_fields_remain_tangent(extended):
         assert verify_hol(f, extended.model).verdict, name
         original = catalog.make_codim5().known_fields[name]
         assert f.weighted_degree() == original.weighted_degree()
+
+
+@pytest.mark.parametrize("name, extra", [("codim5", 1), ("codim5", 2), ("codim4", 1)])
+def test_extended_fields_keep_their_terms(name, extra):
+    """An embedded field has the original's terms, with zero exponents for
+    the new z and w appended."""
+    entry = catalog.get(name)
+    ext = catalog.extend_codim(entry, extra)
+    assert ext.known_fields.keys() == entry.known_fields.keys()
+    for fname, f in entry.known_fields.items():
+        want = [dict(t, z_exp=t["z_exp"] + [0] * extra, w_exp=t["w_exp"] + [0] * extra)
+                for t in f.to_json()["terms"]]
+        assert ext.known_fields[fname].to_json()["terms"] == want, fname
 
 
 def test_extend_heisenberg_gives_product_profile(heisenberg):

@@ -7,6 +7,7 @@ from helpers import (abstract_bracket, basis_index, grading_element_coeffs,
                      realized_basis_map, sigma_sweep)
 from reference import dense_express_in_span
 
+from crprolong import prolong, realize
 from crprolong.errors import DimensionError, InputError
 from crprolong.poly import Poly, PolyVectorField
 from crprolong.realize import (
@@ -251,3 +252,28 @@ def test_realize_basis_returns_a_new_list(codim5_result):
 def test_realize_basis_of_vanishing_degree(heisenberg_result):
     assert realize_basis(heisenberg_result, 3) == []
     assert realize_basis(heisenberg_result, 17) == []
+
+
+def test_piece_tables_are_scaled_once_per_algebra(codim5, monkeypatch):
+    """Realizing every degree and then computing the structure constants
+    scales the phi/psi tables of each degree -1..6 exactly once: both read the
+    one integer table the algebra keeps per degree."""
+    result = prolong.prolong_full(codim5.model, use_cache=False)
+    alg = result.algebra
+    scaled = prolong._scaled
+    calls = []
+
+    def counting(tables):
+        calls.append(tables)
+        return scaled(tables)
+
+    for module in (prolong, realize):       # wherever the helper is bound
+        if hasattr(module, "_scaled"):
+            monkeypatch.setattr(module, "_scaled", counting)
+    for d in alg.degrees():
+        realize_basis(result, d)
+    alg.structure_constants()
+    counts = {d: sum(t == [[phi for phi, _ in piece], [psi for _, psi in piece]]
+                     for t in calls)
+              for d, piece in alg.pieces.items() if d >= -1}
+    assert counts == {d: 1 for d in range(-1, 7)}
