@@ -22,7 +22,7 @@ from fractions import Fraction
 from .errors import InputError
 from .linalg import ExactMatrix
 from .model import QuadricModel
-from .poly import Poly, PolyVectorField, packing
+from .poly import PolyVectorField, gi_integral, gi_mul_into, gi_trim, packing
 from .scalars import GR_ZERO, GaussianRational
 
 _I = GaussianRational(0, 1)
@@ -49,15 +49,15 @@ class CatalogEntry:
 # codimension 5 in C^9
 # ---------------------------------------------------------------------------
 
-def _linear_field(n, k, comps) -> PolyVectorField:
-    """Field sum c_{a,b} z_b d/dz_a from {target a: [(coeff, source b), ...]}."""
-    z = [Poly.zero(n, k)] * n
-    for a, terms in comps.items():
-        p = Poly.zero(n, k)
-        for coeff, b in terms:
-            p = p + Poly.variable(n, k, "z", b) * coeff
-        z[a] = p
-    return PolyVectorField(n, k, z, [Poly.zero(n, k)] * k)
+def _field(n, k, table, factor=None) -> PolyVectorField:
+    """The field with components {index: {monomial: coefficient}} (z_1..z_n,
+    then w_1..w_k, numbered from 0), times the polynomial ``factor`` if one is
+    given.  A monomial is packed in the (z, w) frame, so it is the sum of the
+    ``packing(n + k).units`` of its variables, repeated for powers."""
+    polys = [table.get(i, {}) for i in range(n + k)] + [factor or {0: 1}]
+    den, (*comps, f) = gi_integral([{m: GaussianRational(c) for m, c in p.items()}
+                                    for p in polys])
+    return PolyVectorField._of(n, k, den * den, [gi_trim(gi_mul_into({}, p, f)) for p in comps])
 
 
 def make_codim5() -> CatalogEntry:
@@ -70,39 +70,25 @@ def make_codim5() -> CatalogEntry:
         _mat(n, {(1, 1): 1}),                                # |z2|^2
     ]
     model = QuadricModel(hermitian)
-
-    X = _linear_field(n, k, {2: [(_I, 0)], 3: [(_I, 1)]})
-    Y = _linear_field(n, k, {2: [(GaussianRational(1), 0)], 3: [(GaussianRational(-1), 1)]})
-    Z = _linear_field(n, k, {3: [(_I, 0)]})
-    U = _linear_field(n, k, {2: [(_I, 1)]})
-
-    w = [Poly.variable(n, k, "w", j) for j in range(k)]
-    w1, w2, w4, w5 = w[0], w[1], w[3], w[4]
+    z1, z2, _, _, w1, w2, _, w4, w5 = packing(n + k).units
     half = Fraction(1, 2)
-    T = (Y * (w1 * w1 * -half + w2 * w2 * half + w4 * w5 * 2)
-         + X * (w1 * w2)
-         - Z * (w2 * w5 * 2)
-         - U * (w2 * w4 * 2))
 
-    # degree-6 field: coefficients cubic/quartic in w
-    c1 = w1 * w1 * w1 * 2 + w1 * w2 * w2 * 2 - w1 * w4 * w5 * 8
-    c2 = w1 * w1 * w2 * 2 + w2 * w2 * w2 * 2 - w2 * w4 * w5 * 8
-    c3 = w1 * w1 * w4 * -4 - w2 * w2 * w4 * 4 + w4 * w4 * w5 * 16
-    c4 = w1 * w1 * w5 * -4 - w2 * w2 * w5 * 4 + w4 * w5 * w5 * 16
-    head = (w1 * w1 * w1 * w1 * -3 - w1 * w1 * w2 * w2 * 6 + w1 * w1 * w4 * w5 * 24
-            - w2 * w2 * w2 * w2 * 3 + w2 * w2 * w4 * w5 * 24 - w4 * w4 * w5 * w5 * 48)
-    z1 = Poly.variable(n, k, "z", 0)
-    z2 = Poly.variable(n, k, "z", 1)
-    zero = Poly.zero(n, k)
-    F = PolyVectorField(
-        n, k,
-        [zero, zero,
-         (c1 - c2 * _I) * z1 + c3 * z2,
-         (c1 + c2 * _I) * z2 + c4 * z1],
-        [zero, zero,
-         head + w1 * c1 * 2 + w2 * c2 * 2 + w[4] * c3 * 2 + w[3] * c4 * 2,
-         zero, zero],
-    )
+    X = _field(n, k, {2: {z1: _I}, 3: {z2: _I}})
+    Y = _field(n, k, {2: {z1: 1}, 3: {z2: -1}})
+    Z = _field(n, k, {3: {z1: _I}})
+    U = _field(n, k, {2: {z2: _I}})
+    # T = (-w1^2/2 + w2^2/2 + 2 w4 w5) Y + w1 w2 X - 2 w2 w5 Z - 2 w2 w4 U
+    T = _field(n, k, {
+        2: {z1 + w1 + w1: -half, z1 + w2 + w2: half, z1 + w4 + w5: 2,
+            z1 + w1 + w2: _I, z2 + w2 + w4: -2 * _I},
+        3: {z2 + w1 + w1: half, z2 + w2 + w2: -half, z2 + w4 + w5: -2,
+            z2 + w1 + w2: _I, z1 + w2 + w5: -2 * _I}})
+    # degree-6 field F = Q (2 (w1 - i w2) z1 d/dz3 - 4 w4 z2 d/dz3
+    #                      + 2 (w1 + i w2) z2 d/dz4 - 4 w5 z1 d/dz4 + Q d/dw3)
+    Q = {w1 + w1: 1, w2 + w2: 1, w4 + w5: -4}
+    F = _field(n, k, {2: {z1 + w1: 2, z1 + w2: -2 * _I, z2 + w4: -4},
+                      3: {z2 + w1: 2, z2 + w2: 2 * _I, z1 + w5: -4},
+                      n + 2: Q}, Q)
 
     return CatalogEntry(
         name="codim5",
@@ -132,18 +118,10 @@ def make_codim4() -> CatalogEntry:
     ]
     model = QuadricModel(hermitian)
 
-    z = [Poly.variable(n, k, "z", a) for a in range(n)]
-    w = [Poly.variable(n, k, "w", j) for j in range(k)]
-    zero = Poly.zero(n, k)
-    w1, w2, w3 = w[0], w[1], w[2]
-    G = PolyVectorField(
-        n, k,
-        [zero, zero, zero,
-         (w1 * w2 * z[2] + w2 * w2 * z[0] - w2 * w3 * z[1]) * _I,
-         (w1 * w3 * z[2] + w2 * w3 * z[0] - w3 * w3 * z[1]) * -_I,
-         (w1 * w1 * z[2] + w1 * w2 * z[0] - w1 * w3 * z[1]) * _I],
-        [zero] * k,
-    )
+    z1, z2, z3, _, _, _, w1, w2, w3, _ = packing(n + k).units
+    # G = (w1 z3 + w2 z1 - w3 z2) (i w2 d/dz4 - i w3 d/dz5 + i w1 d/dz6)
+    G = _field(n, k, {3: {w2: _I}, 4: {w3: -_I}, 5: {w1: _I}},
+               {w1 + z3: 1, w2 + z1: 1, w3 + z2: -1})
 
     return CatalogEntry(
         name="codim4",
@@ -176,21 +154,39 @@ def _so_pairs(n):
     return pairs
 
 
+def family_top(name: str, n=None, m=None):
+    """(entry name, top degree) of a parametric family, from its parameter
+    alone, before any form is built: so_family(n) has top degree 2n - 2 and
+    su_family(m) 4m - 2.  None for the other entries."""
+    if name == "so_family":
+        if n is None:
+            raise InputError("so_family requires --n")
+        if n < 3:
+            raise InputError("so family needs n >= 3")
+        return f"so_family(n={n})", 2 * n - 2
+    if name == "su_family":
+        if m is None:
+            raise InputError("su_family requires --m")
+        if m < 2:
+            raise InputError("su family needs m >= 2")
+        return f"su_family(m={m})", 4 * m - 2
+    return None
+
+
 def make_so_family(n: int) -> CatalogEntry:
     """Quadric on z_1..z_n, z'_1..z'_n: one antisymmetric pair form per pair of
     base variables plus the coupling sum z_j zb'_j + z'_j zb_j."""
-    if n < 3:
-        raise InputError("so family needs n >= 3")
+    name, top = family_top("so_family", n=n)
     nn = 2 * n
     hermitian = [_pair_matrix(nn, a, b) for a, b in _so_pairs(n)]
     hermitian.append(_mat(nn, {key: 1 for j in range(n) for key in ((j, n + j), (n + j, j))}))
     model = QuadricModel(hermitian)
     return CatalogEntry(
-        name=f"so_family(n={n})",
+        name=name,
         description=f"quadric in C^{(n + 2) * (n + 1) // 2}; unusually high "
                     "jet-determination order n",
         model=model,
-        top_degree=2 * n - 2,
+        top_degree=top,
     )
 
 
@@ -198,8 +194,7 @@ def make_su_family(m: int) -> CatalogEntry:
     """Quadric on z_1..z_m, z'_1..z'_m: all real pair forms, all imaginary
     pair forms, all squares |z_a|^2, plus the reversed coupling
     sum z_j zb'_{m+1-j} + z'_{m+1-j} zb_j."""
-    if m < 2:
-        raise InputError("su family needs m >= 2")
+    name, top = family_top("su_family", m=m)
     nn = 2 * m
     hermitian = [_mat(nn, {(a, b): 1, (b, a): 1})
                  for a in range(m) for b in range(a + 1, m)]
@@ -210,10 +205,10 @@ def make_su_family(m: int) -> CatalogEntry:
                                for key in ((j, 2 * m - 1 - j), (2 * m - 1 - j, j))}))
     model = QuadricModel(hermitian)
     return CatalogEntry(
-        name=f"su_family(m={m})",
+        name=name,
         description=f"quadric in C^{(m + 1) ** 2}; jet-determination order 2m",
         model=model,
-        top_degree=4 * m - 2,
+        top_degree=top,
     )
 
 
@@ -282,13 +277,9 @@ def get(name: str, n=None, m=None, extra: int = 0) -> CatalogEntry:
     if name in _BUILDERS:
         entry = _BUILDERS[name]()
     elif name == "so_family":
-        if n is None:
-            raise InputError("so_family requires --n")
-        entry = make_so_family(int(n))
+        entry = make_so_family(n)
     elif name == "su_family":
-        if m is None:
-            raise InputError("su_family requires --m")
-        entry = make_su_family(int(m))
+        entry = make_su_family(m)
     else:
         raise InputError(f"unknown catalog entry {name!r}; choices: {', '.join(names())}")
     if extra:

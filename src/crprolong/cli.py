@@ -1,7 +1,8 @@
 """Command-line interface: validate, prolong, realize, verify, report, catalog.
 
 Exit codes: 0 success; 1 domain failure (invalid or degenerate model, failed
-verification); 2 input/parse error; 3 internal consistency failure.  All JSON
+verification); 2 input/parse error; 3 internal consistency failure or a
+degree cap too low for the prolongation to terminate.  All JSON
 output is deterministic: sorted keys, no timing data unless --timing is given
 (and then only in a section that certificates do not cover).
 """
@@ -34,17 +35,19 @@ def _read_json(path):
 
 def _load_model(args):
     """Model from a positional file or --catalog NAME, plus a display name.
-    A catalog family fails here if --max-degree is not above its top degree
-    (a negative cap is left to the input check of prolong_full)."""
+    A catalog family fails here, before any form is built, if --max-degree is
+    not above its top degree (a negative cap is left to the input check of
+    prolong_full)."""
     if getattr(args, "catalog", None):
-        entry = _catalog.get(args.catalog, n=getattr(args, "n", None),
-                             m=getattr(args, "m", None),
-                             extra=getattr(args, "extra", 0) or 0)
-        cap, top = getattr(args, "max_degree", -1), entry.top_degree
-        if top is not None and 0 <= cap <= top:
+        n, m = getattr(args, "n", None), getattr(args, "m", None)
+        family = _catalog.family_top(args.catalog, n, m)
+        cap = getattr(args, "max_degree", -1)
+        if family and 0 <= cap <= family[1]:
+            name, top = family
             raise NonterminationError(
-                f"{entry.name} has top degree {top}, so its prolongation needs "
+                f"{name} has top degree {top}, so its prolongation needs "
                 f"--max-degree {top + 1} or more (got {cap})")
+        entry = _catalog.get(args.catalog, n=n, m=m, extra=getattr(args, "extra", 0) or 0)
         return entry.model, entry.name
     if not getattr(args, "model", None):
         raise InputError("provide a model file or --catalog NAME")
@@ -370,6 +373,9 @@ def main(argv=None) -> int:
     except (ValidationError, AlgebraError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except NonterminationError as exc:
+        print(f"degree cap too low: {exc}", file=sys.stderr)
+        return 3
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 3

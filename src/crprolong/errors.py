@@ -2,7 +2,8 @@
 
 The CLI maps these onto exit codes: domain failures (a mathematically
 well-posed "no") exit 1, malformed input exits 2, violated internal
-assertions (closure, Jacobi, nontermination) exit 3.
+assertions (closure, Jacobi) exit 3, and so does a prolongation not
+terminated below the degree cap, with its own wording.
 """
 
 

@@ -30,7 +30,6 @@ from typing import Optional
 
 from .errors import AlgebraError, DegenerateModelError, DimensionError, InputError
 from .linalg import ExactMatrix, gi_bareiss
-from .poly import Poly
 from .scalars import GaussianRational, json_int
 
 
@@ -87,21 +86,6 @@ class QuadricModel:
 
     def fingerprint(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
-
-    # -- defining polynomials ----------------------------------------------
-    def defining_polys(self):
-        """P_j(z, zb) = z H_j z*; the model is Im w_j = P_j."""
-        out = []
-        for h in self.hermitian:
-            p = Poly.zero(self.n, self.k)
-            for a in range(self.n):
-                for b in range(self.n):
-                    c = h[a, b]
-                    if c:
-                        p = p + Poly.variable(self.n, self.k, "z", a) \
-                            * Poly.variable(self.n, self.k, "zb", b) * c
-            out.append(p)
-        return out
 
     # -- validation ------------------------------------------------------------
     def validate(self, definiteness_bound: int = 1) -> "ValidationReport":

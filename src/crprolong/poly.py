@@ -1,15 +1,16 @@
 """Sparse exact polynomials and holomorphic polynomial vector fields.
 
-``Poly`` is the exchange type.  It lives in the full variable frame of a
-model size (n, k): complex variables z_1..z_n, their formal conjugates
-zb_1..zb_n, w_1..w_k, wb_1..wb_k, and real variables u_1..u_k (the real
-parts of w on the quadric).  The conjugates are independent symbols —
-tangency checking works with polarized identities, never with numeric
-conjugation.  Monomials are exponent tuples of length 2n + 3k in the variable
-order z < zb < w < wb < u (each block ordered by index); the canonical term
-order is graded lexicographic, printed highest first.  Coefficients are
-Gaussian rationals.  Defining polynomials, tangency residuals and the
-components read off a field are Polys.
+``Poly`` is the read-only exchange and print view.  It lives in the full
+variable frame of a model size (n, k): complex variables z_1..z_n, their
+formal conjugates zb_1..zb_n, w_1..w_k, wb_1..wb_k, and real variables
+u_1..u_k (the real parts of w on the quadric).  The conjugates are
+independent symbols — tangency checking works with polarized identities,
+never with numeric conjugation.  Monomials are exponent tuples of length
+2n + 3k in the variable order z < zb < w < wb < u (each block ordered by
+index); the canonical term order is graded lexicographic, printed highest
+first.  Coefficients are Gaussian rationals.  Tangency residuals and the
+components read off a field are Polys; a Poly has no arithmetic, as every
+computation runs on the packed core below.
 
 ``PolyVectorField`` computes on a compact core.  Its coefficients are
 holomorphic, so they live in the packed (z, w) frame: n + k exponent slots
@@ -33,10 +34,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add
 
 from .errors import DimensionError, InputError
-from .scalars import GR_ONE, GaussianRational, json_int
+from .scalars import GaussianRational, json_int
 
 SLOT_BITS = 16
 DEGREE_CAP = 1 << SLOT_BITS            # every total degree stays below this
@@ -47,29 +47,9 @@ def _nvars(n: int, k: int) -> int:
     return 2 * n + 3 * k
 
 
-def _add_into(out: dict, terms) -> dict:
-    """Add the (monomial, coefficient) pairs ``terms`` into ``out`` in place,
-    dropping the sums that cancel."""
-    for m, c in terms:
-        s = out.get(m)
-        if s is None:
-            out[m] = c
-        else:
-            s = s + c
-            if s:
-                out[m] = s
-            else:
-                del out[m]
-    return out
-
-
-def _block(n: int, k: int, kind: str) -> int:
-    """Monomial position of the first variable of ``kind``."""
-    return {"z": 0, "zb": n, "w": 2 * n, "wb": 2 * n + k, "u": 2 * n + 2 * k}[kind]
-
-
 class Poly:
-    """Multivariate polynomial over Q(i) in the (z, zb, w, wb, u) frame."""
+    """Multivariate polynomial over Q(i) in the (z, zb, w, wb, u) frame,
+    read-only."""
 
     __slots__ = ("n", "k", "terms")
 
@@ -90,9 +70,9 @@ class Poly:
 
     @classmethod
     def _of(cls, n: int, k: int, terms: dict) -> "Poly":
-        """Wrap ``terms`` without checks: for results of the arithmetic here,
-        whose monomials fit the frame and whose coefficients are nonzero
-        GaussianRationals by construction."""
+        """Wrap ``terms`` without checks: for terms unpacked from the packed
+        core, whose monomials fit the frame and whose coefficients are
+        nonzero GaussianRationals by construction."""
         p = object.__new__(cls)
         object.__setattr__(p, "n", n)
         object.__setattr__(p, "k", k)
@@ -102,62 +82,9 @@ class Poly:
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Poly is immutable")
 
-    @staticmethod
-    def zero(n, k) -> "Poly":
-        return Poly._of(n, k, {})
-
-    @staticmethod
-    def constant(n, k, c) -> "Poly":
-        return Poly(n, k, {(0,) * _nvars(n, k): c})
-
-    @staticmethod
-    def variable(n, k, kind: str, index: int) -> "Poly":
-        """kind in {'z','zb','w','wb','u'}, index 0-based."""
-        size = {"z": n, "zb": n, "w": k, "wb": k, "u": k}
-        if kind not in size:
-            raise InputError(f"unknown variable kind {kind!r}")
-        if not 0 <= index < size[kind]:
-            raise InputError(f"variable index out of range: {kind}{index + 1}")
-        mono = [0] * _nvars(n, k)
-        mono[_block(n, k, kind) + index] = 1
-        return Poly._of(n, k, {tuple(mono): GR_ONE})
-
-    def _compat(self, other: "Poly"):
-        if self.n != other.n or self.k != other.k:
-            raise DimensionError("polynomials from different variable frames")
-
-    # -- ring operations ------------------------------------------------
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = Poly.constant(self.n, self.k, other)
-        self._compat(other)
-        return Poly._of(self.n, self.k, _add_into(dict(self.terms), other.terms.items()))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly._of(self.n, self.k, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Poly) else -GaussianRational(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            c = GaussianRational(other)
-            if not c:
-                return Poly.zero(self.n, self.k)
-            return Poly._of(self.n, self.k, {m: v * c for m, v in self.terms.items()})
-        if not isinstance(other, Poly):
-            return NotImplemented
-        self._compat(other)
-        return Poly._of(self.n, self.k, _add_into({}, (
-            (tuple(map(add, m1, m2)), c1 * c2)
-            for m1, c1 in self.terms.items() for m2, c2 in other.terms.items())))
-
-    __rmul__ = __mul__
+    @classmethod
+    def zero(cls, n, k) -> "Poly":
+        return cls._of(n, k, {})
 
     # -- queries ---------------------------------------------------------
     def is_zero(self) -> bool:
@@ -167,8 +94,6 @@ class Poly:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = Poly.constant(self.n, self.k, other)
         if not isinstance(other, Poly):
             return NotImplemented
         return self.n == other.n and self.k == other.k and self.terms == other.terms
@@ -197,8 +122,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly[{self.text()}]"
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -441,17 +364,7 @@ class PolyVectorField:
         return PolyVectorField.combination(self.n, self.k, ((self, 1), (other, -1)))
 
     def __mul__(self, c):
-        """Product with a scalar, or with a (z, w) Poly."""
-        if isinstance(c, Poly):
-            n, k = self.n, self.k
-            if c.n != n or c.k != k:
-                raise DimensionError("polynomials from different variable frames")
-            pk = packing(n + k)
-            cden, (q,) = gi_integral([_holomorphic(c, pk)])
-            if q and any(self.comps):
-                check_degree(_max_degree(self.comps, pk.top) + _max_degree([q], pk.top))
-            return PolyVectorField._of(n, k, self.den * cden,
-                                       [gi_trim(gi_mul_into({}, p, q)) for p in self.comps])
+        """Product with a scalar."""
         if not isinstance(c, (int, Fraction, GaussianRational)):
             return NotImplemented
         return PolyVectorField.combination(self.n, self.k, ((self, c),))

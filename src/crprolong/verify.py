@@ -92,14 +92,16 @@ class _Surface:
         self.model = model
         n, k = model.n, model.k
         pk = packing(2 * n + k)
-        q, P = gi_integral([{pk.pack(m[:2 * n] + m[2 * n + 2 * k:]): c for m, c in p.terms.items()}
-                            for p in model.defining_polys()])
+        units = pk.units                # z_a is units[a], zb_b is units[n + b]
+        q, P = gi_integral([{units[a] + units[n + b]: h[a, b]
+                             for a in range(n) for b in range(n) if h[a, b]}
+                            for h in model.hermitian])
         self.q = q
         self.dP = [[{m: (2 * im, -2 * re) for m, (re, im) in gi_diff(p, pk, a).items()}
                     for a in range(n)] for p in P]
         self.swap = _swapper(n, k)
         conj = [{self.swap(m): (re, -im) for m, (re, im) in p.items()} for p in P]
-        u = pk.units[2 * n:]
+        u = units[2 * n:]
         self.maps = [_w_map(P, u, q)]
         if conj != P:
             self.maps.append(_w_map(conj, u, q))

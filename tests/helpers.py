@@ -1,22 +1,159 @@
 """Shared test helpers: realized fields against the abstract algebra,
 certificate checks on the catalog's known fields, test vectors for the
-catalog models, and small operations that only tests need (exact evaluation,
-the real predicate, total degrees, derivatives, formal conjugates, powers and
-the action of a field on a Poly, identity and zero matrices, matrix-vector
+catalog models, the reference polynomial ring (``Poly``: the library's
+read-only Poly with ``variable``, ``constant``, ``+``, ``-`` and ``*``, and
+the product of a field with a Poly), and small operations that only tests
+need (the defining polynomials of a model, exact evaluation, the real
+predicate, total degrees, derivatives, formal conjugates, powers and the
+action of a field on a Poly, identity and zero matrices, matrix-vector
 products and determinants, the bracket and J on g_{-1}, the invariants of a
 Levi-Tanaka algebra and the forms read back from its brackets, the grading
 element and its check, and the structure constants with zeros filled in)."""
 
 from fractions import Fraction
 from math import lcm
+from operator import add
 
+from crprolong import poly as _poly
 from crprolong.errors import AlgebraError, DimensionError, InputError, InternalCheckError
 from crprolong.linalg import ExactMatrix, gi_bareiss
 from crprolong.model import QuadricModel
-from crprolong.poly import Poly, PolyVectorField
+from crprolong.poly import (PolyVectorField, _holomorphic, _max_degree, check_degree,
+                            gi_integral, gi_mul_into, gi_trim, packing)
 from crprolong.realize import BRACKET_SIGN, realize_element
 from crprolong.scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational
 from crprolong.verify import jet_certificate, verify_hol
+
+
+# ---------------------------------------------------------------------------
+# the reference polynomial ring
+# ---------------------------------------------------------------------------
+
+def _add_into(out: dict, terms) -> dict:
+    """Add the (monomial, coefficient) pairs ``terms`` into ``out`` in place,
+    dropping the sums that cancel."""
+    for m, c in terms:
+        s = out.get(m)
+        if s is None:
+            out[m] = c
+        else:
+            s = s + c
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    return out
+
+
+def _block(n: int, k: int, kind: str) -> int:
+    """Monomial position of the first variable of ``kind``."""
+    return {"z": 0, "zb": n, "w": 2 * n, "wb": 2 * n + k, "u": 2 * n + 2 * k}[kind]
+
+
+class Poly(_poly.Poly):
+    """The library's Poly with the ring operations, on the full-frame terms.
+
+    Every result is of this class.  A library Poly (a residual, a field
+    component) mixes with it in ``+``, ``-``, ``*`` and ``==``; ``ring``
+    wraps one for arithmetic of its own.  A (z, w) Poly times a field is the
+    field with every component multiplied (``field_times``)."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def constant(n, k, c) -> "Poly":
+        return Poly(n, k, {(0,) * (2 * n + 3 * k): c})
+
+    @staticmethod
+    def variable(n, k, kind: str, index: int) -> "Poly":
+        """kind in {'z','zb','w','wb','u'}, index 0-based."""
+        size = {"z": n, "zb": n, "w": k, "wb": k, "u": k}
+        if kind not in size:
+            raise InputError(f"unknown variable kind {kind!r}")
+        if not 0 <= index < size[kind]:
+            raise InputError(f"variable index out of range: {kind}{index + 1}")
+        mono = [0] * (2 * n + 3 * k)
+        mono[_block(n, k, kind) + index] = 1
+        return Poly._of(n, k, {tuple(mono): GR_ONE})
+
+    def _compat(self, other: "Poly"):
+        if self.n != other.n or self.k != other.k:
+            raise DimensionError("polynomials from different variable frames")
+
+    # -- ring operations ------------------------------------------------
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            other = Poly.constant(self.n, self.k, other)
+        self._compat(other)
+        return Poly._of(self.n, self.k, _add_into(dict(self.terms), other.terms.items()))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Poly._of(self.n, self.k, {m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-ring(other) if isinstance(other, _poly.Poly)
+                       else -GaussianRational(other))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, PolyVectorField):
+            return field_times(other, self)
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            c = GaussianRational(other)
+            if not c:
+                return Poly.zero(self.n, self.k)
+            return Poly._of(self.n, self.k, {m: v * c for m, v in self.terms.items()})
+        if not isinstance(other, _poly.Poly):
+            return NotImplemented
+        self._compat(other)
+        return Poly._of(self.n, self.k, _add_into({}, (
+            (tuple(map(add, m1, m2)), c1 * c2)
+            for m1, c1 in self.terms.items() for m2, c2 in other.terms.items())))
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            other = Poly.constant(self.n, self.k, other)
+        return super().__eq__(other)
+
+
+def ring(p) -> Poly:
+    """A library Poly as a reference-ring Poly (the terms are shared, and
+    neither side changes them)."""
+    return Poly._of(p.n, p.k, p.terms)
+
+
+def field_times(field: PolyVectorField, c) -> PolyVectorField:
+    """The product of a field with a (z, w) Poly."""
+    n, k = field.n, field.k
+    if c.n != n or c.k != k:
+        raise DimensionError("polynomials from different variable frames")
+    pk = packing(n + k)
+    cden, (q,) = gi_integral([_holomorphic(c, pk)])
+    if q and any(field.comps):
+        check_degree(_max_degree(field.comps, pk.top) + _max_degree([q], pk.top))
+    return PolyVectorField._of(n, k, field.den * cden,
+                               [gi_trim(gi_mul_into({}, p, q)) for p in field.comps])
+
+
+def defining_polys(model):
+    """P_j(z, zb) = z H_j z*; the model is Im w_j = P_j."""
+    out = []
+    for h in model.hermitian:
+        p = Poly.zero(model.n, model.k)
+        for a in range(model.n):
+            for b in range(model.n):
+                c = h[a, b]
+                if c:
+                    p = p + Poly.variable(model.n, model.k, "z", a) \
+                        * Poly.variable(model.n, model.k, "zb", b) * c
+        out.append(p)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +216,7 @@ def min_total_degree(p):
 
 def _position(p, kind: str, index: int) -> int:
     """Monomial position of a variable of ``p``'s frame."""
-    n, k = p.n, p.k
-    return {"z": 0, "zb": n, "w": 2 * n, "wb": 2 * n + k, "u": 2 * n + 2 * k}[kind] + index
+    return _block(p.n, p.k, kind) + index
 
 
 def diff(p, kind: str, index: int) -> Poly:
@@ -377,7 +513,7 @@ def check_rotation_identities(model, X, Y, Z, U) -> dict:
 
     Returns a dict of named booleans (all True on the shipped data).
     """
-    P = model.defining_polys()
+    P = defining_polys(model)
     i = GaussianRational(0, 1)
     app = {name: [apply_field(f, p) for p in P] for name, f in
            [("X", X), ("Y", Y), ("Z", Z), ("U", U)]}

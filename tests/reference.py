@@ -45,13 +45,13 @@ Tests compare the two routes entry by entry.
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
-from helpers import determinant, diff, formal_conjugate
+from helpers import Poly, defining_polys, determinant, diff, formal_conjugate, ring
 
 from crprolong.errors import (AlgebraError, DegenerateModelError, DimensionError,
                               InputError, InternalCheckError)
 from crprolong.linalg import ExactMatrix
 from crprolong.model import _signed_tuples
-from crprolong.poly import Poly, PolyVectorField
+from crprolong.poly import PolyVectorField
 from crprolong.scalars import GR_ONE, GR_ZERO, GaussianRational
 
 _F0 = Fraction(0)
@@ -551,7 +551,7 @@ def monomial_subs(p, mapping):
 
 def two_sided_surface_restriction(p, model):
     """Substitute w -> u + iP, conj(w) -> u - iP into ``p``."""
-    P = model.defining_polys()
+    P = defining_polys(model)
     i = GaussianRational(0, 1)
     mapping = {}
     for j in range(model.k):
@@ -566,11 +566,11 @@ def two_sided_verify_hol(field, model):
     restriction of Re(X rho_j) = (expr + conj(expr)) / 2 for every j."""
     if field.n != model.n or field.k != model.k:
         raise DimensionError("field and model have different (n, k)")
-    P = model.defining_polys()
+    P = defining_polys(model)
     half_over_i = GaussianRational(0, Fraction(-1, 2))
     residuals = []
     for j in range(model.k):
-        expr = field.w_comps[j] * half_over_i
+        expr = ring(field.w_comps[j]) * half_over_i
         for a in range(model.n):
             f = field.z_comps[a]
             if f:

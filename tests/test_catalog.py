@@ -4,13 +4,12 @@ import json
 
 import pytest
 
-from helpers import SU2_TO_CODIM5, codim4_display_variant
+from helpers import SU2_TO_CODIM5, Poly, codim4_display_variant, defining_polys
 
 from crprolong import catalog, cli
 from crprolong.cli import main
 from crprolong.errors import InputError
 from crprolong.model import tumanov_search
-from crprolong.poly import Poly
 from crprolong.prolong import prolong_full
 from crprolong.realize import express_in_span, realize_basis
 from crprolong.scalars import GR_I
@@ -70,12 +69,12 @@ def test_codim5_second_defining_poly(codim5):
     n, k = 4, 5
     z1, z2 = Poly.variable(n, k, "z", 0), Poly.variable(n, k, "z", 1)
     zb1, zb2 = Poly.variable(n, k, "zb", 0), Poly.variable(n, k, "zb", 1)
-    P = codim5.model.defining_polys()
+    P = defining_polys(codim5.model)
     assert P[1] == -GR_I * z1 * zb2 + GR_I * z2 * zb1
 
 
 def test_codim5_quadratic_syzygy(codim5):
-    P = codim5.model.defining_polys()
+    P = defining_polys(codim5.model)
     assert (P[0] * P[0] + P[1] * P[1] - 4 * P[3] * P[4]).is_zero()
 
 
@@ -235,6 +234,19 @@ def test_family_cap_below_top_fails_before_prolonging(command, monkeypatch, caps
     assert code == 3
     assert "su_family(m=4) has top degree 14" in err
     assert "--max-degree 15 or more (got 12)" in err
+
+
+def test_family_cap_is_refused_before_any_form_is_built(monkeypatch, capsys):
+    """The refusal reads the top degree off n: so_family(1000) would build
+    forms of size 2000 x 2000, and the builder is never called."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("make_so_family called")
+
+    monkeypatch.setattr(catalog, "make_so_family", refuse)
+    assert main(["prolong", "--catalog", "so_family", "--n", "1000"]) == 3
+    assert capsys.readouterr().err == (
+        "degree cap too low: so_family(n=1000) has top degree 1998, so its "
+        "prolongation needs --max-degree 1999 or more (got 12)\n")
 
 
 def test_family_cap_is_top_plus_one(capsys):

@@ -21,14 +21,15 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import Poly, defining_polys
 from reference import chain_realize_element, two_sided_verify_hol
 from test_differential import random_models
 from test_structure import scaled_codim4
 
-from crprolong import catalog
+from crprolong import catalog, verify
 from crprolong.cli import main
 from crprolong.model import QuadricModel
-from crprolong.poly import Poly, PolyVectorField
+from crprolong.poly import PolyVectorField, gi_integral, packing
 from crprolong.prolong import prolong_full
 from crprolong.realize import realize_basis, realize_element
 from crprolong.scalars import GR_I, GaussianRational
@@ -143,12 +144,33 @@ def test_basis_residuals_match_two_sided_route(name, model):
 
 def test_rational_codim4_restriction_has_fractional_residuals():
     model = rational_codim4()
-    assert {x.denominator for p in model.defining_polys()
+    assert {x.denominator for p in defining_polys(model)
             for c in p.terms.values() for x in (c.re, c.im)} == {1, 3, 5, 15}
     top = realize_basis(prolong_full(model), 4)[0]
     cert = verify_hol(top * GR_I, model)
     assert any(c.re.denominator > 1 or c.im.denominator > 1
                for r in cert.residuals for c in r.terms.values())
+
+
+SURFACES = [("heisenberg", catalog.make_heisenberg().model),
+            ("codim5", catalog.make_codim5().model),
+            ("rational_codim4", rational_codim4()), ("non_hermitian", NON_HERMITIAN)]
+
+
+@pytest.mark.parametrize("name, model", SURFACES, ids=[name for name, _ in SURFACES])
+def test_surface_packs_the_defining_polys(name, model):
+    """The restriction data verify_hol reads are made from the packed forms
+    P_j = sum h_ab z_a zb_b: its q and its substitution polynomials
+    q u_l + i P'_l equal those of the reference ring's defining polynomials,
+    packed into the (z, zb, u) frame."""
+    n, k = model.n, model.k
+    pk = packing(2 * n + k)
+    q, P = gi_integral([{pk.pack(m[:2 * n] + m[2 * n + 2 * k:]): c for m, c in p.terms.items()}
+                        for p in defining_polys(model)])
+    surface = verify._Surface(model)
+    assert surface.q == q
+    assert surface.maps[0] == verify._w_map(P, pk.units[2 * n:], q)
+    assert len(surface.maps) == (2 if name == "non_hermitian" else 1)
 
 
 def _run(argv):

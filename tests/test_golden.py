@@ -17,10 +17,10 @@ import pytest
 from crprolong import catalog
 from crprolong.cli import main
 from crprolong.model import QuadricModel
-from crprolong.poly import Poly, PolyVectorField
+from crprolong.poly import PolyVectorField
 from crprolong.prolong import prolong_full
 from crprolong.scalars import GR_I
-from helpers import codim4_display_variant
+from helpers import Poly, codim4_display_variant
 
 GOLDEN = {
     "prolong --check-jacobi --structure --json --catalog heisenberg":

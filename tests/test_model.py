@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (apply, determinant, formal_conjugate, j_apply, lt_bracket, reconstruct_model,
-                     validate_invariants)
+from helpers import (Poly, apply, defining_polys, determinant, formal_conjugate, j_apply,
+                     lt_bracket, reconstruct_model, validate_invariants)
 
 from crprolong import catalog
 from crprolong.errors import (
@@ -21,7 +21,6 @@ from crprolong.model import (
     build_levi_tanaka,
     tumanov_search,
 )
-from crprolong.poly import Poly
 from crprolong.scalars import GR_I, GaussianRational
 
 
@@ -82,7 +81,7 @@ def test_defining_polys_heisenberg():
     m = catalog.make_heisenberg().model
     z = Poly.variable(1, 1, "z", 0)
     zb = Poly.variable(1, 1, "zb", 0)
-    assert m.defining_polys() == [z * zb]
+    assert defining_polys(m) == [z * zb]
 
 
 def test_defining_polys_codim5_second_form():
@@ -92,12 +91,12 @@ def test_defining_polys_codim5_second_form():
     z2 = Poly.variable(n, k, "z", 1)
     zb1 = Poly.variable(n, k, "zb", 0)
     zb2 = Poly.variable(n, k, "zb", 1)
-    assert m.defining_polys()[1] == -GR_I * z1 * zb2 + GR_I * z2 * zb1
+    assert defining_polys(m)[1] == -GR_I * z1 * zb2 + GR_I * z2 * zb1
 
 
 def test_defining_polys_are_formally_real():
     for name, m in all_catalog_models():
-        for p in m.defining_polys():
+        for p in defining_polys(m):
             assert formal_conjugate(p) == p, name
 
 

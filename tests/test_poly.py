@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (apply_field, diff, evaluate, formal_conjugate, min_total_degree, power,
-                     total_degree)
+from helpers import (Poly, apply_field, diff, evaluate, formal_conjugate, min_total_degree,
+                     power, total_degree)
 from reference import monomial_subs
 
+from crprolong import poly
 from crprolong.errors import DimensionError, InputError
-from crprolong.poly import DEGREE_CAP, Poly, PolyVectorField
+from crprolong.poly import DEGREE_CAP, PolyVectorField
 from crprolong.scalars import GR_I, GR_ONE, GaussianRational
 
 
@@ -44,6 +45,14 @@ def rand_field(rng, n, k, nterms=3):
 # ---------------------------------------------------------------------------
 # Poly
 # ---------------------------------------------------------------------------
+
+
+def test_library_poly_is_a_read_only_view():
+    """The library's Poly carries no arithmetic; the ring lives in the tests."""
+    for name in ("__add__", "__sub__", "__mul__", "__neg__", "constant", "variable"):
+        assert not hasattr(poly.Poly, name)
+    assert isinstance(Poly.variable(1, 1, "z", 0), poly.Poly)
+    assert poly.Poly(1, 1, {(1, 0, 0, 0, 0): 1}) == Poly.variable(1, 1, "z", 0)
 
 
 def test_variable_and_constant():

@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (abstract_bracket, basis_index, grading_element_coeffs,
+from helpers import (Poly, abstract_bracket, basis_index, grading_element_coeffs,
                      realized_basis_map, sigma_sweep)
 from reference import dense_express_in_span
 
 from crprolong import prolong, realize
 from crprolong.errors import DimensionError, InputError
-from crprolong.poly import Poly, PolyVectorField
+from crprolong.poly import PolyVectorField
 from crprolong.realize import (
     BRACKET_SIGN,
     euler_field,

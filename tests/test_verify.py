@@ -5,11 +5,11 @@ import pytest
 
 from crprolong import catalog
 from crprolong.errors import DimensionError, InputError
-from crprolong.poly import Poly, PolyVectorField
+from crprolong.poly import PolyVectorField
 from crprolong.scalars import GR_I, GaussianRational
 from crprolong.verify import jet_certificate, verify_hol
-from helpers import (certify_jet_counterexample, check_rotation_identities,
-                     codim4_display_variant, evaluate, residual_probe)
+from helpers import (Poly, certify_jet_counterexample, check_rotation_identities,
+                     codim4_display_variant, defining_polys, evaluate, residual_probe)
 from reference import two_sided_surface_restriction
 
 
@@ -127,7 +127,7 @@ def test_tangent_fields_closed_under_bracket(codim5):
 def test_defining_functions_restrict_to_zero(codim5):
     m = codim5.model
     n, k = m.n, m.k
-    P = m.defining_polys()
+    P = defining_polys(m)
     half_over_i = GaussianRational(0, Fraction(-1, 2))
     for j in range(k):
         w = Poly.variable(n, k, "w", j)
