@@ -9,12 +9,18 @@ Design notes
   ``gi_bareiss`` is that one elimination loop; without row swaps its pivots
   are the leading principal minors, which the definiteness search reads.
 * Every kernel, rank test and span solve goes through
-  ``sparse_int_nullspace``: it scales its rational rows to integers row by
-  row (``_rows_to_int``), then eliminates the integer rows held as dicts of
+  ``sparse_int_nullspace``.  Integer rows, as the prolongation writes them,
+  are used as they are; a row with a rational entry is scaled to integers
+  (``_row_to_int``).  It then eliminates the integer rows held as dicts of
   columns with gcd content removal (fraction-free, no entry blowup), one
   column at a time in ascending order, and back-substitutes.  Its kernel
   vectors stay sparse ({column: Fraction}); only ``ExactMatrix.nullspace``
   writes them out as dense tuples.
+* Before any elimination, the singleton presolve removes every one-entry
+  row and its column, repeatedly (Andersen & Andersen, Math. Programming 71,
+  1995).  A one-entry row on column c puts e_c in the row space, so c is an
+  RREF pivot and 0 in every kernel vector: the basis is unchanged, and c
+  gets no unit vector.
 * Kernel bases are canonical: the unique basis obtained from the reduced
   row echelon form of the matrix, one vector per free column, the free
   variable set to 1 and other free variables to 0, ordered by free column
@@ -27,7 +33,9 @@ Design notes
   Dulmage-Mendelsohn decomposition; Pothen & Fan, ACM TOMS 16, 1990) is
   eliminated on its own.  The kernel of a block-diagonal matrix is the direct
   sum of the block kernels, and the canonical basis is unique, so the block
-  bases merged by free column are the global basis, byte for byte.
+  bases merged by free column are the global basis, byte for byte.  Within a
+  block, a column -> rows index finds the rows on each pivot column without
+  a scan of the block's rows.
 * A system over Q(i) is realified: column 2a holds Re x_a and 2a + 1 holds
   Im x_a, and each equation gives one row for its real part and one for its
   imaginary part.  Realification maps the complex RREF block-wise onto the
@@ -38,6 +46,7 @@ Design notes
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -206,16 +215,11 @@ class ExactMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _rows_to_int(rows):
-    """Scale each rational sparse row to integers (exact, row scaling only)."""
-    out = []
-    for row in rows:
-        if not row:
-            continue
-        d = lcm(*(v.denominator for v in row.values()))
-        # v * d without a rational product; int entries work too
-        out.append({c: v.numerator * (d // v.denominator) for c, v in row.items()})
-    return out
+def _row_to_int(row: dict) -> dict:
+    """A rational sparse row scaled to integers (exact, row scaling only)."""
+    d = lcm(*(v.denominator for v in row.values()))
+    # v * d without a rational product; int entries work too
+    return {c: v.numerator * (d // v.denominator) for c, v in row.items()}
 
 
 def _content_normalize(row: dict) -> dict:
@@ -223,22 +227,63 @@ def _content_normalize(row: dict) -> dict:
     return {c: v // g for c, v in row.items()} if g > 1 else row
 
 
-def sparse_int_nullspace(rows, ncols: int):
+def _singleton_presolve(rows):
+    """Zero the column of every one-entry row, delete it from the other rows,
+    and repeat on the rows that become one-entry.
+
+    ``rows`` is a list of nonempty integer rows; a row that loses a column is
+    replaced by a copy, so the caller's dicts are never changed.  Returns the
+    rows with two or more entries that are left, none on a zeroed column, and
+    the set of zeroed columns.  Each pass tests every row left against the
+    columns zeroed last; the prolongation systems need one to three passes.
+    """
+    zeroed, new = set(), {c for row in rows if len(row) == 1 for c in row}
+    while new:
+        zeroed |= new
+        kept, found = [], set()
+        for row in rows:
+            if not new.isdisjoint(row):
+                row = {c: v for c, v in row.items() if c not in new}
+                if len(row) == 1:
+                    found.update(row)
+            if len(row) > 1:
+                kept.append(row)
+        rows, new = kept, found
+    return rows, zeroed
+
+
+def sparse_int_nullspace(rows, ncols: int, stats=None):
     """Exact kernel of a rational matrix given as sparse rows.
 
     ``rows``: iterable of dict[col -> nonzero int or Fraction], every col <
-    ``ncols``; each row is scaled to integers first (``_rows_to_int``).
-    Returns the canonical nullspace basis: sparse vectors dict[col -> nonzero
-    Fraction] with a 1 at their free column, ordered by free column index
-    (with the zeros filled in, the basis of the dense RREF route).
+    ``ncols``.  A row with an entry that is not an ``int`` is scaled to
+    integers first (``_row_to_int``); integer rows, as the prolongation
+    writes them, are used as they are and never copied unless the presolve
+    deletes one of their columns.  Returns the canonical nullspace basis:
+    sparse vectors dict[col -> nonzero Fraction] with a 1 at their free
+    column, ordered by free column index (with the zeros filled in, the
+    basis of the dense RREF route).  If ``stats`` is a dict, it receives the
+    number of zeroed columns (``zeroed``), of blocks (``blocks``) and the
+    column count of the largest block (``largest``).
 
-    Each block (a connected component of the column graph, found by
+    First the singleton presolve (``_singleton_presolve``; Andersen &
+    Andersen, Math. Programming 71, 1995): a one-entry row on column c puts
+    e_c in the row space.  So c is a pivot of the reduced row echelon form,
+    every kernel vector is 0 at c, and deleting c from every other row
+    changes the row space only by a multiple of e_c.  The kernel is then the
+    kernel of the remaining rows with x_c = 0, its pivots are theirs plus c,
+    and its canonical basis is theirs without the unit vector of c.  So a
+    zeroed column never gets a unit vector, and the basis is unchanged.
+
+    Then each block (a connected component of the column graph, found by
     union-find) is solved on its own, and a column in no row gives a unit
     vector.  The kernel of a block-diagonal matrix is the direct sum of the
     block kernels and the reduced trailing-column basis is unique, so the
     block bases, merged by trailing column, are the global canonical basis.
     """
-    rows = _rows_to_int(rows)
+    rows, zeroed = _singleton_presolve(
+        [row if set(map(type, row.values())) == {int} else _row_to_int(row)
+         for row in rows if row])
     parent = {c: c for row in rows for c in row}
 
     def find(c):
@@ -253,14 +298,19 @@ def sparse_int_nullspace(rows, ncols: int):
     blocks = {}
     for row in rows:
         blocks.setdefault(find(next(iter(row))), []).append(row)
-    basis = [{c: Fraction(1)} for c in range(ncols) if c not in parent]
+    if stats is not None:
+        sizes = Counter(map(find, parent))
+        stats.update(zeroed=len(zeroed), blocks=len(blocks),
+                     largest=max(sizes.values(), default=0))
+    basis = [{c: Fraction(1)} for c in range(ncols) if c not in parent and c not in zeroed]
     for block in blocks.values():
         basis += _block_kernel(block)
     return sorted(basis, key=max)
 
 
 def _block_kernel(rows):
-    """Canonical kernel basis on the columns of ``rows``, one block.
+    """Canonical kernel basis on the columns of ``rows``, one block of
+    integer rows.
 
     The columns are eliminated in ascending order.  When column c is
     reached, every row still in ``work`` is zero on the columns left of c:
@@ -277,26 +327,38 @@ def _block_kernel(rows):
     vector of f.  Back-substitution through the pivots left of f, in
     descending order, computes it.  The pivot row (shortest, then smallest
     |value|, then smallest id) only keeps fill-in low.
+
+    ``col_rows`` indexes the rows by column, so the rows on column c are
+    found without a scan of ``work``.  Fill-in adds its row to the index;
+    an entry whose row has since lost the column, or left ``work``, is
+    stale and dropped when the column is reached.  The index only finds
+    rows, so the pivots, and with them the basis, are the same as a scan's.
     """
-    work = {rid: _content_normalize(row) for rid, row in enumerate(rows)}
+    work, col_rows = {}, {}
+    for rid, row in enumerate(rows):
+        work[rid] = row = _content_normalize(row)
+        for c in row:
+            col_rows.setdefault(c, []).append(rid)
     pivots = []             # (pivot row, pivot col), pivot cols ascending
     free = []               # (free col, number of pivots left of it)
-    for pc in sorted({c for row in rows for c in row}):
-        active = [rid for rid, row in work.items() if pc in row]
+    for pc in sorted(col_rows):
+        active = {rid for rid in col_rows.pop(pc) if pc in work.get(rid, ())}
         if not active:
             free.append((pc, len(pivots)))
             continue
         pr = min(active, key=lambda r: (len(work[r]), abs(work[r][pc]), r))
         prow = work.pop(pr)
         pval = prow[pc]
+        active.discard(pr)
         for rid in active:
-            if rid == pr:
-                continue
             row = work.pop(rid)
             g = gcd(pval, row[pc])
             a, b = pval // g, row[pc] // g
             new = {c: t for c, v in row.items() if (t := a * v - b * prow.get(c, 0))}
-            new.update((c, -b * v) for c, v in prow.items() if c not in row)
+            for c, v in prow.items():
+                if c not in row:
+                    new[c] = -b * v
+                    col_rows[c].append(rid)
             if new:
                 work[rid] = _content_normalize(new)
         pivots.append((prow, pc))

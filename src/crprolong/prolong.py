@@ -14,11 +14,24 @@ kernel of the linear system
     (a)  psi([X, Y]) = [phi X, Y] - [phi Y, X]          X, Y in g_{-1}
     (b)  [phi X, W] = [psi W, X]                        W in g_{-2}
 
-plus, for i = 0 only, J-linearity of phi.  It reads g_{i-1}, g_{i-2} and
-g_{i-3} from their sparse tables and solves over Q with the sparse
-fraction-free kernel.  The unknown vector is phi flattened row-major (source
-basis major) followed by psi, so the canonical nullspace basis makes every
-run byte-reproducible.
+plus, for i = 0 only, J-linearity of phi.  It reads g_{i-1} and g_{i-2}
+from their integer tables and solves over Q with the sparse fraction-free
+kernel.  The unknown vector is phi flattened row-major (source basis major)
+followed by psi, so the canonical nullspace basis makes every run
+byte-reproducible.
+
+The rows are integers from the start.  Each degree's tables are scaled once
+to integers over one denominator den_d (``_int_table``, the (den, phi, psi)
+table of ``GradedLieAlgebra._int_piece``); ``prolong_full`` keeps one such
+table per degree and hands them to the algebra, so the structure constants
+and realization never rescale them.  Each row kind has one multiplier:
+lcm(den_{-1}, den_{i-1}) for (a), lcm(den_{i-1}, den_{i-2}) for (b) and 1
+for the J-rows.  Each row is normalized as it is written (gcd content
+removed, first entry positive) and kept once, so rows equal up to scale,
+37-89 % of a system, are never held twice; they leave the row space, and so
+the kernel, unchanged.  One DEBUG record of the ``crprolong.prolong`` logger
+per degree gives the rows written and kept, the kernel's presolve and block
+counts, the kernel dimension and the seconds.
 
 Brackets between nonnegative degrees are reconstructed from the actions
 ([h, X] = [f, [g, X]] - [g, [f, X]]) as sparse vectors in that same layout.
@@ -41,10 +54,12 @@ member or a negative total degree, and Tanaka's lemma for all other triples
 
 from __future__ import annotations
 
+import sys
+import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import NamedTuple
 
 from .errors import InputError, InternalCheckError, NonterminationError
@@ -72,26 +87,69 @@ def compute_g0(lt: LeviTanakaAlgebra):
     return prolong_step(lt, _negative_pieces(lt), 0)
 
 
-def _by_target(piece, part: int, nsrc: int, width: int):
-    """Transpose one table of a piece: out[s][c] lists (m, value) over the
-    elements B_m whose [B_m, source s] has component c."""
-    out = [[[] for _ in range(width)] for _ in range(nsrc)]
-    for m, elem in enumerate(piece):
-        for s, entries in enumerate(elem[part]):
+def _debug(msg: str, *args):
+    """Log on the ``crprolong.prolong`` logger at DEBUG.  Before anything
+    imports ``logging`` no handler or level can have been set, so the record
+    would go nowhere; the import (a few ms of every CLI start) is skipped."""
+    if "logging" in sys.modules:
+        import logging
+        logging.getLogger(__name__).debug(msg, *args)
+
+
+def _int_table(pieces: dict, ints: dict, d: int):
+    """(den_d, phi, psi): den_d times the phi and psi tables of each B_m in
+    g_d, as integer (index, value) pairs, scaled into ``ints`` when first
+    asked for."""
+    if d not in ints:
+        den, tables = _scaled([[elem[part] for elem in pieces[d]] for part in (0, 1)])
+        ints[d] = den, *tables
+    return ints[d]
+
+
+def _by_target(table, nsrc: int, width: int, mult: int):
+    """Transpose one integer table of a piece, times ``mult``: idx[s][c] and
+    val[s][c] list m and mult * value over the elements B_m whose
+    [B_m, source s] has component c, m ascending."""
+    idx = [[[] for _ in range(width)] for _ in range(nsrc)]
+    val = [[[] for _ in range(width)] for _ in range(nsrc)]
+    for m, elem in enumerate(table):
+        for s, entries in enumerate(elem):
             for c, v in entries:
-                out[s][c].append((m, v))
-    return out
+                idx[s][c].append(m)
+                val[s][c].append(mult * v)
+    return idx, val
 
 
-def prolong_step(lt: LeviTanakaAlgebra, pieces: dict, i: int):
-    """Basis of g_i (i >= 0) given g_{-2}..g_{i-1} in ``pieces``."""
+def prolong_step(lt: LeviTanakaAlgebra, pieces: dict, i: int, ints: dict | None = None):
+    """Basis of g_i (i >= 0) given g_{-2}..g_{i-1} in ``pieces``.
+
+    ``ints`` holds the integer table of each degree (``_int_table``) and is
+    filled as needed.  The integer rows and their multipliers are described
+    in the module docstring; each is written in ascending column order, so
+    rows equal up to scale normalize to one key.
+    """
     if i < 0:
         raise ValueError("prolong_step needs i >= 0")
+    start = time.perf_counter()
+    ints = {} if ints is None else ints
     n2, k = 2 * lt.n, lt.k
     m1, m2 = len(pieces[i - 1]), len(pieces[i - 2])
     m3 = len(pieces.get(i - 3, ()))     # g_{-3} = 0
     nphi = n2 * m1
-    rows = []
+    rows = {}                           # normalized row -> {col: value}, as first written
+    written = 0
+
+    def keep(cols, vals):
+        nonlocal written
+        written += 1
+        g = gcd(*vals)
+        if vals[0] < 0:
+            g = -g
+        if g != 1:
+            vals = [v // g for v in vals]
+        key = (*cols, *vals)
+        if key not in rows:
+            rows[key] = dict(zip(cols, vals))
 
     if i == 0:
         # phi J = J phi, written per source s and target component t
@@ -99,36 +157,48 @@ def prolong_step(lt: LeviTanakaAlgebra, pieces: dict, i: int):
             ps, eps = lt.j_index(s)
             for t in range(n2):
                 jt, sign = lt.j_index(t)
-                rows.append({ps * n2 + t: eps, s * n2 + jt: sign})
+                cols, vals = zip(*sorted({ps * n2 + t: eps, s * n2 + jt: sign}.items()))
+                keep(cols, vals)
 
     # (a) psi([X_a, X_b]) - [phi X_a, X_b] + [phi X_b, X_a] = 0   in g_{i-2}
-    on_x = _by_target(pieces[i - 1], 0, n2, m2)     # [B_m, X_s] component c
+    den_x, x_phi, _ = _int_table(pieces, ints, -1)
+    den1, phi1, psi1 = _int_table(pieces, ints, i - 1)
+    mult = lcm(den_x, den1)
+    on_x, plus = _by_target(phi1, n2, m2, mult // den1)  # [B_m, X_s] component c
+    minus = [[[-v for v in vals] for vals in row] for row in plus]
+    fx = mult // den_x
     for a in range(n2):
-        xa = pieces[-1][a][0]                       # [X_a, X_b] in g_{-2}
         for b in range(a + 1, n2):
+            xab = x_phi[a][b]                   # [X_a, X_b] in g_{-2}
+            psi_cols = [nphi + l * m2 for l, _ in xab]
+            psi_vals = [fx * x for _, x in xab]
+            at_a, at_b = a * m1, b * m1
             for c in range(m2):
-                row = {nphi + l * m2 + c: x for l, x in xa[b]}
-                for m, v in on_x[b][c]:
-                    row[a * m1 + m] = -v
-                for m, v in on_x[a][c]:
-                    row[b * m1 + m] = v
-                if row:
-                    rows.append(row)
+                cols = [at_a + m for m in on_x[b][c]]
+                cols += [at_b + m for m in on_x[a][c]]
+                cols += [col + c for col in psi_cols]
+                if cols:
+                    keep(cols, minus[b][c] + plus[a][c] + psi_vals)
 
     # (b) [phi X_s, W_j] - [psi W_j, X_s] = 0   in g_{i-3}
-    on_w = _by_target(pieces[i - 1], 1, k, m3)      # [B_m, W_j] component c
-    below = _by_target(pieces[i - 2], 0, n2, m3)    # [B_l, X_s] component c
+    den2, phi2, _ = _int_table(pieces, ints, i - 2)
+    mult = lcm(den1, den2)
+    on_w, w_vals = _by_target(psi1, k, m3, mult // den1)        # [B_m, W_j] component c
+    below, b_vals = _by_target(phi2, n2, m3, -(mult // den2))   # -[B_l, X_s] component c
     for s in range(n2):
+        at_s = s * m1
         for j in range(k):
+            at_j = nphi + j * m2
             for c in range(m3):
-                row = {s * m1 + m: v for m, v in on_w[j][c]}
-                for l, v in below[s][c]:
-                    row[nphi + j * m2 + l] = -v
-                if row:
-                    rows.append(row)
+                cols = [at_s + m for m in on_w[j][c]]
+                cols += [at_j + l for l in below[s][c]]
+                if cols:
+                    keep(cols, w_vals[j][c] + b_vals[s][c])
 
+    built = time.perf_counter()
+    stats = {}
     out = []
-    for vec in sparse_int_nullspace(rows, nphi + k * m2):
+    for vec in sparse_int_nullspace(rows.values(), nphi + k * m2, stats=stats):
         phi, psi = [[] for _ in range(n2)], [[] for _ in range(k)]
         for col, v in sorted(vec.items()):
             if col < nphi:
@@ -138,6 +208,11 @@ def prolong_step(lt: LeviTanakaAlgebra, pieces: dict, i: int):
                 j, l = divmod(col - nphi, m2)
                 psi[j].append((l, v))
         out.append((tuple(map(tuple, phi)), tuple(map(tuple, psi))))
+    end = time.perf_counter()
+    _debug("degree %d: %d rows written, %d distinct, %d columns zeroed by singletons, "
+           "%d cols, %d blocks, largest block %d cols, dim %d, %.3f s (kernel %.3f s)",
+           i, written, len(rows), stats["zeroed"], nphi + k * m2, stats["blocks"],
+           stats["largest"], len(out), end - start, end - built)
     return out
 
 
@@ -193,13 +268,13 @@ class _SparseBasis(NamedTuple):
 class GradedLieAlgebra:
     """The full prolongation: the pieces g_{-2}..g_top in the piece format."""
 
-    def __init__(self, lt: LeviTanakaAlgebra, pieces: dict):
+    def __init__(self, lt: LeviTanakaAlgebra, pieces: dict, ints: dict | None = None):
         self.lt = lt
         self.n, self.k = lt.n, lt.k
         self.pieces = pieces
         self.dims = {d: len(p) for d, p in sorted(pieces.items())}
         self._sc = None
-        self._ints = {}
+        self._ints = {} if ints is None else ints   # degree -> _int_table of pieces
         self._views = {}
         self._realized = {}             # degree -> realized basis fields (realize.py)
 
@@ -215,11 +290,9 @@ class GradedLieAlgebra:
 
     def _int_piece(self, d: int):
         """(den_d, phi, psi): den_d times the tables of each B_m in g_d (d >= -1),
-        scaled once per algebra for ``_sparse``, the brackets and ``realize``."""
-        if d not in self._ints:
-            den, tables = _scaled([[elem[part] for elem in self.pieces[d]] for part in (0, 1)])
-            self._ints[d] = den, *tables
-        return self._ints[d]
+        for ``_sparse``, the brackets and ``realize``; the table the system
+        build made (``prolong_full``), or scaled once when first asked for."""
+        return _int_table(self.pieces, self._ints, d)
 
     def _sparse(self, d: int) -> _SparseBasis:
         """Integer view of the g_d basis, built and checked once: the phi parts
@@ -541,15 +614,16 @@ def prolong_full(model: QuadricModel, max_degree: int = 12,
 
     lt = build_levi_tanaka(model)
     pieces = _negative_pieces(lt)
+    ints = {}                           # the integer tables, shared with the algebra
     terminated = False
     for i in range(0, max_degree + 1):
-        pieces[i] = prolong_step(lt, pieces, i)
+        pieces[i] = prolong_step(lt, pieces, i, ints)
         if not pieces[i]:
-            pieces[i + 1] = prolong_step(lt, pieces, i + 1)
+            pieces[i + 1] = prolong_step(lt, pieces, i + 1, ints)
             if pieces[i + 1]:
                 raise InternalCheckError(
                     "nonzero degree above a vanishing one (generation failure)")
-            del pieces[i], pieces[i + 1]
+            del pieces[i], pieces[i + 1], ints[i]
             terminated = True
             break
     if not terminated:
@@ -558,7 +632,7 @@ def prolong_full(model: QuadricModel, max_degree: int = 12,
     if 0 not in pieces:
         raise InternalCheckError("g_0 is empty — the grading pair is always present")
 
-    algebra = GradedLieAlgebra(lt, pieces)
+    algebra = GradedLieAlgebra(lt, pieces, ints)
     b = algebra.top_degree()
     result = ProlongationResult(
         model=model,

@@ -28,7 +28,8 @@ those fields, in integers over one denominator.
 The chain runs on the packed Gaussian-integer core of ``poly``.  It reads
 each degree's phi and psi tables from the one integer table the algebra keeps
 per degree (``GradedLieAlgebra._int_piece``: den_d and den_d times the
-tables), scaled once per algebra and shared with the structure constants.
+tables), scaled once by the system build and shared with the structure
+constants.
 ad_z multiplies an entry of degree d by z_a and the Gaussian integer
 -den_d [B, e_a] + i den_d [B, Je_a], ad_w by w_j and -den_d [B, W_j]; the
 true steps divide by 2 den_d and den_d, and those divisors are kept aside.

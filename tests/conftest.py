@@ -2,8 +2,15 @@ import re
 
 import pytest
 
+import crprolong
 from crprolong import catalog
 from crprolong.prolong import prolong_full
+
+def pytest_report_header(config):
+    # pyproject.toml's pythonpath = ["src"] goes ahead of PYTHONPATH, so this
+    # names the checkout under test: a run from this directory tests its src/
+    return f"crprolong imported from {crprolong.__path__[0]}"
+
 
 # ---------------------------------------------------------------------------
 # Shared catalog entries and prolongation results.  prolong_full memoizes per

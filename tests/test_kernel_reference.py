@@ -1,26 +1,29 @@
 """The block-wise sparse kernel against the single-pass reference.
 
-``sparse_int_nullspace`` splits a system into the connected components of
+``sparse_int_nullspace`` removes one-entry rows and their columns first (the
+singleton presolve), splits what is left into the connected components of
 its column graph and eliminates each block on its own;
 ``reference.single_pass_nullspace`` eliminates the whole system at once.
 Both must return the same canonical basis, vector for vector: on seeded
 block-diagonal matrices whose block columns are interleaved and permuted,
-on the edge cases of the input format, and on every system the
-prolongation builds for the catalog models (the library takes its rational
-rows, the reference the same rows scaled to integers).  ``_rows_to_int`` must give the
-integers of a rational product without forming one.
+on seeded systems with duplicate, scaled and negated rows, one-entry rows
+and singleton cascades, on the edge cases of the input format, and on
+every system the prolongation builds for the catalog models.  Those
+systems must hold only ``int`` entries and no two rows equal up to scale.
+``_row_to_int`` must give the integers of a rational product without
+forming one.
 """
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
 from reference import single_pass_nullspace
 
 from crprolong import catalog, prolong
-from crprolong.linalg import _rows_to_int, sparse_int_nullspace
+from crprolong.linalg import _row_to_int, sparse_int_nullspace
 
 SEED = 83
 
@@ -124,15 +127,91 @@ def test_generator_rows():
     assert got == single_pass_nullspace(rows, ncols)
 
 
+def _normalized(row):
+    """A row up to scale: its (column, value) pairs in column order with the
+    gcd content removed and the first value positive."""
+    cols = sorted(row)
+    g = gcd(*row.values())
+    if row[cols[0]] < 0:
+        g = -g
+    return tuple((c, row[c] // g) for c in cols)
+
+
+def _with_presolve_rows(rng, rows, ncols):
+    """``rows`` with exact, scaled and negated duplicates, one-entry rows and
+    singleton cascades added, shuffled, and the new column count.
+
+    A cascade is a chain {c_1}, {c_1, c_2}, ..., {c_{L-1}, c_L}: zeroing c_1
+    leaves the second row with one entry, and so on down the chain.  One
+    cascade runs on two fresh columns, which then occur only in rows that the
+    presolve removes."""
+    used = sorted({c for row in rows for c in row})
+    out = [dict(row) for row in rows]
+    for row in rng.sample(out, min(len(out), 6)):
+        if row:
+            f = rng.choice((1, 2, 3, -1, -2, -3))
+            out.append({c: f * v for c, v in row.items()})
+    for _ in range(rng.randint(1, 3)):
+        out.append({rng.choice(used): rng.choice((-3, -1, 1, 2))})
+    chains = [rng.sample(used, min(len(used), rng.randint(2, 4))), [ncols, ncols + 1]]
+    for chain in chains:
+        out.append({chain[0]: rng.choice((-2, 1, 3))})
+        for c, d in zip(chain, chain[1:]):
+            out.append({c: rng.choice((-1, 1, 2)), d: rng.choice((-3, -1, 1))})
+    rng.shuffle(out)
+    return out, ncols + 2
+
+
+def test_presolve_systems_match_reference():
+    rng = random.Random(SEED + 4)
+    for t in range(60):
+        size = (15, 30) if t % 5 == 4 else (1, 6)
+        rows, ncols = _block_diagonal(rng, rng.randint(1, 5), spare=t % 3, size=size)
+        rows, ncols = _with_presolve_rows(rng, rows, ncols)
+        stats = {}
+        got = sparse_int_nullspace(rows, ncols, stats=stats)
+        assert got == single_pass_nullspace(rows, ncols)
+        # the fresh chain columns are zeroed, so neither has a unit vector
+        assert all(not ({ncols - 2, ncols - 1} & vec.keys()) for vec in got)
+        assert len({_normalized(row) for row in rows if row}) < len([r for r in rows if r])
+        # the cascades zero more columns than the one-entry rows of the input
+        assert stats["zeroed"] > len({c for row in rows if len(row) == 1 for c in row})
+
+
+def test_presolve_can_empty_a_system():
+    """A triangular system: every column is zeroed by a cascade from the
+    first one-entry row, the presolve leaves no row, and the kernel is the
+    unit vectors of the columns in no row."""
+    rng = random.Random(SEED + 5)
+    for ncols in range(2, 12):
+        used = rng.sample(range(ncols + 3), ncols)
+        rows = [{used[0]: rng.choice((-2, 1))}]
+        rows += [{used[c - 1]: rng.choice((-1, 3)), used[c]: rng.choice((1, 2))}
+                 for c in range(1, ncols)]
+        rows += [{c: 2 * v for c, v in row.items()} for row in rows[::2]]
+        rng.shuffle(rows)
+        stats = {}
+        got = sparse_int_nullspace(rows, ncols + 3, stats=stats)
+        assert got == single_pass_nullspace(rows, ncols + 3)
+        assert got == [{c: 1} for c in range(ncols + 3) if c not in used]
+        assert stats == {"zeroed": ncols, "blocks": 0, "largest": 0}
+
+
+def _model(name):
+    if name.startswith("so_family"):
+        return catalog.make_so_family(int(name[10])).model
+    return catalog.get(name).model
+
+
 def _prolong_systems(model, monkeypatch):
-    """Every system that ``prolong_full`` hands to the kernel, as (its rows
-    scaled to integers, ncols, the kernel's answer on its rational rows)."""
+    """Every system that ``prolong_full`` hands to the kernel, as (its rows,
+    ncols, the kernel's answer)."""
     systems = []
 
-    def capture(rows, ncols):
+    def capture(rows, ncols, **kwargs):
         rows = list(rows)
-        basis = sparse_int_nullspace(rows, ncols)
-        systems.append((_rows_to_int(rows), ncols, basis))
+        basis = sparse_int_nullspace(rows, ncols, **kwargs)
+        systems.append((rows, ncols, basis))
         return basis
 
     monkeypatch.setattr(prolong, "sparse_int_nullspace", capture)
@@ -142,14 +221,24 @@ def _prolong_systems(model, monkeypatch):
 
 @pytest.mark.parametrize("name", ["heisenberg", "codim4", "codim5", "so_family(3)"])
 def test_prolongation_systems_match_reference(name, monkeypatch):
-    model = (catalog.make_so_family(int(name[10])) if name.startswith("so_family")
-             else catalog.get(name)).model
-    systems = _prolong_systems(model, monkeypatch)
+    systems = _prolong_systems(_model(name), monkeypatch)
     assert systems
     for rows, ncols, basis in systems:
         assert _assert_same(rows, ncols) == basis
     if name != "heisenberg":
         assert max(len(_components(rows)) for rows, _, _ in systems) > 1
+
+
+@pytest.mark.parametrize("name", ["codim5", "so_family(3)"])
+def test_prolongation_rows_are_distinct_integers(name, monkeypatch):
+    """The builder writes integer rows and keeps one row per class of rows
+    equal up to scale."""
+    systems = _prolong_systems(_model(name), monkeypatch)
+    for rows, _, _ in systems:
+        assert all(type(v) is int for row in rows for v in row.values())
+        keys = [_normalized(row) for row in rows]
+        assert len(set(keys)) == len(keys)
+        assert all(row == dict(key) for row, key in zip(rows, keys))
 
 
 def test_rows_to_int_matches_rational_product():
@@ -161,7 +250,7 @@ def test_rows_to_int_matches_rational_product():
             num = rng.choice([v for v in range(-9, 10) if v])
             row[c] = num if rng.random() < 0.3 else Fraction(num, rng.randint(1, 12))
         rows.append(row)
-    got = _rows_to_int(rows)
+    got = [_row_to_int(row) for row in rows if row]
     want = []
     for row in rows:
         if row:
@@ -169,6 +258,6 @@ def test_rows_to_int_matches_rational_product():
             want.append({c: int(v * d) for c, v in row.items()})
     assert got == want
     assert all(type(v) is int for row in got for v in row.values())
-    # the i = 0 rows of a prolongation system carry plain ints
-    assert _rows_to_int([{0: 1, 3: -1}, {}, {2: Fraction(1, 2), 5: 3}]) == \
-        [{0: 1, 3: -1}, {2: 1, 5: 6}]
+    assert _row_to_int({2: Fraction(1, 2), 5: 3}) == {2: 1, 5: 6}
+    # the kernel scales the rows with a Fraction entry and takes int rows as they are
+    assert sparse_int_nullspace(rows, 12) == single_pass_nullspace(got, 12)

@@ -1,8 +1,13 @@
+import hashlib
+import logging
+
 import pytest
 
 from helpers import check_grading, dense_constants, grading_element_coeffs, j_apply
 from oracle import hol_dimension, hol_profile
+from test_golden import GOLDEN
 
+from crprolong.cli import main
 from crprolong.errors import InternalCheckError, NonterminationError
 from crprolong.linalg import ExactMatrix
 from crprolong import prolong
@@ -216,3 +221,36 @@ def test_result_json_shape(heisenberg_result):
     assert all(x.endswith(")i") for row in some_block for vec in row for x in vec)
     lean = heisenberg_result.to_json(include_structure=False)
     assert "structure_constants" not in lean
+
+
+# ---------------------------------------------------------------------------
+# per-degree debug stats
+# ---------------------------------------------------------------------------
+
+
+def test_debug_stats_one_record_per_degree(heisenberg, caplog, capsys):
+    """One DEBUG record of ``crprolong.prolong`` per computed degree (the
+    nonzero ones, the first zero one and the one above it), and nothing
+    more on the CLI's stdout or stderr at the default level."""
+    with caplog.at_level(logging.DEBUG, logger="crprolong.prolong"):
+        result = prolong_full(heisenberg.model, use_cache=False)
+    records = [r for r in caplog.records if r.name == "crprolong.prolong"]
+    assert all(r.levelno == logging.DEBUG for r in records)
+    degrees = [r.args[0] for r in records]
+    assert degrees == list(range(result.top_degree + 3))
+    for r in records:
+        i, written, distinct, zeroed, cols, blocks, largest, dim, seconds, kernel = r.args
+        assert dim == result.dims.get(i, 0)
+        assert 0 < distinct <= written
+        assert zeroed + largest <= cols and blocks <= largest
+        assert 0 <= kernel <= seconds
+        assert f"degree {i}: {written} rows written, {distinct} distinct" in r.getMessage()
+
+    caplog.clear()
+    capsys.readouterr()
+    assert main(["prolong", "--check-jacobi", "--structure", "--json",
+                 "--catalog", "heisenberg"]) == 0
+    out, err = capsys.readouterr()
+    key = "prolong --check-jacobi --structure --json --catalog heisenberg"
+    assert err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[key]

@@ -255,11 +255,10 @@ def test_realize_basis_of_vanishing_degree(heisenberg_result):
 
 
 def test_piece_tables_are_scaled_once_per_algebra(codim5, monkeypatch):
-    """Realizing every degree and then computing the structure constants
-    scales the phi/psi tables of each degree -1..6 exactly once: both read the
-    one integer table the algebra keeps per degree."""
-    result = prolong.prolong_full(codim5.model, use_cache=False)
-    alg = result.algebra
+    """Prolonging, realizing every degree and then computing the structure
+    constants scales the phi/psi tables of each degree -1..6 exactly once: the
+    system build scales them, and the algebra, realization and the structure
+    constants read that one integer table per degree."""
     scaled = prolong._scaled
     calls = []
 
@@ -270,6 +269,8 @@ def test_piece_tables_are_scaled_once_per_algebra(codim5, monkeypatch):
     for module in (prolong, realize):       # wherever the helper is bound
         if hasattr(module, "_scaled"):
             monkeypatch.setattr(module, "_scaled", counting)
+    result = prolong.prolong_full(codim5.model, use_cache=False)
+    alg = result.algebra
     for d in alg.degrees():
         realize_basis(result, d)
     alg.structure_constants()
