@@ -42,7 +42,6 @@ class CatalogEntry:
     description: str
     model: QuadricModel
     known_fields: dict = _dcfield(default_factory=dict)
-    top_degree: int | None = None       # a family's top degree, known before prolonging
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +175,7 @@ def family_top(name: str, n=None, m=None):
 def make_so_family(n: int) -> CatalogEntry:
     """Quadric on z_1..z_n, z'_1..z'_n: one antisymmetric pair form per pair of
     base variables plus the coupling sum z_j zb'_j + z'_j zb_j."""
-    name, top = family_top("so_family", n=n)
+    name, _ = family_top("so_family", n=n)
     nn = 2 * n
     hermitian = [_pair_matrix(nn, a, b) for a, b in _so_pairs(n)]
     hermitian.append(_mat(nn, {key: 1 for j in range(n) for key in ((j, n + j), (n + j, j))}))
@@ -186,7 +185,6 @@ def make_so_family(n: int) -> CatalogEntry:
         description=f"quadric in C^{(n + 2) * (n + 1) // 2}; unusually high "
                     "jet-determination order n",
         model=model,
-        top_degree=top,
     )
 
 
@@ -194,7 +192,7 @@ def make_su_family(m: int) -> CatalogEntry:
     """Quadric on z_1..z_m, z'_1..z'_m: all real pair forms, all imaginary
     pair forms, all squares |z_a|^2, plus the reversed coupling
     sum z_j zb'_{m+1-j} + z'_{m+1-j} zb_j."""
-    name, top = family_top("su_family", m=m)
+    name, _ = family_top("su_family", m=m)
     nn = 2 * m
     hermitian = [_mat(nn, {(a, b): 1, (b, a): 1})
                  for a in range(m) for b in range(a + 1, m)]
@@ -208,7 +206,6 @@ def make_su_family(m: int) -> CatalogEntry:
         name=name,
         description=f"quadric in C^{(m + 1) ** 2}; jet-determination order 2m",
         model=model,
-        top_degree=top,
     )
 
 
@@ -253,7 +250,6 @@ def extend_codim(entry: CatalogEntry, extra: int) -> CatalogEntry:
                     "positive-degree symmetries",
         model=model,
         known_fields=fields,
-        top_degree=entry.top_degree,
     )
 
 

@@ -63,9 +63,50 @@ def _write(path, text):
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+
+
+def _json_key(key):
+    """A dict key as ``json`` writes it: str kept, int, float, bool and None
+    as their JSON scalars."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _dumps(value, indent="\n"):
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)``.
+
+    With an indent the stdlib falls back from its C encoder to a pure-Python
+    generator per value; here a list of strings is one ``str.join`` over the
+    C string escaper, and the scalars go through ``json.dumps`` itself.  Each
+    container is one join, so its text is copied only once."""
+    if isinstance(value, str):
+        return _ESCAPE(value)
+    inner = indent + "  "
+    sep = "," + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        try:
+            body = sep.join(map(_ESCAPE, value))
+        except TypeError:           # not a list of strings only
+            body = sep.join(_dumps(x, inner) for x in value)
+        return "".join(("[", inner, body, indent, "]"))
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = sep.join(_ESCAPE(_json_key(k)) + ": " + _dumps(v, inner)
+                        for k, v in sorted(value.items()))
+        return "".join(("{", inner, body, indent, "}"))
+    return json.dumps(value)
+
+
 def _emit(args, data, text_lines):
     if getattr(args, "json", False) or not text_lines:
-        out = json.dumps(data, indent=2, sort_keys=True) + "\n"
+        out = _dumps(data) + "\n"
     else:
         out = "\n".join(text_lines) + "\n"
     if getattr(args, "out", None):
@@ -277,11 +318,11 @@ def cmd_catalog(args) -> int:
     for entry in entries:
         base = entry.name.replace("(", "_").replace(")", "").replace("=", "")
         path = f"{args.export}/{base}_model.json"
-        _write(path, json.dumps(entry.model.to_json(), indent=2, sort_keys=True))
+        _write(path, _dumps(entry.model.to_json()))
         written.append(path)
         for fname, field in entry.known_fields.items():
             path = f"{args.export}/{base}_field_{fname}.json"
-            _write(path, json.dumps(field.to_json(), indent=2, sort_keys=True))
+            _write(path, _dumps(field.to_json()))
             written.append(path)
     _emit(args, {"written": written}, [f"wrote {p}" for p in written])
     return 0

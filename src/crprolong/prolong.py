@@ -66,8 +66,6 @@ from .errors import InputError, InternalCheckError, NonterminationError
 from .linalg import sparse_int_nullspace
 from .model import LeviTanakaAlgebra, QuadricModel, build_levi_tanaka
 
-_F0 = Fraction(0)
-
 
 def jet_order(top_degree: int) -> int:
     """Jet determination order for automorphisms: floor((b + 2) / 2)."""
@@ -221,14 +219,6 @@ def _nonzero(vec):
     return tuple((i, x) for i, x in enumerate(vec) if x)
 
 
-def _dense(entries, width: int):
-    """Dense tuple of the sparse (index, value) pairs."""
-    out = [_F0] * width
-    for t, x in entries:
-        out[t] = x
-    return tuple(out)
-
-
 def _swapped(table):
     """Table of [B_b, B_a] from a table of sparse [B_a, B_b] entries."""
     return [[tuple((t, -x) for t, x in row[b]) for row in table]
@@ -342,8 +332,8 @@ class GradedLieAlgebra:
         for g, c in coeffs:
             for col, x in view.flat[g].items():
                 rest[col] = rest.get(col, 0) - c * x
-        return (tuple((g, Fraction(c, den)) for g, c in coeffs),
-                min((col for col, x in rest.items() if x), default=None))
+        bad = min(col for col, x in rest.items() if x) if any(rest.values()) else None
+        return tuple((g, Fraction(c, den)) for g, c in coeffs), bad
 
     # -- structure constants -------------------------------------------------
     def structure_constants(self):
@@ -583,10 +573,19 @@ class ProlongationResult:
             "terminated": self.terminated,
         }
         if include_structure:
+            # each distinct value is formatted once, and every zero is one string
+            text = {}
+
+            def dense(entries, width):
+                vals = ["(0)+(0)i"] * width
+                for t, x in entries:
+                    vals[t] = text.get(x) or text.setdefault(x, f"({x})+(0)i")
+                return vals
+
             sc = self.algebra.structure_constants()
             out["structure_constants"] = {
-                f"{i},{j}": [[[f"({x})+(0)i" for x in _dense(entries, self.dims[i + j])]
-                              for entries in row] for row in block]
+                f"{i},{j}": [[dense(entries, self.dims[i + j]) for entries in row]
+                             for row in block]
                 for (i, j), block in sorted(sc.items())
             }
         return out

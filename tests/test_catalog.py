@@ -214,11 +214,15 @@ def test_ladder_report(name):
 
 
 def test_families_record_their_top_degree():
-    assert catalog.make_so_family(5).top_degree == EXPECTED["so_family(n=5)"]["top_degree"]
-    assert catalog.make_su_family(3).top_degree == EXPECTED["su_family(m=3)"]["top_degree"]
-    assert catalog.make_su_family(4).top_degree == 14
-    assert catalog.get("so_family", n=4, extra=2).top_degree == 6
-    assert catalog.make_codim5().top_degree is None
+    assert catalog.family_top("so_family", n=5) == ("so_family(n=5)",
+                                                    EXPECTED["so_family(n=5)"]["top_degree"])
+    assert catalog.family_top("su_family", m=3) == ("su_family(m=3)",
+                                                    EXPECTED["su_family(m=3)"]["top_degree"])
+    assert catalog.family_top("su_family", m=4) == ("su_family(m=4)", 14)
+    # also the cap check of so_family --n 4 --extra 2: the sphere directions
+    # add no positive degree
+    assert catalog.family_top("so_family", n=4) == ("so_family(n=4)", 6)
+    assert catalog.family_top("codim5") is None
 
 
 @pytest.mark.parametrize("command", [["prolong"], ["realize", "--degree", "0"], ["report"]])

@@ -5,12 +5,13 @@ exit codes are the function's return value and output is captured via capsys.
 """
 
 import json
+import random
 
 import pytest
 
 from helpers import Poly
 
-from crprolong.cli import main
+from crprolong.cli import _dumps, main
 from crprolong.catalog import get
 from crprolong.model import QuadricModel
 from crprolong.poly import DEGREE_CAP, PolyVectorField
@@ -494,3 +495,57 @@ def test_report_json(capsys):
     assert data["counterexample_2jet"]["certified"] is True
     assert data["sharpness"]["certified"] is True
     assert data["top_fields_verified"]["all_tangent"] is True
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+# ---------------------------------------------------------------------------
+
+STRINGS = ["", "a", 'say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f",
+           "caf\xe9", "\u2028\xff", "astral \U0001f600 \U00010000", "(1/3)+(0)i"]
+SCALARS = [0, -7, 2 ** 64 + 1, -(2 ** 70), True, False, None, 0.5, -2.25,
+           round(1 / 3, 3), 1e300, float("inf"), float("-inf")]
+
+
+def random_value(rng, depth):
+    kind = rng.randrange(7 if depth else 2)
+    if kind == 0:
+        return rng.choice(STRINGS)
+    if kind == 1:
+        return rng.choice(SCALARS)
+    if kind == 2:       # a list of strings only: the joined path
+        return [rng.choice(STRINGS) for _ in range(rng.randrange(4))]
+    if kind == 3:
+        return tuple(random_value(rng, depth - 1) for _ in range(rng.randrange(4)))
+    if kind == 4:
+        return [random_value(rng, depth - 1) for _ in range(rng.randrange(4))]
+    if kind == 5:       # int keys, sorted as ints and written as strings
+        return {rng.randrange(-20, 20): random_value(rng, depth - 1)
+                for _ in range(rng.randrange(4))}
+    return {rng.choice(STRINGS): random_value(rng, depth - 1) for _ in range(rng.randrange(4))}
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_json_writer_matches_stdlib(seed):
+    rng = random.Random(seed)
+    value = {"ints": random_value(rng, 4), "strs": random_value(rng, 4),
+             "deep": [random_value(rng, 4) for _ in range(3)]}
+    assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], (), [[]], [{}, ()], ["a", 1], [1, "a"], [["x", "y"], ["z"]],
+    [["x", 2], [None, "y"]], {"k": [["(0)+(0)i", "(1)+(0)i"], [[True, 1.5]]]},
+    {True: 1, 1.5: 4, -2: 5}, {False: 0}, {None: 3}, {2: "a", 10: "b", -1: "c"},
+    STRINGS, SCALARS, tuple(SCALARS),
+], ids=repr)
+def test_json_writer_edge_cases(value):
+    assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [{1: "a", "b": 2}, {(1, 2): 3}, [object()]], ids=repr)
+def test_json_writer_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        _dumps(value)

@@ -128,6 +128,38 @@ def test_changed_psi_entry_fails_closure(heisenberg_result, value):
         copy.structure_constants()
 
 
+def test_closure_failure_names_the_smallest_mismatched_column(heisenberg_result, monkeypatch):
+    # g_2's one element is {0: 1, 3: 1, 5: 2} over 2 in the (phi, psi) layout,
+    # trailing column 5.  The copy adds entries at columns 1 (phi row 0) and 4
+    # (psi) and keeps the canonical form.  Read off against the copy, the true
+    # element has coefficient 1 and differs exactly at columns 1 and 4; the
+    # vector lists column 4 first, so only the smallest mismatch gives 1.
+    alg = heisenberg_result.algebra
+    phi, psi = alg.pieces[2][0]
+    assert alg._sparse(2).flat == ({0: 1, 3: 1, 5: 2},)
+    copy = copy_with_element(alg, 2, 0, phi=(phi[0] + ((1, Fraction(1)),), phi[1]),
+                             psi=(((0, Fraction(1)),) + psi[0],))
+    assert copy._sparse(2).flat == ({0: 1, 1: 2, 3: 1, 4: 2, 5: 2},)
+    assert copy._read_off(2, {4: 0, 1: 0, 0: 1, 3: 1, 5: 2}, 2) == (((0, Fraction(1)),), 1)
+
+    seen = []
+    read_off = copy._read_off
+
+    def spy(d, vec, den):
+        seen.append(dict(vec))
+        return read_off(d, vec, den)
+
+    monkeypatch.setattr(copy, "_read_off", spy)
+    with pytest.raises(InternalCheckError,
+                       match=r"bracket of basis elements \(0,0\) and \(2,0\) "
+                             r"\(degree, index\) does not close in g_2: first "
+                             r"mismatch at column 0 of"):
+        copy.structure_constants()
+    # the failing bracket has no trailing component, so its coefficient is 0
+    # and every nonzero column mismatches: two of them, and 0 is the smaller
+    assert {col for col, x in seen[-1].items() if x} == {0, 3}
+
+
 def test_dependent_phi_parts_fail_faithfulness(heisenberg_result):
     alg = heisenberg_result.algebra
     copy = copy_with_element(alg, 1, 1, phi=alg.pieces[1][0][0])
