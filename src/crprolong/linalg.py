@@ -11,11 +11,12 @@ Design notes
 * Every kernel, rank test and span solve goes through
   ``sparse_int_nullspace``.  Integer rows, as the prolongation writes them,
   are used as they are; a row with a rational entry is scaled to integers
-  (``_row_to_int``).  It then eliminates the integer rows held as dicts of
-  columns with gcd content removal (fraction-free, no entry blowup), one
-  column at a time in ascending order, and back-substitutes.  Its kernel
-  vectors stay sparse ({column: Fraction}); only ``ExactMatrix.nullspace``
-  writes them out as dense tuples.
+  (``_row_to_int``).  It then builds the reduced row echelon form (RREF)
+  of each block incrementally, inserting the integer rows held as dicts of
+  columns, shortest first, with gcd content removal (fraction-free, no entry
+  blowup); a row that reduces to zero is dependent and dropped.  Its kernel
+  vectors are read off the RREF and stay sparse ({column: Fraction}); only
+  ``ExactMatrix.nullspace`` writes them out as dense tuples.
 * Before any elimination, the singleton presolve removes every one-entry
   row and its column, repeatedly (Andersen & Andersen, Math. Programming 71,
   1995).  A one-entry row on column c puts e_c in the row space, so c is an
@@ -24,18 +25,16 @@ Design notes
 * Kernel bases are canonical: the unique basis obtained from the reduced
   row echelon form of the matrix, one vector per free column, the free
   variable set to 1 and other free variables to 0, ordered by free column
-  index.  Eliminated in ascending column order, the pivots are the RREF
-  pivots, so the back-substitution returns this basis itself, with no
-  canonicalization pass (the argument is in ``_block_kernel``).  That makes
-  all downstream output deterministic.
+  index.  The RREF of a row space is unique, whatever the order in which
+  its rows are inserted, so the vectors read off it are this basis itself,
+  with no canonicalization pass (the argument is in ``_block_kernel``).
+  That makes all downstream output deterministic.
 * Each system is solved block by block: union-find links two columns when
   they share a row, and each connected component (the coarse part of the
   Dulmage-Mendelsohn decomposition; Pothen & Fan, ACM TOMS 16, 1990) is
   eliminated on its own.  The kernel of a block-diagonal matrix is the direct
   sum of the block kernels, and the canonical basis is unique, so the block
-  bases merged by free column are the global basis, byte for byte.  Within a
-  block, a column -> rows index finds the rows on each pivot column without
-  a scan of the block's rows.
+  bases merged by free column are the global basis, byte for byte.
 * A system over Q(i) is realified: column 2a holds Re x_a and 2a + 1 holds
   Im x_a, and each equation gives one row for its real part and one for its
   imaginary part.  Realification maps the complex RREF block-wise onto the
@@ -258,13 +257,13 @@ def sparse_int_nullspace(rows, ncols: int, stats=None):
     ``rows``: iterable of dict[col -> nonzero int or Fraction], every col <
     ``ncols``.  A row with an entry that is not an ``int`` is scaled to
     integers first (``_row_to_int``); integer rows, as the prolongation
-    writes them, are used as they are and never copied unless the presolve
-    deletes one of their columns.  Returns the canonical nullspace basis:
-    sparse vectors dict[col -> nonzero Fraction] with a 1 at their free
-    column, ordered by free column index (with the zeros filled in, the
-    basis of the dense RREF route).  If ``stats`` is a dict, it receives the
-    number of zeroed columns (``zeroed``), of blocks (``blocks``) and the
-    column count of the largest block (``largest``).
+    writes them, are used as they are and never changed.  Returns the
+    canonical nullspace basis: sparse vectors dict[col -> nonzero Fraction]
+    with a 1 at their free column, ordered by free column index (with the
+    zeros filled in, the basis of the dense RREF route).  If ``stats`` is a
+    dict, it receives the number of zeroed columns (``zeroed``), of blocks
+    (``blocks``), the column count of the largest block (``largest``) and the
+    rank (``rank``: the zeroed columns plus the pivots of the blocks).
 
     First the singleton presolve (``_singleton_presolve``; Andersen &
     Andersen, Math. Programming 71, 1995): a one-entry row on column c puts
@@ -276,10 +275,11 @@ def sparse_int_nullspace(rows, ncols: int, stats=None):
     zeroed column never gets a unit vector, and the basis is unchanged.
 
     Then each block (a connected component of the column graph, found by
-    union-find) is solved on its own, and a column in no row gives a unit
-    vector.  The kernel of a block-diagonal matrix is the direct sum of the
-    block kernels and the reduced trailing-column basis is unique, so the
-    block bases, merged by trailing column, are the global canonical basis.
+    union-find) is solved on its own, as an incremental RREF
+    (``_block_kernel``), and a column in no row gives a unit vector.  The
+    kernel of a block-diagonal matrix is the direct sum of the block kernels
+    and the reduced trailing-column basis is unique, so the block bases,
+    merged by trailing column, are the global canonical basis.
     """
     rows, zeroed = _singleton_presolve(
         [row if set(map(type, row.values())) == {int} else _row_to_int(row)
@@ -298,77 +298,75 @@ def sparse_int_nullspace(rows, ncols: int, stats=None):
     blocks = {}
     for row in rows:
         blocks.setdefault(find(next(iter(row))), []).append(row)
+    basis = [{c: Fraction(1)} for c in range(ncols) if c not in parent and c not in zeroed]
+    rank = len(zeroed)
+    for block in blocks.values():
+        kernel, pivots = _block_kernel(block)
+        basis += kernel
+        rank += pivots
     if stats is not None:
         sizes = Counter(map(find, parent))
         stats.update(zeroed=len(zeroed), blocks=len(blocks),
-                     largest=max(sizes.values(), default=0))
-    basis = [{c: Fraction(1)} for c in range(ncols) if c not in parent and c not in zeroed]
-    for block in blocks.values():
-        basis += _block_kernel(block)
+                     largest=max(sizes.values(), default=0), rank=rank)
     return sorted(basis, key=max)
+
+
+def _combine(row, prow, p):
+    """The integer combination a row - b prow that cancels column p, with
+    a = prow[p] / g and b = row[p] / g for g = gcd(prow[p], row[p]).  Both
+    rows hold p; neither is changed."""
+    g = gcd(prow[p], row[p])
+    a, b = prow[p] // g, row[p] // g
+    new = {c: t for c, v in row.items() if (t := a * v - b * prow.get(c, 0))}
+    for c, v in prow.items():
+        if c not in row:
+            new[c] = -b * v
+    return new
 
 
 def _block_kernel(rows):
     """Canonical kernel basis on the columns of ``rows``, one block of
-    integer rows.
+    integer rows, and the number of pivots (the rank of the block).
 
-    The columns are eliminated in ascending order.  When column c is
-    reached, every row still in ``work`` is zero on the columns left of c:
-    each of those was a pivot column, cleared from every other row, or a
-    free column, in no row then and so in no combination made later.  So c
-    gets a pivot exactly when it is a pivot of the reduced row echelon
-    form, and each pivot row has no column left of its pivot.
+    ``piv[p]`` is the integer row whose leftmost column is p, and every
+    ``piv[p]`` is zero on every other pivot column.  The rows are inserted
+    one at a time, shortest first (a stable sort, so ties keep their input
+    order).  A new row is reduced by ``piv[p]`` on each pivot column p that it
+    holds; ``piv[p]`` is zero on the other pivot columns, so each step clears
+    p and adds no pivot column, and one pass leaves the row zero on every
+    pivot column.  A row that becomes zero lies in the span of the rows
+    before it: it is dependent and dropped.  Otherwise its content is
+    removed, and its leftmost column c becomes a new pivot.  Every pivot row
+    that holds c has its own pivot left of c, so clearing c from it with the
+    new row, which lies right of c, keeps its leftmost column.  Each step
+    replaces rows by combinations that span the same space, so after each
+    insertion the rows of ``piv`` are a basis of the rows inserted so far,
+    in reduced echelon form up to the scale of each row.
 
-    For a free column f, fix x_f = 1 and every other free entry 0.  By
-    induction from the right, every pivot column p right of f comes out 0:
-    the other columns of its row lie right of p, where x is 0 (free entries
-    by choice, pivots by induction).  So the vector ends at f, and it is the
-    unique kernel vector with those free entries, which is the canonical
-    vector of f.  Back-substitution through the pivots left of f, in
-    descending order, computes it.  The pivot row (shortest, then smallest
-    |value|, then smallest id) only keeps fill-in low.
-
-    ``col_rows`` indexes the rows by column, so the rows on column c are
-    found without a scan of ``work``.  Fill-in adds its row to the index;
-    an entry whose row has since lost the column, or left ``work``, is
-    stale and dropped when the column is reached.  The index only finds
-    rows, so the pivots, and with them the basis, are the same as a scan's.
+    At the end ``piv`` is the RREF of the block's row space, which is unique
+    whatever the insertion order, so its pivots are the RREF pivots.  For a
+    free column f, fix x_f = 1 and every other free entry 0.  Row ``piv[p]``
+    then reads piv[p][p] x_p + piv[p][f] = 0, so x_p = -piv[p][f] / piv[p][p],
+    which is 0 when p's row does not hold f.  That is the unique kernel
+    vector with those free entries, the canonical vector of f.  The order
+    of insertion only keeps fill-in low; shortest first brings the sparse
+    rows in as pivots before the long rows are reduced by them.
     """
-    work, col_rows = {}, {}
-    for rid, row in enumerate(rows):
-        work[rid] = row = _content_normalize(row)
-        for c in row:
-            col_rows.setdefault(c, []).append(rid)
-    pivots = []             # (pivot row, pivot col), pivot cols ascending
-    free = []               # (free col, number of pivots left of it)
-    for pc in sorted(col_rows):
-        active = {rid for rid in col_rows.pop(pc) if pc in work.get(rid, ())}
-        if not active:
-            free.append((pc, len(pivots)))
+    piv = {}
+    for row in sorted(rows, key=len):
+        for p in [c for c in row if c in piv]:
+            row = _combine(row, piv[p], p)
+        if not row:
             continue
-        pr = min(active, key=lambda r: (len(work[r]), abs(work[r][pc]), r))
-        prow = work.pop(pr)
-        pval = prow[pc]
-        active.discard(pr)
-        for rid in active:
-            row = work.pop(rid)
-            g = gcd(pval, row[pc])
-            a, b = pval // g, row[pc] // g
-            new = {c: t for c, v in row.items() if (t := a * v - b * prow.get(c, 0))}
-            for c, v in prow.items():
-                if c not in row:
-                    new[c] = -b * v
-                    col_rows[c].append(rid)
-            if new:
-                work[rid] = _content_normalize(new)
-        pivots.append((prow, pc))
-
-    basis = []
-    for f, k in free:
-        x = {f: Fraction(1)}
-        for prow, pc in reversed(pivots[:k]):
-            s = sum(v * x[c] for c, v in prow.items() if c in x)
-            if s:
-                x[pc] = -s / prow[pc]
-        basis.append(x)
-    return basis
+        row = _content_normalize(row)
+        c = min(row)
+        for p, q in piv.items():
+            if c in q:
+                piv[p] = _content_normalize(_combine(q, row, c))
+        piv[c] = row
+    basis = {f: {f: Fraction(1)} for row in rows for f in row if f not in piv}
+    for p, q in piv.items():
+        for f, v in q.items():
+            if f != p:
+                basis[f][p] = Fraction(-v, q[p])
+    return list(basis.values()), len(piv)

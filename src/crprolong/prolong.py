@@ -31,7 +31,7 @@ removed, first entry positive) and kept once, so rows equal up to scale,
 37-89 % of a system, are never held twice; they leave the row space, and so
 the kernel, unchanged.  One DEBUG record of the ``crprolong.prolong`` logger
 per degree gives the rows written and kept, the kernel's presolve and block
-counts, the kernel dimension and the seconds.
+counts, the rank, the kernel dimension and the seconds.
 
 Brackets between nonnegative degrees are reconstructed from the actions
 ([h, X] = [f, [g, X]] - [g, [f, X]]) as sparse vectors in that same layout.
@@ -208,9 +208,9 @@ def prolong_step(lt: LeviTanakaAlgebra, pieces: dict, i: int, ints: dict | None 
         out.append((tuple(map(tuple, phi)), tuple(map(tuple, psi))))
     end = time.perf_counter()
     _debug("degree %d: %d rows written, %d distinct, %d columns zeroed by singletons, "
-           "%d cols, %d blocks, largest block %d cols, dim %d, %.3f s (kernel %.3f s)",
+           "%d cols, %d blocks, largest block %d cols, rank %d, dim %d, %.3f s (kernel %.3f s)",
            i, written, len(rows), stats["zeroed"], nphi + k * m2, stats["blocks"],
-           stats["largest"], len(out), end - start, end - built)
+           stats["largest"], stats["rank"], len(out), end - start, end - built)
     return out
 
 

@@ -51,11 +51,15 @@ GOLDEN = {
         "ad72cc7773ebf790eeea7ef4626fa53e7ef96bdd45831ff829170d1c2b33b4a3",
 }
 
-# sha256 of repr(sorted(pieces.items())) of a prolongation: every canonical
-# basis of systems with many blocks (so_family(4): 216 blocks in its largest
-# system), without the structure constants and 26 MB of a --structure run
+# sha256 of repr(sorted(pieces.items())) of a prolongation, keyed by family
+# and parameter: every canonical basis of systems with many blocks
+# (so_family(4): 216 blocks in its largest system, of at most 36 columns),
+# without the structure constants and 26 MB of a --structure run.
+# so_family(5) and su_family(3) add wider blocks with many dependent rows.
 GOLDEN_PIECES = {
-    4: "3fca888e77aff344d12ec2852df1b491688e28beed1c209bc32a5df2899b5e47",
+    ("so_family", 4): "3fca888e77aff344d12ec2852df1b491688e28beed1c209bc32a5df2899b5e47",
+    ("so_family", 5): "034f19b0802aad760961c4a09238539880407686d3fdae756955b42dd309bcb3",
+    ("su_family", 3): "3e90ecffe28f551054717429363049631dccdc18bb546ea912f4886f93b27f3c",
 }
 
 # sha256 of the reprs of sorted(structure_constants().items()), hashed item by
@@ -131,10 +135,13 @@ def test_golden_digest(argv):
     assert digest(out) == GOLDEN[argv]
 
 
-@pytest.mark.parametrize("n", sorted(GOLDEN_PIECES))
-def test_golden_so_family_pieces(n):
-    pieces = prolong_full(catalog.make_so_family(n).model).algebra.pieces
-    assert digest(repr(sorted(pieces.items()))) == GOLDEN_PIECES[n]
+@pytest.mark.parametrize("family, param", [
+    pytest.param(*key, marks=[pytest.mark.slow] if key != ("so_family", 4) else [])
+    for key in sorted(GOLDEN_PIECES)])
+def test_golden_family_pieces(family, param):
+    entry = getattr(catalog, f"make_{family}")(param)
+    pieces = prolong_full(entry.model).algebra.pieces
+    assert digest(repr(sorted(pieces.items()))) == GOLDEN_PIECES[family, param]
 
 
 @pytest.mark.parametrize("n", sorted(GOLDEN_CONSTANTS))

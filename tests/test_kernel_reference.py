@@ -7,8 +7,11 @@ its column graph and eliminates each block on its own;
 Both must return the same canonical basis, vector for vector: on seeded
 block-diagonal matrices whose block columns are interleaved and permuted,
 on seeded systems with duplicate, scaled and negated rows, one-entry rows
-and singleton cascades, on the edge cases of the input format, and on
-every system the prolongation builds for the catalog models.  Those
+and singleton cascades, on seeded wide, rank-deficient blocks like the
+largest prolongation blocks and on blocks whose pivots are not units (so
+the kernel entries are not integers), with the rows in any order, on the
+edge cases of the input format, and on every system the prolongation
+builds for the catalog models.  Those
 systems must hold only ``int`` entries and no two rows equal up to scale.
 ``_row_to_int`` must give the integers of a rational product without
 forming one.
@@ -194,7 +197,90 @@ def test_presolve_can_empty_a_system():
         got = sparse_int_nullspace(rows, ncols + 3, stats=stats)
         assert got == single_pass_nullspace(rows, ncols + 3)
         assert got == [{c: 1} for c in range(ncols + 3) if c not in used]
-        assert stats == {"zeroed": ncols, "blocks": 0, "largest": 0}
+        assert stats == {"zeroed": ncols, "blocks": 0, "largest": 0, "rank": ncols}
+
+
+def _wide_block(rng):
+    """One wide, rank-deficient block like the largest su_family(4) blocks:
+    100-200 columns, 3-6 times as many rows, and a kernel of 6-14 % of the
+    columns.  Returns the rows (shuffled), the column count and the kernel
+    dimension.
+
+    The rows are combinations of ``rank`` base rows, which are triangular in
+    a hidden column order: base row j holds perm[j], perm[j + 1] and a few
+    columns after them, so the base rows are independent and the block is
+    one component.  Each of the other columns joins a random base row.  The
+    hidden order is not the column order, so the RREF pivots are not units
+    and most rows reduce to zero."""
+    ncols = rng.randint(100, 200)
+    dim = rng.randint(-(-6 * ncols // 100), 14 * ncols // 100)
+    rank = ncols - dim
+    perm = rng.sample(range(ncols), ncols)
+    base = []
+    for j in range(rank):
+        row = {perm[j]: rng.choice((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5))}
+        for c in [perm[j + 1]] + rng.sample(perm[j + 1:], min(rng.randint(1, 4), ncols - j - 1)):
+            row[c] = rng.choice((-3, -2, -1, 1, 2, 3))
+        base.append(row)
+    for c in perm[rank:]:
+        base[rng.randrange(rank)][c] = rng.choice((-2, -1, 1, 2))
+    rows = [{c: f * v for c, v in row.items()} for row in base
+            for f in [rng.choice((-2, -1, 1, 3))]]
+    for _ in range(rng.randint(3, 6) * ncols - rank):
+        row = {}
+        for b in rng.sample(base, rng.randint(1, 3)):
+            f = rng.choice((-3, -2, -1, 1, 2, 3))
+            for c, v in b.items():
+                row[c] = row.get(c, 0) + f * v
+        rows.append({c: v for c, v in row.items() if v})
+    rng.shuffle(rows)
+    return rows, ncols, dim
+
+
+def test_wide_rank_deficient_blocks_match_reference():
+    rng = random.Random(SEED + 6)
+    for _ in range(4):
+        rows, ncols, dim = _wide_block(rng)
+        stats = {}
+        got = sparse_int_nullspace(rows, ncols, stats=stats)
+        assert got == single_pass_nullspace(rows, ncols)
+        assert len(got) == dim and stats["rank"] == ncols - dim
+        assert stats["blocks"] == 1 and stats["largest"] > 0.9 * ncols
+        assert 3 * ncols <= len(rows) <= 6 * ncols and 0.05 <= dim / ncols <= 0.15
+        assert any(v.denominator > 1 for vec in got for v in vec.values())
+        assert sparse_int_nullspace(rng.sample(rows, len(rows)), ncols) == got
+
+
+def test_non_unit_pivots_match_reference():
+    """Blocks whose rows lead with a negative entry or one of absolute value
+    above 1: the pivots are not units, and the kernel has entries that are
+    not integers."""
+    rng = random.Random(SEED + 7)
+    fractional = 0
+    for _ in range(80):
+        ncols = rng.randint(3, 12)
+        rows = []
+        for _ in range(rng.randint(1, ncols)):
+            cols = sorted(rng.sample(range(ncols), rng.randint(2, min(ncols, 5))))
+            row = {c: rng.choice((-3, -2, -1, 1, 2, 3)) for c in cols}
+            row[cols[0]] = rng.choice((-5, -4, -3, -2, 2, 3, 4, 5))
+            rows.append(row)
+        got = _assert_same(rows, ncols)
+        fractional += any(v.denominator > 1 for vec in got for v in vec.values())
+    assert fractional >= 40
+
+
+def test_row_order_leaves_basis_unchanged():
+    """The kernel inserts rows shortest first and the RREF does not depend
+    on the order, so shuffling the rows of a system leaves its basis
+    unchanged."""
+    rng = random.Random(SEED + 8)
+    for _ in range(20):
+        rows, ncols = _block_diagonal(rng, rng.randint(1, 4), size=(3, 20))
+        basis = _assert_same(rows, ncols)
+        for _ in range(3):
+            rows = rng.sample(rows, len(rows))
+            assert sparse_int_nullspace(rows, ncols) == basis
 
 
 def _model(name):

@@ -239,8 +239,9 @@ def test_debug_stats_one_record_per_degree(heisenberg, caplog, capsys):
     degrees = [r.args[0] for r in records]
     assert degrees == list(range(result.top_degree + 3))
     for r in records:
-        i, written, distinct, zeroed, cols, blocks, largest, dim, seconds, kernel = r.args
+        i, written, distinct, zeroed, cols, blocks, largest, rank, dim, seconds, kernel = r.args
         assert dim == result.dims.get(i, 0)
+        assert cols == rank + dim
         assert 0 < distinct <= written
         assert zeroed + largest <= cols and blocks <= largest
         assert 0 <= kernel <= seconds
