@@ -543,7 +543,8 @@ def test_json_writer_edge_cases(value):
     assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
-@pytest.mark.parametrize("value", [{1: "a", "b": 2}, {(1, 2): 3}, [object()]], ids=repr)
+@pytest.mark.parametrize("value", [{1: "a", "b": 2}, {(1, 2): 3}, [object()]],
+                         ids=["{1: 'a', 'b': 2}", "{(1, 2): 3}", "[object()]"])
 def test_json_writer_refuses_what_json_refuses(value):
     with pytest.raises(TypeError):
         json.dumps(value, indent=2, sort_keys=True)
