@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from itertools import chain
 
 from . import catalog as _catalog
 from .errors import (AlgebraError, CRProlongError, DimensionError, InputError,
@@ -55,10 +56,10 @@ def _load_model(args):
     return QuadricModel.from_json(data), args.model
 
 
-def _write(path, text):
+def _write(path, pieces):
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
@@ -76,43 +77,53 @@ def _json_key(key):
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
-def _dumps(value, indent="\n"):
-    """The text of ``json.dumps(value, indent=2, sort_keys=True)``.
+def _json_pieces(value, indent="\n"):
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)``, in pieces:
+    one per dict entry and per member of a list of containers, so the text of
+    a whole container is never built.
 
     With an indent the stdlib falls back from its C encoder to a pure-Python
-    generator per value; here a list of strings is one ``str.join`` over the
-    C string escaper, and the scalars go through ``json.dumps`` itself.  Each
-    container is one join, so its text is copied only once."""
-    if isinstance(value, str):
-        return _ESCAPE(value)
+    generator per value; here a list of strings is one piece, one
+    ``str.join`` over the C string escaper, and the scalars go through
+    ``json.dumps`` itself."""
     inner = indent + "  "
-    sep = "," + inner
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
+    if isinstance(value, str):
+        yield _ESCAPE(value)
+    elif not isinstance(value, (list, tuple, dict)):
+        yield json.dumps(value)
+    elif not value:
+        yield "{}" if isinstance(value, dict) else "[]"
+    elif isinstance(value, dict):
+        lead = "{" + inner
+        for k, v in sorted(value.items()):
+            yield lead + _ESCAPE(_json_key(k)) + ": "
+            yield from _json_pieces(v, inner)
+            lead = "," + inner
+        yield indent + "}"
+    else:
         try:
-            body = sep.join(map(_ESCAPE, value))
+            yield "[" + inner + ("," + inner).join(map(_ESCAPE, value)) + indent + "]"
         except TypeError:           # not a list of strings only
-            body = sep.join(_dumps(x, inner) for x in value)
-        return "".join(("[", inner, body, indent, "]"))
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        body = sep.join(_ESCAPE(_json_key(k)) + ": " + _dumps(v, inner)
-                        for k, v in sorted(value.items()))
-        return "".join(("{", inner, body, indent, "}"))
-    return json.dumps(value)
+            lead = "[" + inner
+            for x in value:
+                yield lead
+                yield from _json_pieces(x, inner)
+                lead = "," + inner
+            yield indent + "]"
 
 
 def _emit(args, data, text_lines):
+    """Write ``data`` as JSON (with --json, or when there are no text lines)
+    or the text lines, then a newline, to --out or stdout.  The JSON goes out
+    piece by piece, so its whole text is never held."""
     if getattr(args, "json", False) or not text_lines:
-        out = _dumps(data) + "\n"
+        pieces = chain(_json_pieces(data), ("\n",))
     else:
-        out = "\n".join(text_lines) + "\n"
+        pieces = ("\n".join(text_lines) + "\n",)
     if getattr(args, "out", None):
-        _write(args.out, out)
+        _write(args.out, pieces)
     else:
-        sys.stdout.write(out)
+        sys.stdout.writelines(pieces)
 
 
 def _fmt_witness(vec):
@@ -304,25 +315,25 @@ def cmd_catalog(args) -> int:
                 lines.append(f"{name:12s} {_catalog.get(name).description}")
         _emit(args, {"entries": _catalog.names()}, lines)
         return 0
+    entries = [_catalog.get(n) for n in ("codim5", "codim4", "heisenberg")]
+    if args.n is not None:
+        entries.append(_catalog.make_so_family(args.n))
+    if args.m is not None:
+        entries.append(_catalog.make_su_family(args.m))
     import os
     try:
         os.makedirs(args.export, exist_ok=True)
     except OSError as exc:
         raise InputError(f"cannot write {args.export}: {exc}") from exc
-    entries = [_catalog.get(n) for n in ("codim5", "codim4", "heisenberg")]
-    if args.n:
-        entries.append(_catalog.make_so_family(args.n))
-    if args.m:
-        entries.append(_catalog.make_su_family(args.m))
     written = []
     for entry in entries:
         base = entry.name.replace("(", "_").replace(")", "").replace("=", "")
         path = f"{args.export}/{base}_model.json"
-        _write(path, _dumps(entry.model.to_json()))
+        _write(path, _json_pieces(entry.model.to_json()))
         written.append(path)
         for fname, field in entry.known_fields.items():
             path = f"{args.export}/{base}_field_{fname}.json"
-            _write(path, _dumps(field.to_json()))
+            _write(path, _json_pieces(field.to_json()))
             written.append(path)
     _emit(args, {"written": written}, [f"wrote {p}" for p in written])
     return 0

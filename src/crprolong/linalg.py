@@ -9,11 +9,12 @@ Design notes
   ``gi_bareiss`` is that one elimination loop; without row swaps its pivots
   are the leading principal minors, which the definiteness search reads.
 * Every kernel, rank test and span solve goes through
-  ``sparse_int_nullspace``.  Integer rows, as the prolongation writes them,
-  are used as they are; a row with a rational entry is scaled to integers
-  (``_row_to_int``).  It then builds the reduced row echelon form (RREF)
-  of each block incrementally, inserting the integer rows held as dicts of
-  columns, shortest first, with gcd content removal (fraction-free, no entry
+  ``sparse_int_nullspace``, which takes integer rows only: each caller
+  scales its rational equations to integers where it writes them, from
+  denominators it already holds (a row scaling leaves the kernel unchanged).
+  It builds the reduced row echelon form (RREF) of each block
+  incrementally, inserting the integer rows held as dicts of columns,
+  shortest first, with gcd content removal (fraction-free, no entry
   blowup); a row that reduces to zero is dependent and dropped.  Its kernel
   vectors are read off the RREF and stay sparse ({column: Fraction}); only
   ``ExactMatrix.nullspace`` writes them out as dense tuples.
@@ -189,19 +190,24 @@ class ExactMatrix:
         """Canonical kernel basis: list of tuples, one per free column.
 
         Runs on the realified system; the real canonical vectors with an even
-        trailing column 2f are the complex ones of free column f.
+        trailing column 2f are the complex ones of free column f.  Each
+        equation is first multiplied by d, the lcm of the denominators of its
+        entries' real and imaginary parts, so both of its rows are integers.
         """
         rows = []
         for row in self.entries:
+            d = lcm(*(q.denominator for x in row for q in (x.re, x.im)))
             re_row, im_row = {}, {}
             for a, x in enumerate(row):
-                # (x.re + i x.im)(v_2a + i v_2a+1)
+                # d (x.re + i x.im)(v_2a + i v_2a+1)
                 if x.re:
-                    re_row[2 * a] = x.re
-                    im_row[2 * a + 1] = x.re
+                    re = x.re.numerator * (d // x.re.denominator)
+                    re_row[2 * a] = re
+                    im_row[2 * a + 1] = re
                 if x.im:
-                    re_row[2 * a + 1] = -x.im
-                    im_row[2 * a] = x.im
+                    im = x.im.numerator * (d // x.im.denominator)
+                    re_row[2 * a + 1] = -im
+                    im_row[2 * a] = im
             rows += (re_row, im_row)
         return [tuple(GaussianRational(v.get(2 * a, 0), v.get(2 * a + 1, 0))
                       for a in range(self.cols))
@@ -212,13 +218,6 @@ class ExactMatrix:
 # ---------------------------------------------------------------------------
 # sparse integer kernel
 # ---------------------------------------------------------------------------
-
-
-def _row_to_int(row: dict) -> dict:
-    """A rational sparse row scaled to integers (exact, row scaling only)."""
-    d = lcm(*(v.denominator for v in row.values()))
-    # v * d without a rational product; int entries work too
-    return {c: v.numerator * (d // v.denominator) for c, v in row.items()}
 
 
 def _content_normalize(row: dict) -> dict:
@@ -252,12 +251,11 @@ def _singleton_presolve(rows):
 
 
 def sparse_int_nullspace(rows, ncols: int, stats=None):
-    """Exact kernel of a rational matrix given as sparse rows.
+    """Exact kernel of an integer matrix given as sparse rows.
 
-    ``rows``: iterable of dict[col -> nonzero int or Fraction], every col <
-    ``ncols``.  A row with an entry that is not an ``int`` is scaled to
-    integers first (``_row_to_int``); integer rows, as the prolongation
-    writes them, are used as they are and never changed.  Returns the
+    ``rows``: iterable of dict[col -> nonzero int], every col < ``ncols``;
+    empty rows are skipped, and no row is changed.  A caller with rational
+    equations scales each one to integers itself.  Returns the
     canonical nullspace basis: sparse vectors dict[col -> nonzero Fraction]
     with a 1 at their free column, ordered by free column index (with the
     zeros filled in, the basis of the dense RREF route).  If ``stats`` is a
@@ -281,9 +279,7 @@ def sparse_int_nullspace(rows, ncols: int, stats=None):
     and the reduced trailing-column basis is unique, so the block bases,
     merged by trailing column, are the global canonical basis.
     """
-    rows, zeroed = _singleton_presolve(
-        [row if set(map(type, row.values())) == {int} else _row_to_int(row)
-         for row in rows if row])
+    rows, zeroed = _singleton_presolve([row for row in rows if row])
     parent = {c: c for row in rows for c in row}
 
     def find(c):

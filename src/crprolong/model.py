@@ -22,7 +22,6 @@ Im w = (1/4)[Jz, z].
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -83,9 +82,6 @@ class QuadricModel:
         if m.n != n or m.k != k:
             raise InputError("model JSON shape fields disagree with the matrices")
         return m
-
-    def fingerprint(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
 
     # -- validation ------------------------------------------------------------
     def validate(self, definiteness_bound: int = 1) -> "ValidationReport":

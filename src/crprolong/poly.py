@@ -477,12 +477,3 @@ class PolyVectorField:
     def __repr__(self):
         return f"PolyVectorField[{self.text()}]"
 
-    def coefficient_entries(self):
-        """Deterministic ((block, index, packed monomial), coeff) stream for
-        span work."""
-        n, den = self.n, self.den
-        for i, p in enumerate(self.comps):
-            key = (0, i) if i < n else (1, i - n)
-            for m in sorted(p, reverse=True):
-                re, im = p[m]
-                yield (*key, m), GaussianRational(Fraction(re, den), Fraction(im, den))

@@ -56,9 +56,9 @@ from __future__ import annotations
 
 import sys
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd, lcm
 from typing import NamedTuple
 
@@ -591,26 +591,20 @@ class ProlongationResult:
         return out
 
 
-_CACHE_SIZE = 8                         # results kept; the least recently used goes first
-_CACHE: OrderedDict = OrderedDict()
-
-
-def clear_cache():
-    _CACHE.clear()
-
-
 def prolong_full(model: QuadricModel, max_degree: int = 12,
                  use_cache: bool = True) -> ProlongationResult:
     """Full prolongation, iterated until a zero degree (then one more degree
     is computed and asserted zero — m is generated by g_{-1}, so a single
-    vanishing degree kills everything above it)."""
+    vanishing degree kills everything above it).
+
+    With ``use_cache`` the result is kept in an LRU of 8, keyed by the
+    model's value and the cap, so equal models share one result."""
     if max_degree < 0:
         raise InputError(f"degree cap must be nonnegative, got {max_degree}")
-    key = (model.fingerprint(), max_degree)
-    if use_cache and key in _CACHE:
-        _CACHE.move_to_end(key)
-        return _CACHE[key]
+    return (_cached_prolong if use_cache else _prolong)(model, max_degree)
 
+
+def _prolong(model: QuadricModel, max_degree: int) -> ProlongationResult:
     lt = build_levi_tanaka(model)
     pieces = _negative_pieces(lt)
     ints = {}                           # the integer tables, shared with the algebra
@@ -641,8 +635,8 @@ def prolong_full(model: QuadricModel, max_degree: int = 12,
         jet_order=jet_order(b),
         terminated=terminated,
     )
-    if use_cache:
-        _CACHE[key] = result
-        if len(_CACHE) > _CACHE_SIZE:
-            _CACHE.popitem(last=False)
     return result
+
+
+_cached_prolong = lru_cache(maxsize=8)(_prolong)
+clear_cache = _cached_prolong.cache_clear

@@ -183,18 +183,27 @@ def express_in_span(target: PolyVectorField, fields) -> tuple | None:
     column exactly when the target lies in the span; it is then the solution
     with every free coefficient 0.  Returns a tuple of Fractions, or None
     when target is outside the span.
+
+    The rows, one per (component, packed monomial) and part, are written as
+    integers: each is the true row times ``den``, the lcm of all the field
+    denominators, so a column holds its field's integer core times
+    ``den // fld.den`` (negated for the target).
     """
     fields = list(fields)
-    rows = {}
-    for col, fld in enumerate((*fields, -target)):
+    for fld in fields:
         if fld.n != target.n or fld.k != target.k:
             raise DimensionError("fields from different variable frames")
-        for key, c in fld.coefficient_entries():
-            re_row, im_row = rows.setdefault(key, ({}, {}))
-            if c.re:
-                re_row[col] = c.re
-            if c.im:
-                im_row[col] = c.im
+    den = lcm(target.den, *(fld.den for fld in fields))
+    scales = [den // fld.den for fld in fields] + [-den // target.den]
+    rows = {}
+    for col, (fld, scale) in enumerate(zip((*fields, target), scales)):
+        for i, p in enumerate(fld.comps):
+            for m, (re, im) in p.items():
+                re_row, im_row = rows.setdefault((i, m), ({}, {}))
+                if re:
+                    re_row[col] = scale * re
+                if im:
+                    im_row[col] = scale * im
     basis = sparse_int_nullspace((r for pair in rows.values() for r in pair), len(fields) + 1)
     if basis and max(basis[-1]) == len(fields):
         return tuple(basis[-1].get(c, _F0) for c in range(len(fields)))

@@ -101,14 +101,20 @@ def dense_solve(m, rhs):
 def dense_express_in_span(target, fields):
     """``express_in_span`` by ``dense_solve`` on the real coordinate system."""
     fields = list(fields)
+
+    def entries(fld):
+        """{(component, monomial): coefficient}, read off the Poly views."""
+        return {(i, m): c for i, p in enumerate((*fld.z_comps, *fld.w_comps))
+                for m, c in p.terms.items()}
+
     coords = {}
     for fld in (*fields, target):
-        for key, _ in fld.coefficient_entries():
+        for key in entries(fld):
             coords.setdefault(key, len(coords))
 
     def vectorize(fld):
         col = [GR_ZERO] * len(coords)
-        for key, c in fld.coefficient_entries():
+        for key, c in entries(fld).items():
             col[coords[key]] = c
         return col
 

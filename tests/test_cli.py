@@ -4,14 +4,16 @@ Every test drives ``crprolong.cli.main(argv)`` directly (no subprocess), so
 exit codes are the function's return value and output is captured via capsys.
 """
 
+import io
 import json
 import random
+import sys
 
 import pytest
 
 from helpers import Poly
 
-from crprolong.cli import _dumps, main
+from crprolong.cli import _json_pieces, main
 from crprolong.catalog import get
 from crprolong.model import QuadricModel
 from crprolong.poly import DEGREE_CAP, PolyVectorField
@@ -78,6 +80,19 @@ def test_catalog_export_family_name_mangling(capsys, tmp_path):
     assert family_file.exists()
     model = QuadricModel.from_json(json.loads(family_file.read_text()))
     assert (model.n, model.k) == (6, 4)
+
+
+@pytest.mark.parametrize("flag, message", [("--n", "so family needs n >= 3"),
+                                           ("--m", "su family needs m >= 2")])
+def test_catalog_export_refuses_a_zero_family_parameter(capsys, tmp_path, flag, message):
+    """A zero parameter is refused like any other out-of-range one, before
+    a file is written."""
+    dest = tmp_path / "out"
+    code, out, err = run(capsys, ["catalog", "--export", str(dest), flag, "0"])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert not dest.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +515,34 @@ def test_report_json(capsys):
 # ---------------------------------------------------------------------------
 # the JSON writer
 # ---------------------------------------------------------------------------
+
+
+def _dumps(value):
+    return "".join(_json_pieces(value))
+
+
+class _Pieces(io.StringIO):
+    """A stdout that records the length of each piece written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.lengths = []
+
+    def write(self, text):
+        self.lengths.append(len(text))
+        return super().write(text)
+
+
+def test_json_output_is_written_in_pieces(monkeypatch):
+    """The --structure JSON is written piece by piece, and no piece holds
+    more than a small part of it."""
+    out = _Pieces()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["prolong", "--catalog", "codim4", "--json", "--structure"]) == 0
+    text = out.getvalue()
+    assert json.loads(text)["dims"]["0"] == 23
+    assert sum(out.lengths) == len(text) and text.endswith("}\n")
+    assert len(out.lengths) > 1000 and max(out.lengths) < len(text) // 100
 
 STRINGS = ["", "a", 'say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f",
            "caf\xe9", "\u2028\xff", "astral \U0001f600 \U00010000", "(1/3)+(0)i"]

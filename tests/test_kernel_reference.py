@@ -13,20 +13,25 @@ the kernel entries are not integers), with the rows in any order, on the
 edge cases of the input format, and on every system the prolongation
 builds for the catalog models.  Those
 systems must hold only ``int`` entries and no two rows equal up to scale.
-``_row_to_int`` must give the integers of a rational product without
-forming one.
+The kernel takes integer rows only, so every row that reaches it, from the
+linear algebra, the span solve and the prolongation alike, must hold only
+``int`` entries, also when the model or the fields are rational or
+Gaussian-rational.
 """
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 
 from reference import single_pass_nullspace
 
-from crprolong import catalog, prolong
-from crprolong.linalg import _row_to_int, sparse_int_nullspace
+from crprolong import catalog, linalg, prolong, realize
+from crprolong.linalg import sparse_int_nullspace
+from crprolong.model import QuadricModel
+from crprolong.realize import express_in_span, realize_basis
+from crprolong.scalars import GaussianRational
 
 SEED = 83
 
@@ -327,23 +332,50 @@ def test_prolongation_rows_are_distinct_integers(name, monkeypatch):
         assert all(row == dict(key) for row, key in zip(rows, keys))
 
 
-def test_rows_to_int_matches_rational_product():
-    rng = random.Random(SEED + 3)
-    rows = []
-    for _ in range(200):
-        row = {}
-        for c in rng.sample(range(12), rng.randint(0, 5)):
-            num = rng.choice([v for v in range(-9, 10) if v])
-            row[c] = num if rng.random() < 0.3 else Fraction(num, rng.randint(1, 12))
-        rows.append(row)
-    got = [_row_to_int(row) for row in rows if row]
-    want = []
-    for row in rows:
-        if row:
-            d = lcm(*(v.denominator for v in row.values()))
-            want.append({c: int(v * d) for c, v in row.items()})
-    assert got == want
-    assert all(type(v) is int for row in got for v in row.values())
-    assert _row_to_int({2: Fraction(1, 2), 5: 3}) == {2: 1, 5: 6}
-    # the kernel scales the rows with a Fraction entry and takes int rows as they are
-    assert sparse_int_nullspace(rows, 12) == single_pass_nullspace(got, 12)
+def _contract_model():
+    """codim4 with its forms H_j replaced by D* H_j D, D = diag(1/3, i/5,
+    (1 + i)/2, 1, ...): Hermitian forms with rational and Gaussian-rational
+    entries."""
+    model = catalog.make_codim4().model
+    d = (GaussianRational(Fraction(1, 3)), GaussianRational(0, Fraction(1, 5)),
+         GaussianRational(Fraction(1, 2), Fraction(1, 2))) + (GaussianRational(1),) * (model.n - 3)
+    return QuadricModel([[[d[a].conjugate() * h.entries[a][b] * d[b] for b in range(model.n)]
+                          for a in range(model.n)] for h in model.hermitian])
+
+
+def test_every_kernel_binding_gets_int_rows(monkeypatch, codim5_result):
+    """The eliminator takes integer rows only: each caller scales its own
+    rational rows.  Every row that reaches the kernel from ``linalg``
+    (``ExactMatrix.nullspace``), ``realize`` (``express_in_span``) and
+    ``prolong`` (the systems and the faithfulness test of ``check_jacobi``)
+    holds only ``int`` entries, on rational and Gaussian-rational inputs."""
+    seen = {}
+
+    def recorder(module):
+        def capture(rows, ncols, **kwargs):
+            rows = list(rows)
+            seen.setdefault(module.__name__, []).extend(rows)
+            return sparse_int_nullspace(rows, ncols, **kwargs)
+        return capture
+
+    for module in (linalg, realize, prolong):
+        monkeypatch.setattr(module, "sparse_int_nullspace", recorder(module))
+
+    model = _contract_model()
+    assert any(x.re.denominator > 1 and x.im for h in model.hermitian
+               for row in h.entries for x in row)
+    assert model.validate().all_passed
+    for d in (0, 1):
+        basis = realize_basis(codim5_result, d)
+        fields = [basis[0] * Fraction(1, 3), basis[1] * GaussianRational(0, Fraction(2, 5)),
+                  *basis[2:]]
+        assert len({f.den for f in fields}) > 1
+        target = basis[0] + basis[1] * GaussianRational(0, 1) + basis[2] * Fraction(1, 7)
+        want = (3, Fraction(5, 2), Fraction(1, 7)) + (0,) * (len(basis) - 3)
+        assert express_in_span(target, fields) == want
+    result = prolong.prolong_full(catalog.get("heisenberg").model, use_cache=False)
+    assert result.algebra.check_jacobi() > 0
+
+    assert set(seen) == {"crprolong.linalg", "crprolong.realize", "crprolong.prolong"}
+    for rows in seen.values():
+        assert rows and all(type(v) is int for row in rows for v in row.values())

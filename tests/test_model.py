@@ -65,11 +65,14 @@ def test_json_malformed():
             QuadricModel.from_json(bad)
 
 
-def test_fingerprint_deterministic():
+def test_equal_models_hash_alike():
+    """Models built separately from the same forms are equal and hash alike,
+    so they share a cache key; codim4 differs."""
     a = catalog.make_codim5().model
     b = catalog.make_codim5().model
-    assert a.fingerprint() == b.fingerprint()
-    assert a.fingerprint() != catalog.make_codim4().model.fingerprint()
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert a != catalog.make_codim4().model
 
 
 # ---------------------------------------------------------------------------

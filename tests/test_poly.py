@@ -403,12 +403,3 @@ def test_field_text():
     F = PolyVectorField(n, k, [z], [Poly.zero(n, k)])
     assert F.text() == "((1)+(0)i*z1) d/dz1"
     assert PolyVectorField.zero(n, k).text() == "0"
-
-
-def test_coefficient_entries_deterministic():
-    rng = random.Random(42)
-    F = rand_field(rng, 2, 2)
-    assert list(F.coefficient_entries()) == list(F.coefficient_entries())
-    total = sum(1 for _ in F.coefficient_entries())
-    nonzero = sum(len(p.terms) for p in (*F.z_comps, *F.w_comps))
-    assert total == nonzero

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import logging
 
 import pytest
@@ -184,18 +185,33 @@ def test_cache_returns_same_object(heisenberg):
 
 def test_cache_is_a_bounded_lru(heisenberg):
     """Each max_degree is its own cache key, so one small model fills it."""
-    size = prolong._CACHE_SIZE
+    info = prolong._cached_prolong.cache_info
+    size = info().maxsize
     clear_cache()
     results = {}
     for d in range(3, 3 + size + 2):
         results[d] = prolong_full(heisenberg.model, max_degree=d)
-        assert len(prolong._CACHE) <= size
+        assert info().currsize <= size
         # a hit returns the cached object and makes it the most recent
         assert prolong_full(heisenberg.model, max_degree=3) is results[3]
     # the least recently used entries (d = 4, 5) went first
     assert prolong_full(heisenberg.model, max_degree=6) is results[6]
     assert prolong_full(heisenberg.model, max_degree=4) is not results[4]
-    assert len(prolong._CACHE) == size
+    assert info().currsize == size
+    # a keyword and a positional cap share one key
+    assert prolong_full(heisenberg.model, 6) is results[6]
+    clear_cache()
+
+
+def test_cache_is_keyed_by_model_value(heisenberg):
+    """A model rebuilt from its JSON is equal to the original, so it hits
+    the cached result."""
+    clear_cache()
+    a = prolong_full(heisenberg.model)
+    rebuilt = QuadricModel.from_json(json.loads(json.dumps(heisenberg.model.to_json())))
+    assert rebuilt is not heisenberg.model
+    assert prolong_full(rebuilt) is a
+    assert prolong._cached_prolong.cache_info().hits == 1
     clear_cache()
 
 

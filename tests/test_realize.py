@@ -17,7 +17,7 @@ from crprolong.realize import (
     realize_basis,
     realize_element,
 )
-from crprolong.scalars import GR_I
+from crprolong.scalars import GR_I, GaussianRational
 
 
 def test_bracket_sign_is_global_constant():
@@ -191,9 +191,14 @@ def test_express_in_span_euler(codim5_result):
 
 def test_express_in_span_matches_dense_solve(heisenberg_result, codim4_result):
     """Seeded dependent field sets: the sparse kernel answer equals the dense
-    solve (free coefficients 0), for targets inside and outside the span."""
+    solve (free coefficients 0), for targets inside and outside the span.
+    Each set is also solved with its fields scaled by 1/3 and by 2i/5, so the
+    fields have different denominators and the imaginary scaling can leave
+    real rows empty.  A field of the next degree lies outside both spans, and i
+    times a nonzero tangent field, which is not tangent, outside the span of
+    the unscaled set."""
     rng = random.Random(63)
-    checked = outside = 0
+    checked = 0
     for res in (heisenberg_result, codim4_result):
         for d in (-1, 0, 1):
             basis = realize_basis(res, d)
@@ -205,15 +210,21 @@ def test_express_in_span_matches_dense_solve(heisenberg_result, codim4_result):
                         if rng.random() < 0.5:
                             f = f + b * rng.randint(-2, 2)
                     fields.append(f)
+                scaled = [f * (Fraction(1, 3) if j % 2 else GaussianRational(0, Fraction(2, 5)))
+                          for j, f in enumerate(fields)]
                 inside = fields[0] * 0
                 for f in fields:
                     inside = inside + f * Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-                for target in (inside, rng.choice(basis), realize_basis(res, d + 1)[0]):
-                    got = express_in_span(target, fields)
-                    assert got == dense_express_in_span(target, fields)
-                    outside += got is None
-                    checked += 1
-    assert checked == 72 and outside > 0
+                b, beyond = rng.choice(basis), realize_basis(res, d + 1)[0]
+                for field_set in (fields, scaled):
+                    for target in (inside, b, beyond):
+                        assert express_in_span(target, field_set) == \
+                            dense_express_in_span(target, field_set)
+                        checked += 1
+                    assert express_in_span(beyond, field_set) is None
+                assert express_in_span(b * GR_I, fields) is None
+                assert dense_express_in_span(b * GR_I, fields) is None
+    assert checked == 144
     assert express_in_span(PolyVectorField.zero(1, 1), []) == ()
 
 

@@ -15,6 +15,7 @@ fault.
 import re
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -262,8 +263,14 @@ def _broken_trailing(alg):
 
 
 def _delta_off_g1_span(alg):
-    """{a: delta_a}: a functional on g_0 that vanishes on [g_-1, g_1]."""
-    rows = [dict(entries) for row in alg.structure_constants()[(-1, 1)] for entries in row]
+    """{a: delta_a}: a functional on g_0 that vanishes on [g_-1, g_1].  The
+    kernel takes integer rows, so each row is scaled by the lcm of its
+    denominators."""
+    rows = []
+    for row in alg.structure_constants()[(-1, 1)]:
+        for entries in row:
+            d = lcm(*(x.denominator for _, x in entries))
+            rows.append({t: x.numerator * (d // x.denominator) for t, x in entries})
     (delta,) = sparse_int_nullspace(rows, alg.dim(0))
     return delta
 
