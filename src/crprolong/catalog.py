@@ -56,7 +56,7 @@ def _field(n, k, table, factor=None) -> PolyVectorField:
     polys = [table.get(i, {}) for i in range(n + k)] + [factor or {0: 1}]
     den, (*comps, f) = gi_integral([{m: GaussianRational(c) for m, c in p.items()}
                                     for p in polys])
-    return PolyVectorField._of(n, k, den * den, [gi_trim(gi_mul_into({}, p, f)) for p in comps])
+    return PolyVectorField(n, k, den * den, [gi_trim(gi_mul_into({}, p, f)) for p in comps])
 
 
 def make_codim5() -> CatalogEntry:
@@ -223,7 +223,7 @@ def _embed_field(f: PolyVectorField, n2: int, k2: int) -> PolyVectorField:
               for e in (unpack(m),)} for p in f.comps]
     comps[n:n] = [{} for _ in pad_z]
     comps.extend({} for _ in pad_w)
-    return PolyVectorField._of(n2, k2, f.den, comps)
+    return PolyVectorField(n2, k2, f.den, comps)
 
 
 def extend_codim(entry: CatalogEntry, extra: int) -> CatalogEntry:

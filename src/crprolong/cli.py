@@ -39,18 +39,17 @@ def _load_model(args):
     A catalog family fails here, before any form is built, if --max-degree is
     not above its top degree (a negative cap is left to the input check of
     prolong_full)."""
-    if getattr(args, "catalog", None):
-        n, m = getattr(args, "n", None), getattr(args, "m", None)
-        family = _catalog.family_top(args.catalog, n, m)
+    if args.catalog:
+        family = _catalog.family_top(args.catalog, args.n, args.m)
         cap = getattr(args, "max_degree", -1)
         if family and 0 <= cap <= family[1]:
             name, top = family
             raise NonterminationError(
                 f"{name} has top degree {top}, so its prolongation needs "
                 f"--max-degree {top + 1} or more (got {cap})")
-        entry = _catalog.get(args.catalog, n=n, m=m, extra=getattr(args, "extra", 0) or 0)
+        entry = _catalog.get(args.catalog, n=args.n, m=args.m, extra=args.extra)
         return entry.model, entry.name
-    if not getattr(args, "model", None):
+    if not args.model:
         raise InputError("provide a model file or --catalog NAME")
     data = _read_json(args.model)
     return QuadricModel.from_json(data), args.model
@@ -116,11 +115,11 @@ def _emit(args, data, text_lines):
     """Write ``data`` as JSON (with --json, or when there are no text lines)
     or the text lines, then a newline, to --out or stdout.  The JSON goes out
     piece by piece, so its whole text is never held."""
-    if getattr(args, "json", False) or not text_lines:
+    if args.json or not text_lines:
         pieces = chain(_json_pieces(data), ("\n",))
     else:
         pieces = ("\n".join(text_lines) + "\n",)
-    if getattr(args, "out", None):
+    if args.out:
         _write(args.out, pieces)
     else:
         sys.stdout.writelines(pieces)
@@ -343,9 +342,8 @@ def cmd_catalog(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_model_source(p, positional=True):
-    if positional:
-        p.add_argument("model", nargs="?", help="model JSON file")
+def _add_model_source(p):
+    p.add_argument("model", nargs="?", help="model JSON file")
     p.add_argument("--catalog", help="built-in model name (see `catalog`)")
     p.add_argument("--n", type=int, help="parameter for so_family")
     p.add_argument("--m", type=int, help="parameter for su_family")
@@ -355,8 +353,6 @@ def _add_model_source(p, positional=True):
 
 def _add_output(p):
     p.add_argument("--json", action="store_true", help="JSON output (default: text)")
-    p.add_argument("--text", dest="json", action="store_false",
-                   help="human-readable output")
     p.add_argument("--out", help="write output to this file instead of stdout")
 
 

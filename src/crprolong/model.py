@@ -35,7 +35,7 @@ from .scalars import GaussianRational, json_int
 class QuadricModel:
     """Immutable quadric model: k Hermitian forms on C^n."""
 
-    __slots__ = ("n", "k", "hermitian")
+    __slots__ = ("n", "k", "hermitian", "_hash")
 
     def __init__(self, hermitian):
         hermitian = tuple(h if isinstance(h, ExactMatrix) else ExactMatrix(h)
@@ -51,6 +51,7 @@ class QuadricModel:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", len(hermitian))
         object.__setattr__(self, "hermitian", hermitian)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("QuadricModel is immutable")
@@ -61,7 +62,10 @@ class QuadricModel:
         return self.hermitian == other.hermitian
 
     def __hash__(self):
-        return hash(self.hermitian)
+        """Computed once: the ``prolong_full`` and ``verify_hol`` memos key on it."""
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self.hermitian))
+        return self._hash
 
     def __repr__(self):
         return f"QuadricModel(n={self.n}, k={self.k})"

@@ -12,19 +12,20 @@ first.  Coefficients are Gaussian rationals.  Tangency residuals and the
 components read off a field are Polys; a Poly has no arithmetic, as every
 computation runs on the packed core below.
 
-``PolyVectorField`` computes on a compact core.  Its coefficients are
-holomorphic, so they live in the packed (z, w) frame: n + k exponent slots
-instead of 2n + 3k.  A ``Packing`` puts an exponent vector into one int:
-variable v takes SLOT_BITS = 16 bits, the first variable highest, and the
-total degree sits above every slot.  A monomial product is then one integer
-addition (Monagan & Pearce, CASC 2007), integer order is the graded lex
-order, and the total degree is one shift.  Each component maps packed
-monomials to Gaussian integers (re, im) of Python ints over one positive
-denominator for the whole field, kept in lowest terms, so equal fields have
-equal cores.  No exponent can carry into the next slot: each exponent is at
-most the total degree, and packing, products and brackets raise InputError
-before a total degree reaches 2**SLOT_BITS (``check_degree``).  The
-tangency check builds its (z, zb, u) frame on the same packing.
+``PolyVectorField`` is built from a compact core and computes on it.  Its
+coefficients are holomorphic, so they live in the packed (z, w) frame:
+n + k exponent slots instead of 2n + 3k.  A ``Packing`` puts an exponent
+vector into one int: variable v takes SLOT_BITS = 16 bits, the first
+variable highest, and the total degree sits above every slot.  A monomial
+product is then one integer addition (Monagan & Pearce, CASC 2007), integer
+order is the graded lex order, and the total degree is one shift.  Each
+component maps packed monomials to Gaussian integers (re, im) of Python ints
+over one positive denominator for the whole field, kept in lowest terms, so
+equal fields have equal cores.  No exponent can carry into the next slot:
+each exponent is at most the total degree, and packing, products and
+brackets raise InputError before a total degree reaches 2**SLOT_BITS
+(``check_degree``).  The tangency check builds its (z, zb, u) frame on the
+same packing.
 
 Every operation is exact and returns new objects.
 """
@@ -227,17 +228,6 @@ def gi_integral(comps):
                  for p in comps]
 
 
-def _holomorphic(p: Poly, pk: Packing) -> dict:
-    """The terms of a (z, w) Poly as {packed monomial: coefficient}."""
-    n, k = p.n, p.k
-    out = {}
-    for mono, c in p.terms.items():
-        if any(mono[n:2 * n]) or any(mono[2 * n + k:]):
-            raise InputError("field coefficients must be holomorphic (z, w only)")
-        out[pk.pack(mono[:n] + mono[2 * n:2 * n + k])] = c
-    return out
-
-
 def _max_degree(comps, top: int) -> int:
     return max(max(p) for p in comps if p) >> top
 
@@ -248,26 +238,14 @@ class PolyVectorField:
     ``comps`` holds the n + k coefficients (z targets first) in the packed
     (z, w) frame as {monomial: (re, im)}, over the one denominator ``den``.
     ``z_comps`` and ``w_comps`` give them as Polys, built on first use.  The
-    constructor takes Polys, which must involve z and w only.
+    constructor takes the core and stores it in lowest terms.
     """
 
     __slots__ = ("n", "k", "den", "comps", "_polys")
 
-    def __init__(self, n: int, k: int, z_comps, w_comps):
-        z_comps = tuple(z_comps)
-        w_comps = tuple(w_comps)
-        if len(z_comps) != n or len(w_comps) != k:
-            raise DimensionError("component count does not match (n, k)")
-        pk = packing(n + k)
-        terms = []
-        for p in (*z_comps, *w_comps):
-            if p.n != n or p.k != k:
-                raise DimensionError("component polynomial from the wrong frame")
-            terms.append(_holomorphic(p, pk))
-        self._init(n, k, *gi_integral(terms))
-
-    def _init(self, n, k, den, comps):
-        """Store the core in lowest terms; ``comps`` have no zero coefficient."""
+    def __init__(self, n: int, k: int, den: int, comps):
+        """The field of the n + k packed ``comps`` over the positive ``den``,
+        stored in lowest terms; ``comps`` have no zero coefficient."""
         g = den
         for p in comps:
             for re, im in p.values():
@@ -284,13 +262,6 @@ class PolyVectorField:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "comps", tuple(comps))
         object.__setattr__(self, "_polys", None)
-
-    @classmethod
-    def _of(cls, n: int, k: int, den: int, comps) -> "PolyVectorField":
-        """Wrap a core computed here: n + k packed components, zeros dropped."""
-        f = object.__new__(cls)
-        f._init(n, k, den, comps)
-        return f
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("PolyVectorField is immutable")
@@ -319,14 +290,14 @@ class PolyVectorField:
 
     @staticmethod
     def zero(n, k) -> "PolyVectorField":
-        return PolyVectorField._of(n, k, 1, [{} for _ in range(n + k)])
+        return PolyVectorField(n, k, 1, [{} for _ in range(n + k)])
 
     @staticmethod
     def euler(n, k) -> "PolyVectorField":
         """The field sum(z_a d/dz_a) + 2 sum(w_j d/dw_j); weighted degree 0."""
         units = packing(n + k).units
-        return PolyVectorField._of(n, k, 1, [{units[v]: (1 if v < n else 2, 0)}
-                                             for v in range(n + k)])
+        return PolyVectorField(n, k, 1, [{units[v]: (1 if v < n else 2, 0)}
+                                         for v in range(n + k)])
 
     def _compat(self, other):
         if self.n != other.n or self.k != other.k:
@@ -353,7 +324,7 @@ class PolyVectorField:
             for out, p in zip(comps, f.comps):
                 if p:
                     gi_add_into(out, p, cr * mult, ci * mult)
-        return PolyVectorField._of(n, k, den, [gi_trim(p) for p in comps])
+        return PolyVectorField(n, k, den, [gi_trim(p) for p in comps])
 
     def __add__(self, other):
         self._compat(other)
@@ -400,7 +371,7 @@ class PolyVectorField:
                 if b and g:
                     gi_mul_into(out, b, gi_diff(g, pk, v), -1)
             comps.append(gi_trim(out))
-        return PolyVectorField._of(self.n, self.k, self.den * other.den, comps)
+        return PolyVectorField(self.n, self.k, self.den * other.den, comps)
 
     # -- weights -------------------------------------------------------------
     def weighted_degree(self):
@@ -466,7 +437,7 @@ class PolyVectorField:
             raise InputError(f"malformed field JSON: {exc}") from exc
         if len(z) != n or len(w) != k:
             raise DimensionError("component count does not match (n, k)")
-        return PolyVectorField._of(n, k, *gi_integral(
+        return PolyVectorField(n, k, *gi_integral(
             [{m: c for m, c in p.items() if c} for p in (*z, *w)]))
 
     def text(self) -> str:

@@ -138,7 +138,7 @@ def _realize_unit(alg: GradedLieAlgebra, degree: int, m: int,
     comps = [{} for _ in range(n + k)]
     for i, p, re, im, d in parts:
         gi_add_into(comps[i], p, re * (den // d), im * (den // d))
-    return PolyVectorField._of(n, k, den, [gi_trim(p) for p in comps])
+    return PolyVectorField(n, k, den, [gi_trim(p) for p in comps])
 
 
 def _basis_fields(alg: GradedLieAlgebra, degree: int) -> tuple:

@@ -37,32 +37,31 @@ conjugate.  The residual (R_j - conj(R'_j)) / (4iD q^(N+1)) is built as a
 Poly only when it is nonzero.
 
 The scaled forms, their z-derivatives and the substitution polynomials are
-kept per model in a small least-recently-used memo.  The products
+kept per model in a least-recently-used memo of eight models.  Like the
+``prolong_full`` memo it is keyed by the model's value, so a model read again
+from its JSON finds the surface built for the first.  The products
 (q u + i P')^beta are built for each check in lexicographic order of beta,
 each from the longest prefix product it shares with the one before, so one
 chain of prefix products is held at a time.
 """
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DimensionError, InputError
 from .poly import (SLOT_BITS, Poly, PolyVectorField, check_degree, gi_add_into, gi_diff,
                    gi_integral, gi_mul_into, gi_trim, packing)
 from .scalars import GaussianRational
 
-_SURFACES_SIZE = 8                      # models kept; the least recently used goes first
-_SURFACES: OrderedDict = OrderedDict()
-
 
 @dataclass(frozen=True)
 class TangencyCertificate:
     """Outcome of a tangency check, with residuals kept for auditing.
 
-    `residuals[j]` is Re(X rho_j) restricted to the surface, expressed in the
-    variables (z, zb, u); the verdict is True exactly when every residual is
-    the zero polynomial.
+    `residuals[j]` is Re(X rho_j) restricted to the surface of ``model``,
+    expressed in the variables (z, zb, u); the verdict is True exactly when
+    every residual is the zero polynomial.
     """
 
     n: int
@@ -70,6 +69,7 @@ class TangencyCertificate:
     verdict: bool
     residuals: tuple
     field: PolyVectorField
+    model: object
 
     def to_json(self) -> dict:
         data = {
@@ -89,7 +89,6 @@ class _Surface:
     its polynomials q u_l + i P'_l."""
 
     def __init__(self, model):
-        self.model = model
         n, k = model.n, model.k
         pk = packing(2 * n + k)
         units = pk.units                # z_a is units[a], zb_b is units[n + b]
@@ -123,15 +122,7 @@ def _swapper(n: int, k: int):
     return swap
 
 
-def _surface(model) -> _Surface:
-    # keyed by identity: the entry holds the model, so the id is not reused
-    surface = _SURFACES.pop(id(model), None)
-    if surface is None or surface.model is not model:
-        surface = _Surface(model)
-    _SURFACES[id(model)] = surface          # most recently used last
-    if len(_SURFACES) > _SURFACES_SIZE:
-        _SURFACES.popitem(last=False)
-    return surface
+_surface = lru_cache(maxsize=8)(_Surface)
 
 
 def _by_w_exponent(field: PolyVectorField, top: int, zshift: int) -> dict:
@@ -209,7 +200,7 @@ def verify_hol(field: PolyVectorField, model) -> TangencyCertificate:
             diff[m] = (-re, im) if s is None else (s[0] - re, s[1] + im)
         residuals.append(_residual(n, k, gi_trim(diff), 4 * field.den * q ** (top_w + 1)))
     verdict = all(r.is_zero() for r in residuals)
-    return TangencyCertificate(n, k, verdict, tuple(residuals), field)
+    return TangencyCertificate(n, k, verdict, tuple(residuals), field, model)
 
 
 def _residual(n: int, k: int, diff: dict, den: int) -> Poly:
@@ -254,10 +245,12 @@ def jet_certificate(field: PolyVectorField, model, jet: int,
     """
     if tangency is None:
         cert = verify_hol(field, model)
-    elif tangency.field == field:
-        cert = tangency
-    else:
+    elif tangency.field != field:
         raise InputError("tangency certificate is for a different field")
+    elif tangency.model != model:
+        raise InputError("tangency certificate is for a different model")
+    else:
+        cert = tangency
     nonzero = not field.is_zero()
     order = field.ordinary_vanishing_order()
     certified = cert.verdict and nonzero and order is not None and order >= jet + 1

@@ -1,14 +1,15 @@
 """Shared test helpers: realized fields against the abstract algebra,
 certificate checks on the catalog's known fields, test vectors for the
 catalog models, the reference polynomial ring (``Poly``: the library's
-read-only Poly with ``variable``, ``constant``, ``+``, ``-`` and ``*``, and
-the product of a field with a Poly), and small operations that only tests
-need (the defining polynomials of a model, exact evaluation, the real
-predicate, total degrees, derivatives, formal conjugates, powers and the
-action of a field on a Poly, identity and zero matrices, matrix-vector
-products and determinants, the bracket and J on g_{-1}, the invariants of a
-Levi-Tanaka algebra and the forms read back from its brackets, the grading
-element and its check, and the structure constants with zeros filled in)."""
+read-only Poly with ``variable``, ``constant``, ``+``, ``-`` and ``*``, the
+field of (z, w) Polys and the product of a field with a Poly), and small
+operations that only tests need (the defining polynomials of a model, exact
+evaluation, the real predicate, total degrees, derivatives, formal
+conjugates, powers and the action of a field on a Poly, identity and zero
+matrices, matrix-vector products and determinants, the bracket and J on
+g_{-1}, the invariants of a Levi-Tanaka algebra and the forms read back from
+its brackets, the grading element and its check, and the structure
+constants with zeros filled in)."""
 
 from fractions import Fraction
 from math import lcm
@@ -18,8 +19,8 @@ from crprolong import poly as _poly
 from crprolong.errors import AlgebraError, DimensionError, InputError, InternalCheckError
 from crprolong.linalg import ExactMatrix, gi_bareiss
 from crprolong.model import QuadricModel
-from crprolong.poly import (PolyVectorField, _holomorphic, _max_degree, check_degree,
-                            gi_integral, gi_mul_into, gi_trim, packing)
+from crprolong.poly import (PolyVectorField, _max_degree, check_degree, gi_integral,
+                            gi_mul_into, gi_trim, packing)
 from crprolong.realize import BRACKET_SIGN, realize_element
 from crprolong.scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational
 from crprolong.verify import jet_certificate, verify_hol
@@ -128,6 +129,30 @@ def ring(p) -> Poly:
     return Poly._of(p.n, p.k, p.terms)
 
 
+def _holomorphic(p, pk) -> dict:
+    """The terms of a (z, w) Poly as {packed monomial: coefficient}."""
+    n, k = p.n, p.k
+    out = {}
+    for mono, c in p.terms.items():
+        if any(mono[n:2 * n]) or any(mono[2 * n + k:]):
+            raise InputError("field coefficients must be holomorphic (z, w only)")
+        out[pk.pack(mono[:n] + mono[2 * n:2 * n + k])] = c
+    return out
+
+
+def poly_field(n, k, z_comps, w_comps) -> PolyVectorField:
+    """The field sum(f_a d/dz_a) + sum(g_j d/dw_j) of (z, w) Polys f_a, g_j,
+    packed over one denominator."""
+    z_comps, w_comps = tuple(z_comps), tuple(w_comps)
+    if len(z_comps) != n or len(w_comps) != k:
+        raise DimensionError("component count does not match (n, k)")
+    polys = z_comps + w_comps
+    if any(p.n != n or p.k != k for p in polys):
+        raise DimensionError("component polynomial from the wrong frame")
+    pk = packing(n + k)
+    return PolyVectorField(n, k, *gi_integral([_holomorphic(p, pk) for p in polys]))
+
+
 def field_times(field: PolyVectorField, c) -> PolyVectorField:
     """The product of a field with a (z, w) Poly."""
     n, k = field.n, field.k
@@ -137,8 +162,8 @@ def field_times(field: PolyVectorField, c) -> PolyVectorField:
     cden, (q,) = gi_integral([_holomorphic(c, pk)])
     if q and any(field.comps):
         check_degree(_max_degree(field.comps, pk.top) + _max_degree([q], pk.top))
-    return PolyVectorField._of(n, k, field.den * cden,
-                               [gi_trim(gi_mul_into({}, p, q)) for p in field.comps])
+    return PolyVectorField(n, k, field.den * cden,
+                           [gi_trim(gi_mul_into({}, p, q)) for p in field.comps])
 
 
 def defining_polys(model):
@@ -175,7 +200,7 @@ def codim4_display_variant() -> PolyVectorField:
     w = [Poly.variable(n, k, "w", j) for j in range(k)]
     zero = Poly.zero(n, k)
     w1, w2, w3 = w[0], w[1], w[2]
-    return PolyVectorField(
+    return poly_field(
         n, k,
         [zero, zero, zero,
          (w1 * w3 * z[2] * -1 + w2 * w3 * z[1] + w3 * w3 * z[0]) * GR_I,

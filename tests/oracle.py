@@ -14,9 +14,10 @@ library's kernel.
 from fractions import Fraction
 from math import lcm
 
-from crprolong.poly import Poly, PolyVectorField
+from crprolong.poly import Poly
 from crprolong.scalars import GaussianRational
 from crprolong.verify import verify_hol
+from helpers import poly_field
 from reference import single_pass_nullspace
 
 
@@ -61,7 +62,7 @@ def _unit_field(model, slot, coeff):
         zc[slot[1]] = mono
     else:
         wc[slot[1]] = mono
-    return PolyVectorField(n, k, zc, wc)
+    return poly_field(n, k, zc, wc)
 
 
 def hol_dimension(model, b) -> int:

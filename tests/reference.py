@@ -45,13 +45,13 @@ Tests compare the two routes entry by entry.
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
-from helpers import Poly, defining_polys, determinant, diff, formal_conjugate, ring
+from helpers import (Poly, defining_polys, determinant, diff, formal_conjugate, poly_field,
+                     ring)
 
 from crprolong.errors import (AlgebraError, DegenerateModelError, DimensionError,
                               InputError, InternalCheckError)
 from crprolong.linalg import ExactMatrix
 from crprolong.model import _signed_tuples
-from crprolong.poly import PolyVectorField
 from crprolong.scalars import GR_ONE, GR_ZERO, GaussianRational
 
 _F0 = Fraction(0)
@@ -524,7 +524,7 @@ def chain_realize_element(alg, degree, coeffs):
             p = t.get((-2, j))
             if p:
                 w_comps[j] = w_comps[j] + p * gamma
-    return PolyVectorField(n, k, z_comps, w_comps)
+    return poly_field(n, k, z_comps, w_comps)
 
 
 def monomial_subs(p, mapping):

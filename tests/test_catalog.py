@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from hashlib import sha256
 
 import pytest
 
@@ -10,7 +11,7 @@ from crprolong import catalog, cli
 from crprolong.cli import main
 from crprolong.errors import InputError
 from crprolong.model import tumanov_search
-from crprolong.prolong import prolong_full
+from crprolong.prolong import clear_cache, prolong_full
 from crprolong.realize import express_in_span, realize_basis
 from crprolong.scalars import GR_I
 from crprolong.verify import verify_hol
@@ -18,10 +19,12 @@ from crprolong.verify import verify_hol
 # What the catalog entries are known to prolong to, by entry name: the dims of
 # each graded piece, the top degree and the jet order; codim5's first Tumanov
 # combination.  The families predict top degree 2n - 2 and jet order n (so),
-# and 4m - 2 and 2m (su).  The dims of so_family(n=5) and su_family(m=3), the
-# ladder entries, were recorded from prolong_full at commit 9578d02, because
-# the oracle cannot reach these sizes; the slow ladder tests check them
-# through `report --json`.
+# and 4m - 2 and 2m (su).  The dims of the ladder entries were recorded from
+# prolong_full, because the oracle cannot reach these sizes: so_family(n=5)
+# and su_family(m=3) at commit 9578d02, the others at commit db6bc8c.  The
+# ladder tests check them through `report --json`.  The two highest rungs
+# also pin their canonical bases: "pieces" is the sha256 of
+# repr(sorted(pieces.items())), as in test_golden.GOLDEN_PIECES.
 EXPECTED = {
     "heisenberg": {"dims": {-2: 1, -1: 2, 0: 2, 1: 2, 2: 1}, "top_degree": 2, "jet_order": 2},
     "codim4": {"dims": {-2: 4, -1: 12, 0: 23, 1: 24, 2: 15, 3: 6, 4: 1},
@@ -42,10 +45,29 @@ EXPECTED = {
     "su_family(m=3)": {"dims": {-2: 10, -1: 12, 0: 37, 1: 60, 2: 99, 3: 150, 4: 146,
                                 5: 150, 6: 90, 7: 54, 8: 18, 9: 6, 10: 1},
                        "top_degree": 10, "jet_order": 6},
+    "so_family(n=6)": {"dims": {-2: 16, -1: 24, 0: 89, 1: 192, 2: 360, 3: 600, 4: 625,
+                                5: 600, 6: 345, 7: 180, 8: 51, 9: 12, 10: 1},
+                       "top_degree": 10, "jet_order": 6},
+    "so_family(n=7)": {"dims": {-2: 22, -1: 28, 0: 121, 1: 308, 2: 707, 3: 1470, 4: 1960,
+                                5: 2450, 6: 1960, 7: 1470, 8: 686, 9: 294, 10: 70, 11: 14,
+                                12: 1},
+                       "top_degree": 12, "jet_order": 7,
+                       "pieces": "e6570434ecda9fbced4e99bd70819d22f9ccb7cbf4e000de809b4cb8f06026c6"},
+    "su_family(m=4)": {"dims": {-2: 17, -1: 16, 0: 65, 1: 136, 2: 308, 3: 688, 4: 992,
+                                5: 1528, 6: 1482, 7: 1528, 8: 992, 9: 688, 10: 292, 11: 128,
+                                12: 32, 13: 8, 14: 1},
+                       "top_degree": 14, "jet_order": 8,
+                       "pieces": "525769622c0b591df505f0eecba36af32575d9b4b6bea0d18a76123ac64acd73"},
 }
 
+# `report` arguments of the ladder entries.  The entries with a pieces digest
+# run only with `python -m pytest -m ladder`: each report takes over a minute
+# and 400-500 MB, and needs a cap above its top degree.
 LADDER = {"so_family(n=5)": ["--catalog", "so_family", "--n", "5"],
-          "su_family(m=3)": ["--catalog", "su_family", "--m", "3"]}
+          "su_family(m=3)": ["--catalog", "su_family", "--m", "3"],
+          "so_family(n=6)": ["--catalog", "so_family", "--n", "6"],
+          "so_family(n=7)": ["--catalog", "so_family", "--n", "7", "--max-degree", "13"],
+          "su_family(m=4)": ["--catalog", "su_family", "--m", "4", "--max-degree", "15"]}
 
 
 # ---------------------------------------------------------------------------
@@ -184,23 +206,27 @@ def test_family_counts_and_predictions():
     assert su3.model.n == 6 and su3.model.k == 3 + 3 + 3 + 1
     for entry in (so5, su3):
         assert entry.model.validate().all_passed
-    for n in (3, 4, 5):
+    for n in (3, 4, 5, 6, 7):
         want = EXPECTED[f"so_family(n={n})"]
         assert (want["top_degree"], want["jet_order"]) == (2 * n - 2, n)
-    for m in (2, 3):
+    for m in (2, 3, 4):
         want = EXPECTED[f"su_family(m={m})"]
         assert (want["top_degree"], want["jet_order"]) == (4 * m - 2, 2 * m)
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("name", sorted(LADDER))
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.ladder if "pieces" in EXPECTED[name]
+                 else pytest.mark.slow)
+    for name in sorted(LADDER)])
 def test_ladder_report(name):
     """`report --json` on a ladder entry: its dims, top degree and jet order,
     a tangent top field, and both jet certificates (the 2-jet counterexample
-    and the sharpness of the jet order) certified by that field."""
+    and the sharpness of the jet order) certified by that field; and the
+    canonical bases of the report's prolongation where they are pinned."""
+    argv = ["report", "--json", *LADDER[name]]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["report", "--json", *LADDER[name]])
+        code = main(argv)
     assert code == 0
     data = json.loads(out.getvalue())
     want = EXPECTED[name]
@@ -211,6 +237,12 @@ def test_ladder_report(name):
     for key, order in (("counterexample_2jet", 2), ("sharpness", jet - 1)):
         assert data[key] == {"jet": order, "certified": True, "tangent": True,
                              "nonzero": True, "vanishing_order": jet}
+    if "pieces" in want:
+        args = cli.build_parser().parse_args(argv)
+        model, _ = cli._load_model(args)
+        pieces = prolong_full(model, max_degree=args.max_degree).algebra.pieces  # memoized
+        clear_cache()
+        assert sha256(repr(sorted(pieces.items())).encode("utf-8")).hexdigest() == want["pieces"]
 
 
 def test_families_record_their_top_degree():

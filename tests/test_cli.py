@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from helpers import Poly
+from helpers import Poly, poly_field
 
 from crprolong.cli import _json_pieces, main
 from crprolong.catalog import get
@@ -331,7 +331,7 @@ def test_realize_requires_degree(capsys):
 def _heisenberg_field(coeff_z):
     """c * z1 d/dz1 on the sphere model (tangent iff c is purely imaginary)."""
     z = Poly.variable(1, 1, "z", 0)
-    return PolyVectorField(1, 1, [z * coeff_z], [Poly.zero(1, 1)])
+    return poly_field(1, 1, [z * coeff_z], [Poly.zero(1, 1)])
 
 
 def test_verify_tangent_field(capsys, tmp_path):

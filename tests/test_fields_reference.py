@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import Poly, defining_polys
+from helpers import Poly, defining_polys, poly_field
 from reference import chain_realize_element, two_sided_verify_hol
 from test_differential import random_models
 from test_structure import scaled_codim4
@@ -29,7 +29,7 @@ from test_structure import scaled_codim4
 from crprolong import catalog, verify
 from crprolong.cli import main
 from crprolong.model import QuadricModel
-from crprolong.poly import PolyVectorField, gi_integral, packing
+from crprolong.poly import gi_integral, packing
 from crprolong.prolong import prolong_full
 from crprolong.realize import realize_basis, realize_element
 from crprolong.scalars import GR_I, GaussianRational
@@ -69,8 +69,8 @@ def _random_poly(rng, n, k, kinds, terms=4, degree=3):
 
 
 def _random_field(rng, n, k):
-    return PolyVectorField(n, k, [_random_poly(rng, n, k, ("z", "w")) for _ in range(n)],
-                           [_random_poly(rng, n, k, ("z", "w")) for _ in range(k)])
+    return poly_field(n, k, [_random_poly(rng, n, k, ("z", "w")) for _ in range(n)],
+                      [_random_poly(rng, n, k, ("z", "w")) for _ in range(k)])
 
 
 @pytest.mark.parametrize("name, model", MODELS, ids=[name for name, _ in MODELS])

@@ -17,10 +17,9 @@ import pytest
 from crprolong import catalog
 from crprolong.cli import main
 from crprolong.model import QuadricModel
-from crprolong.poly import PolyVectorField
 from crprolong.prolong import prolong_full
 from crprolong.scalars import GR_I
-from helpers import Poly, codim4_display_variant
+from helpers import Poly, codim4_display_variant, poly_field
 
 GOLDEN = {
     "prolong --check-jacobi --structure --json --catalog heisenberg":
@@ -55,10 +54,12 @@ GOLDEN = {
 # and parameter: every canonical basis of systems with many blocks
 # (so_family(4): 216 blocks in its largest system, of at most 36 columns),
 # without the structure constants and 26 MB of a --structure run.
-# so_family(5) and su_family(3) add wider blocks with many dependent rows.
+# so_family(5), so_family(6) and su_family(3) add wider blocks with many
+# dependent rows.
 GOLDEN_PIECES = {
     ("so_family", 4): "3fca888e77aff344d12ec2852df1b491688e28beed1c209bc32a5df2899b5e47",
     ("so_family", 5): "034f19b0802aad760961c4a09238539880407686d3fdae756955b42dd309bcb3",
+    ("so_family", 6): "02869a29bad6d2bc3ab7fe0e6579795cc452bb23359cf62e880c7931f4b23eb1",
     ("su_family", 3): "3e90ecffe28f551054717429363049631dccdc18bb546ea912f4886f93b27f3c",
 }
 
@@ -86,8 +87,8 @@ def _non_hermitian_field():
     n, k = 2, 1
     z1, z2 = (Poly.variable(n, k, "z", a) for a in range(n))
     w1 = Poly.variable(n, k, "w", 0)
-    return PolyVectorField(n, k, [z1 * w1 + z2 * GR_I, z1 * z2],
-                           [z2 * z2 * 3 + w1 * z1 + w1 * w1 * GR_I])
+    return poly_field(n, k, [z1 * w1 + z2 * GR_I, z1 * z2],
+                      [z2 * z2 * 3 + w1 * z1 + w1 * w1 * GR_I])
 
 
 # verify --json on non-tangent fields: (catalog name or forms, field, digest).

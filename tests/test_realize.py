@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (Poly, abstract_bracket, basis_index, grading_element_coeffs,
-                     realized_basis_map, sigma_sweep)
+                     poly_field, realized_basis_map, sigma_sweep)
 from reference import dense_express_in_span
 
 from crprolong import prolong, realize
@@ -35,7 +35,7 @@ def test_degree_minus_two_basis_is_dw(codim5_result, heisenberg_result):
         fields = realize_basis(res, -2)
         assert len(fields) == k
         for j, f in enumerate(fields):
-            expected = PolyVectorField(
+            expected = poly_field(
                 n, k,
                 [Poly.zero(n, k)] * n,
                 [Poly.constant(n, k, int(jj == j)) for jj in range(k)],
@@ -53,8 +53,8 @@ def test_degree_minus_one_heisenberg():
     zero = Poly.zero(n, k)
     e1, je1 = realize_basis(res, -1)
     # e_1 -> d/dz + 2i z d/dw ;  Je_1 -> i d/dz + 2 z d/dw  (2i * z * conj(i))
-    assert e1 == PolyVectorField(n, k, [Poly.constant(n, k, 1)], [2 * GR_I * z])
-    assert je1 == PolyVectorField(n, k, [Poly.constant(n, k, GR_I)], [2 * z])
+    assert e1 == poly_field(n, k, [Poly.constant(n, k, 1)], [2 * GR_I * z])
+    assert je1 == poly_field(n, k, [Poly.constant(n, k, GR_I)], [2 * z])
 
 
 def test_degree_minus_one_codim5_first_vector(codim5_result):
@@ -66,7 +66,7 @@ def test_degree_minus_one_codim5_first_vector(codim5_result):
     z2 = Poly.variable(n, k, "z", 1)
     z4 = Poly.variable(n, k, "z", 3)
     two_i = 2 * GR_I
-    expected = PolyVectorField(
+    expected = poly_field(
         n, k,
         [Poly.constant(n, k, 1), zero, zero, zero],
         [two_i * z2, two_i * GR_I * z2, two_i * z4, two_i * z1, zero],

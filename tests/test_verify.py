@@ -3,18 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from crprolong import catalog
+from crprolong import catalog, verify
 from crprolong.errors import DimensionError, InputError
+from crprolong.model import QuadricModel
 from crprolong.poly import PolyVectorField
 from crprolong.scalars import GR_I, GaussianRational
 from crprolong.verify import jet_certificate, verify_hol
 from helpers import (Poly, certify_jet_counterexample, check_rotation_identities,
-                     codim4_display_variant, defining_polys, evaluate, residual_probe)
+                     codim4_display_variant, defining_polys, evaluate, poly_field,
+                     residual_probe)
 from reference import two_sided_surface_restriction
 
 
 def heis_field(zc, wc):
-    return PolyVectorField(1, 1, [zc], [wc])
+    return poly_field(1, 1, [zc], [wc])
 
 
 def rand_probe_point(rng, n, k):
@@ -77,7 +79,7 @@ def test_single_coefficient_perturbations_break_tangency(codim5):
     X = codim5.known_fields["X"]
     n, k = 4, 5
     z2 = Poly.variable(n, k, "z", 1)
-    tweaked = X + PolyVectorField(
+    tweaked = X + poly_field(
         n, k,
         [z2 * Fraction(1, 7), *(Poly.zero(n, k) for _ in range(n - 1))],
         [Poly.zero(n, k)] * k,
@@ -182,6 +184,34 @@ def test_jet_certificate_reuses_tangency_certificate(codim5, heisenberg):
     bad = heis_field(z, Poly.zero(1, 1))
     cert = jet_certificate(bad, heisenberg.model, 0, verify_hol(bad, heisenberg.model))
     assert not cert.tangent and not cert.certified
+
+
+def test_jet_certificate_refuses_tangency_of_another_model(codim5):
+    """codim5 with |z1|^2, |z2|^2 replaced by |z3|^2, |z4|^2 is a valid model
+    to which T is not tangent: T's certificate on codim5 cannot certify it."""
+    T = codim5.known_fields["T"]
+    diagonal = [[[int(a == b == c) for b in range(4)] for a in range(4)] for c in (2, 3)]
+    other = QuadricModel([*codim5.model.hermitian[:3], *diagonal])
+    assert other.validate().all_passed
+    assert not verify_hol(T, other).verdict
+    with pytest.raises(InputError, match="different model"):
+        jet_certificate(T, other, 2, verify_hol(T, codim5.model))
+    assert not jet_certificate(T, other, 2).certified
+    # the same model read back from its JSON is the same model
+    again = QuadricModel.from_json(codim5.model.to_json())
+    assert jet_certificate(T, again, 2, verify_hol(T, codim5.model)).certified
+
+
+def test_surface_memo_is_keyed_by_model_value(codim5):
+    """A model read back from its JSON is an equal model, and reuses the
+    surface built for the first; eight models are kept."""
+    verify_hol(PolyVectorField.zero(4, 5), codim5.model)
+    hits = verify._surface.cache_info().hits
+    again = QuadricModel.from_json(codim5.model.to_json())
+    assert again is not codim5.model
+    verify_hol(PolyVectorField.zero(4, 5), again)
+    assert verify._surface.cache_info().hits == hits + 1
+    assert verify._surface.cache_info().maxsize == 8
 
 
 def test_euler_fails_jet_one(codim5, heisenberg):
