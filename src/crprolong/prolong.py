@@ -26,10 +26,12 @@ table of ``GradedLieAlgebra._int_piece``); ``prolong_full`` keeps one such
 table per degree and hands them to the algebra, so the structure constants
 and realization never rescale them.  Each row kind has one multiplier:
 lcm(den_{-1}, den_{i-1}) for (a), lcm(den_{i-1}, den_{i-2}) for (b) and 1
-for the J-rows.  Each row is normalized as it is written (gcd content
-removed, first entry positive) and kept once, so rows equal up to scale,
+for the J-rows.  Each row is normalized (gcd content removed, first entry
+positive) and kept once (``linalg.RowSet``), so rows equal up to scale,
 37-89 % of a system, are never held twice; they leave the row space, and so
-the kernel, unchanged.  One DEBUG record of the ``crprolong.prolong`` logger
+the kernel, unchanged.  Most repeats are shifted copies of one table column,
+and those are skipped before they are written (see ``prolong_step``).  One
+DEBUG record of the ``crprolong.prolong`` logger
 per degree gives the rows written and kept, the kernel's presolve and block
 counts, the rank, the kernel dimension and the seconds.
 
@@ -59,11 +61,11 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import comb, lcm
 from typing import NamedTuple
 
 from .errors import InputError, InternalCheckError, NonterminationError
-from .linalg import sparse_int_nullspace
+from .linalg import RowSet, sparse_int_nullspace
 from .model import LeviTanakaAlgebra, QuadricModel, build_levi_tanaka
 
 
@@ -104,27 +106,24 @@ def _int_table(pieces: dict, ints: dict, d: int):
     return ints[d]
 
 
-def _by_target(table, nsrc: int, width: int, mult: int):
-    """Transpose one integer table of a piece, times ``mult``: idx[s][c] and
-    val[s][c] list m and mult * value over the elements B_m whose
-    [B_m, source s] has component c, m ascending."""
-    idx = [[[] for _ in range(width)] for _ in range(nsrc)]
-    val = [[[] for _ in range(width)] for _ in range(nsrc)]
-    for m, elem in enumerate(table):
-        for s, entries in enumerate(elem):
-            for c, v in entries:
-                idx[s][c].append(m)
-                val[s][c].append(mult * v)
-    return idx, val
-
-
 def prolong_step(lt: LeviTanakaAlgebra, pieces: dict, i: int, ints: dict | None = None):
     """Basis of g_i (i >= 0) given g_{-2}..g_{i-1} in ``pieces``.
 
     ``ints`` holds the integer table of each degree (``_int_table``) and is
     filled as needed.  The integer rows and their multipliers are described
-    in the module docstring; each is written in ascending column order, so
-    rows equal up to scale normalize to one key.
+    in the module docstring; each is written in ascending column order into
+    a ``RowSet``, which keeps one row per class of rows equal up to scale.
+
+    A row with one nonempty part is one shifted column of a transposed table
+    or of the [X_a, X_b] psi pattern: an (a) row with [X_a, X_b] = 0 and one
+    side empty, an (a) row with a psi part only, or a (b) row with a phi or
+    a psi part only.  Each column's shape is interned once per system, and
+    the row is keyed by its first column and that shape and skipped, if
+    repeated, before it is built.  Every other row is keyed by its normalized
+    row.  The two key kinds never name the same row: a one-part row lies in
+    a single phi block (the columns of one source X_s) or in psi only, while
+    every other row, the J rows too, has phi entries in two blocks or both
+    phi and psi entries.
     """
     if i < 0:
         raise ValueError("prolong_step needs i >= 0")
@@ -134,20 +133,7 @@ def prolong_step(lt: LeviTanakaAlgebra, pieces: dict, i: int, ints: dict | None 
     m1, m2 = len(pieces[i - 1]), len(pieces[i - 2])
     m3 = len(pieces.get(i - 3, ()))     # g_{-3} = 0
     nphi = n2 * m1
-    rows = {}                           # normalized row -> {col: value}, as first written
-    written = 0
-
-    def keep(cols, vals):
-        nonlocal written
-        written += 1
-        g = gcd(*vals)
-        if vals[0] < 0:
-            g = -g
-        if g != 1:
-            vals = [v // g for v in vals]
-        key = (*cols, *vals)
-        if key not in rows:
-            rows[key] = dict(zip(cols, vals))
+    rows = RowSet(nphi + k * m2)
 
     if i == 0:
         # phi J = J phi, written per source s and target component t
@@ -155,43 +141,59 @@ def prolong_step(lt: LeviTanakaAlgebra, pieces: dict, i: int, ints: dict | None 
             ps, eps = lt.j_index(s)
             for t in range(n2):
                 jt, sign = lt.j_index(t)
-                cols, vals = zip(*sorted({ps * n2 + t: eps, s * n2 + jt: sign}.items()))
-                keep(cols, vals)
+                rows.add(*zip(*sorted({ps * n2 + t: eps, s * n2 + jt: sign}.items())))
 
     # (a) psi([X_a, X_b]) - [phi X_a, X_b] + [phi X_b, X_a] = 0   in g_{i-2}
     den_x, x_phi, _ = _int_table(pieces, ints, -1)
     den1, phi1, psi1 = _int_table(pieces, ints, i - 1)
     mult = lcm(den_x, den1)
-    on_x, plus = _by_target(phi1, n2, m2, mult // den1)  # [B_m, X_s] component c
-    minus = [[[-v for v in vals] for vals in row] for row in plus]
+    on_x, plus, x_key = rows.columns(phi1, n2, m2, mult // den1)  # [B_m, X_s] component c
     fx = mult // den_x
     for a in range(n2):
         for b in range(a + 1, n2):
             xab = x_phi[a][b]                   # [X_a, X_b] in g_{-2}
             psi_cols = [nphi + l * m2 for l, _ in xab]
             psi_vals = [fx * x for _, x in xab]
+            psi_key = rows.key(psi_cols, psi_vals)
             at_a, at_b = a * m1, b * m1
             for c in range(m2):
+                kb, ka = x_key[b][c], x_key[a][c]   # 0: the column is empty
+                if psi_key:
+                    key = None if kb or ka else psi_key + c
+                elif kb or ka:
+                    key = kb + at_a if not ka else ka + at_b if not kb else None
+                else:
+                    continue
+                if rows.seen(key):
+                    continue
                 cols = [at_a + m for m in on_x[b][c]]
                 cols += [at_b + m for m in on_x[a][c]]
                 cols += [col + c for col in psi_cols]
-                if cols:
-                    keep(cols, minus[b][c] + plus[a][c] + psi_vals)
+                rows.add(cols, [-v for v in plus[b][c]] + plus[a][c] + psi_vals, key)
+
+    del on_x, plus, x_key
 
     # (b) [phi X_s, W_j] - [psi W_j, X_s] = 0   in g_{i-3}
     den2, phi2, _ = _int_table(pieces, ints, i - 2)
     mult = lcm(den1, den2)
-    on_w, w_vals = _by_target(psi1, k, m3, mult // den1)        # [B_m, W_j] component c
-    below, b_vals = _by_target(phi2, n2, m3, -(mult // den2))   # -[B_l, X_s] component c
+    on_w, w_vals, w_key = rows.columns(psi1, k, m3, mult // den1)        # [B_m, W_j] component c
+    below, b_vals, b_key = rows.columns(phi2, n2, m3, -(mult // den2))   # -[B_l, X_s] component c
     for s in range(n2):
         at_s = s * m1
         for j in range(k):
             at_j = nphi + j * m2
             for c in range(m3):
+                kw, kl = w_key[j][c], b_key[s][c]
+                if not (kw or kl):
+                    continue
+                key = kw + at_s if not kl else kl + at_j if not kw else None
+                if rows.seen(key):
+                    continue
                 cols = [at_s + m for m in on_w[j][c]]
                 cols += [at_j + l for l in below[s][c]]
-                if cols:
-                    keep(cols, w_vals[j][c] + b_vals[s][c])
+                rows.add(cols, w_vals[j][c] + b_vals[s][c], key)
+    del on_w, w_vals, below, b_vals, w_key, b_key    # the kernel needs the rows only
+    rows.shapes.clear()
 
     built = time.perf_counter()
     stats = {}
@@ -209,7 +211,7 @@ def prolong_step(lt: LeviTanakaAlgebra, pieces: dict, i: int, ints: dict | None 
     end = time.perf_counter()
     _debug("degree %d: %d rows written, %d distinct, %d columns zeroed by singletons, "
            "%d cols, %d blocks, largest block %d cols, rank %d, dim %d, %.3f s (kernel %.3f s)",
-           i, written, len(rows), stats["zeroed"], nphi + k * m2, stats["blocks"],
+           i, rows.written, len(rows), stats["zeroed"], nphi + k * m2, stats["blocks"],
            stats["largest"], stats["rank"], len(out), end - start, end - built)
     return out
 

@@ -38,6 +38,11 @@
   eliminates each block in ascending column order, which gives the
   canonical basis directly.  ``tests/oracle.py`` takes its rank from this
   copy, so the oracle shares no code with the library's kernel.
+* The original build of the prolongation systems (``plain_system_rows``):
+  every row is written, normalized and hashed, and the first row of each
+  class of rows equal up to scale is kept.  The library keys the rows that
+  are one shifted table column by their shape and skips the repeats before
+  it writes them; the kept rows, their dicts and their order must be these.
 
 Tests compare the two routes entry by entry.
 """
@@ -52,6 +57,7 @@ from crprolong.errors import (AlgebraError, DegenerateModelError, DimensionError
                               InputError, InternalCheckError)
 from crprolong.linalg import ExactMatrix
 from crprolong.model import _signed_tuples
+from crprolong.prolong import _int_table
 from crprolong.scalars import GR_ONE, GR_ZERO, GaussianRational
 
 _F0 = Fraction(0)
@@ -584,6 +590,87 @@ def two_sided_verify_hol(field, model):
         r = (expr + formal_conjugate(expr)) * _HALF
         residuals.append(two_sided_surface_restriction(r, model))
     return tuple(residuals)
+
+
+def _plain_by_target(table, nsrc: int, width: int, mult: int):
+    """Transpose one integer table of a piece, times ``mult``: idx[s][c] and
+    val[s][c] list m and mult * value over the elements B_m whose
+    [B_m, source s] has component c, m ascending."""
+    idx = [[[] for _ in range(width)] for _ in range(nsrc)]
+    val = [[[] for _ in range(width)] for _ in range(nsrc)]
+    for m, elem in enumerate(table):
+        for s, entries in enumerate(elem):
+            for c, v in entries:
+                idx[s][c].append(m)
+                val[s][c].append(mult * v)
+    return idx, val
+
+
+def plain_system_rows(lt, pieces, i: int):
+    """The rows that ``prolong_step`` hands to the kernel for degree i, built
+    by writing every row: (the kept rows as {column: value} dicts in the
+    order first written, the number of rows written)."""
+    ints = {}
+    n2, k = 2 * lt.n, lt.k
+    m1, m2 = len(pieces[i - 1]), len(pieces[i - 2])
+    m3 = len(pieces.get(i - 3, ()))
+    nphi = n2 * m1
+    rows = {}
+    written = 0
+
+    def keep(cols, vals):
+        nonlocal written
+        written += 1
+        g = gcd(*vals)
+        if vals[0] < 0:
+            g = -g
+        if g != 1:
+            vals = [v // g for v in vals]
+        key = (*cols, *vals)
+        if key not in rows:
+            rows[key] = dict(zip(cols, vals))
+
+    if i == 0:
+        for s in range(n2):
+            ps, eps = lt.j_index(s)
+            for t in range(n2):
+                jt, sign = lt.j_index(t)
+                cols, vals = zip(*sorted({ps * n2 + t: eps, s * n2 + jt: sign}.items()))
+                keep(cols, vals)
+
+    den_x, x_phi, _ = _int_table(pieces, ints, -1)
+    den1, phi1, psi1 = _int_table(pieces, ints, i - 1)
+    mult = lcm(den_x, den1)
+    on_x, plus = _plain_by_target(phi1, n2, m2, mult // den1)
+    minus = [[[-v for v in vals] for vals in row] for row in plus]
+    fx = mult // den_x
+    for a in range(n2):
+        for b in range(a + 1, n2):
+            xab = x_phi[a][b]
+            psi_cols = [nphi + l * m2 for l, _ in xab]
+            psi_vals = [fx * x for _, x in xab]
+            at_a, at_b = a * m1, b * m1
+            for c in range(m2):
+                cols = [at_a + m for m in on_x[b][c]]
+                cols += [at_b + m for m in on_x[a][c]]
+                cols += [col + c for col in psi_cols]
+                if cols:
+                    keep(cols, minus[b][c] + plus[a][c] + psi_vals)
+
+    den2, phi2, _ = _int_table(pieces, ints, i - 2)
+    mult = lcm(den1, den2)
+    on_w, w_vals = _plain_by_target(psi1, k, m3, mult // den1)
+    below, b_vals = _plain_by_target(phi2, n2, m3, -(mult // den2))
+    for s in range(n2):
+        at_s = s * m1
+        for j in range(k):
+            at_j = nphi + j * m2
+            for c in range(m3):
+                cols = [at_s + m for m in on_w[j][c]]
+                cols += [at_j + l for l in below[s][c]]
+                if cols:
+                    keep(cols, w_vals[j][c] + b_vals[s][c])
+    return list(rows.values()), written
 
 
 def _content_normalize(row: dict) -> dict:

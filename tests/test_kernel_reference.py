@@ -12,20 +12,25 @@ largest prolongation blocks and on blocks whose pivots are not units (so
 the kernel entries are not integers), with the rows in any order, on the
 edge cases of the input format, and on every system the prolongation
 builds for the catalog models.  Those
-systems must hold only ``int`` entries and no two rows equal up to scale.
+systems must hold only ``int`` entries and no two rows equal up to scale,
+and they must be the rows of ``reference.plain_system_rows``, which writes
+every row (the builder skips repeats of a table column before building
+them).
 The kernel takes integer rows only, so every row that reaches it, from the
 linear algebra, the span solve and the prolongation alike, must hold only
 ``int`` entries, also when the model or the fields are rational or
 Gaussian-rational.
 """
 
+import logging
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from reference import single_pass_nullspace
+from reference import plain_system_rows, single_pass_nullspace
+from test_differential import random_models
 
 from crprolong import catalog, linalg, prolong, realize
 from crprolong.linalg import sparse_int_nullspace
@@ -289,9 +294,15 @@ def test_row_order_leaves_basis_unchanged():
 
 
 def _model(name):
-    if name.startswith("so_family"):
-        return catalog.make_so_family(int(name[10])).model
-    return catalog.get(name).model
+    """A catalog model by name (codim5+2, so_family(3), su_family(2), ...), or
+    the j-th model of ``test_differential.random_models`` for "random j"."""
+    if name.startswith("random"):
+        return random_models(count=int(name[7:]) + 1)[-1]
+    if name[2:9] == "_family":
+        size = int(name[10:-1])
+        return catalog.get(name[:9], n=size, m=size).model
+    base, _, extra = name.partition("+")
+    return catalog.get(base, extra=int(extra or 0)).model
 
 
 def _prolong_systems(model, monkeypatch):
@@ -330,6 +341,32 @@ def test_prolongation_rows_are_distinct_integers(name, monkeypatch):
         keys = [_normalized(row) for row in rows]
         assert len(set(keys)) == len(keys)
         assert all(row == dict(key) for row, key in zip(rows, keys))
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "codim4", "codim5", "codim5+2", "so_family(3)",
+                                  "so_family(4)", "su_family(2)", "random 0", "random 1",
+                                  "random 2", "random 3"])
+def test_prolongation_rows_match_plain_build(name, monkeypatch, caplog):
+    """The builder skips the repeats of a shifted table column before it
+    writes them.  The rows it hands to the kernel must be those of the plain
+    build, which writes every row and keeps the first of each class of rows
+    equal up to scale: the same dicts, columns in the same order, in the
+    same order.  Its DEBUG ``written`` count is the plain build's."""
+    plain = []
+    step = prolong.prolong_step
+
+    def with_plain(lt, pieces, i, ints=None):
+        plain.append(plain_system_rows(lt, pieces, i))
+        return step(lt, pieces, i, ints)
+
+    monkeypatch.setattr(prolong, "prolong_step", with_plain)
+    with caplog.at_level(logging.DEBUG, logger="crprolong.prolong"):
+        systems = _prolong_systems(_model(name), monkeypatch)
+    written = [r.args[1] for r in caplog.records if r.name == "crprolong.prolong"]
+    assert len(systems) == len(plain) == len(written) > 0
+    for (rows, _, _), (want, count) in zip(systems, plain):
+        assert [list(row.items()) for row in rows] == [list(row.items()) for row in want]
+    assert written == [count for _, count in plain]
 
 
 def _contract_model():

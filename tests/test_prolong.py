@@ -8,6 +8,7 @@ from helpers import check_grading, dense_constants, grading_element_coeffs, j_ap
 from oracle import hol_dimension, hol_profile
 from test_golden import GOLDEN
 
+from crprolong.catalog import make_so_family
 from crprolong.cli import main
 from crprolong.errors import InternalCheckError, NonterminationError
 from crprolong.linalg import ExactMatrix
@@ -271,3 +272,14 @@ def test_debug_stats_one_record_per_degree(heisenberg, caplog, capsys):
     key = "prolong --check-jacobi --structure --json --catalog heisenberg"
     assert err == ""
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[key]
+
+
+def test_debug_row_counts_so_family_4(caplog):
+    """The rows written and kept for each degree of so_family(4).  The
+    builder skips the repeats of a shifted table column before it writes
+    them; ``written`` still counts every row the system states."""
+    with caplog.at_level(logging.DEBUG, logger="crprolong.prolong"):
+        prolong_full(make_so_family(4).model, use_cache=False)
+    counts = [r.args[1:3] for r in caplog.records if r.name == "crprolong.prolong"]
+    assert counts == [(736, 456), (2120, 1480), (4644, 2875), (8144, 4588), (8431, 4423),
+                      (6410, 2590), (3443, 953), (880, 138), (76, 7)]
