@@ -44,14 +44,20 @@ lcm of its four products of table denominators.  The canonical kernel basis
 has a 1 at each element's trailing column and 0 there in every other element,
 so the coefficients of h are read off at those columns; one exact integer
 comparison of h with the combination over the whole (phi, psi) vector is the
-closure assertion.  The structure constants keep the piece format: each
-bracket is the sorted nonzero (index, Fraction) pairs of its coefficients,
-and only ``ProlongationResult.to_json`` fills in the zeros.
+closure assertion.  In a same-degree block only the pairs a < b are
+computed; [B_b, B_a] is the mirrored bracket negated.  The structure
+constants keep the piece format: each bracket is the sorted nonzero
+(index, Fraction) pairs of its coefficients, and only
+``ProlongationResult.to_json`` fills in the zeros.
 
-The Jacobi identity is certified by a direct sweep plus lemma: an exact sweep,
-on integer tables with one common denominator, over the triples with a g_{-1}
-member or a negative total degree, and Tanaka's lemma for all other triples
-(see ``check_jacobi``).
+The Jacobi identity is certified by closure, a sweep and a lemma.  The
+direct triples are those with a g_{-1} member or a negative total degree.
+While the stored constants are as built, each direct triple (X, b, c) with
+X in g_{-1}, b and c of degree >= 0 and [b, c] computed is the g_{-1} part
+of the closure assertion of [b, c].  The other direct triples are swept
+exactly, on integer tables with one common denominator (the sweep helpers
+are in ``jacobi``), and Tanaka's lemma gives all remaining triples (see
+``check_jacobi``).
 """
 
 from __future__ import annotations
@@ -61,10 +67,11 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import lcm
 from typing import NamedTuple
 
 from .errors import InputError, InternalCheckError, NonterminationError
+from .jacobi import _degree_triples, _jacobi_block, jacobi_triple_count
 from .linalg import RowSet, sparse_int_nullspace
 from .model import LeviTanakaAlgebra, QuadricModel, build_levi_tanaka
 
@@ -266,6 +273,7 @@ class GradedLieAlgebra:
         self.pieces = pieces
         self.dims = {d: len(p) for d, p in sorted(pieces.items())}
         self._sc = None
+        self._built = None              # rows of _sc as built, until check_jacobi
         self._ints = {} if ints is None else ints   # degree -> _int_table of pieces
         self._views = {}
         self._realized = {}             # degree -> realized basis fields (realize.py)
@@ -352,6 +360,14 @@ class GradedLieAlgebra:
         tables are read scaled by one denominator (``_int_piece``), and each
         (i, j) block is scaled, for both orders, when it is finished.  Each
         block has one denominator for all its pairs (see ``_bracket_pair``).
+
+        Each block is built row by row, and ``_bracket_pair`` is called for
+        every pair with the rows built so far.  In a same-degree block (i, i)
+        only the pairs a < b are computed and closure-checked; [B_a, B_a] is
+        empty and [B_b, B_a] is the mirrored [B_a, B_b] negated, so those
+        blocks are antisymmetric by construction.  A copy of each stored row
+        is kept until the first ``check_jacobi``, which reads it to tell
+        whether a caller has changed a stored constant since.
         """
         if self._sc is not None:
             return self._sc
@@ -376,19 +392,26 @@ class GradedLieAlgebra:
                         for y in (-1, -2) for a, b in ((j, i), (i, j))]
                 den = lcm(*dens)
                 scale = den, [den // x for x in dens]
-                sc[(i, j)] = block = [
-                    [self._bracket_pair(i, ai, j, aj, ints, scale) for aj in range(dims[j])]
-                    for ai in range(dims[i])]
+                sc[(i, j)] = block = []
+                for ai in range(dims[i]):
+                    block.append([self._bracket_pair(i, ai, j, aj, ints, scale, block)
+                                  for aj in range(dims[j])])
                 den, (table,) = _scaled([block])
                 ints[(i, j)] = den, table
                 if i != j:
                     ints[(j, i)] = den, _swapped(table)
         self._sc = sc
+        self._built = {key: [list(row) for row in block] for key, block in sc.items()}
         return sc
 
-    def _bracket_pair(self, i, ai, j, aj, ints, scale):
+    def _bracket_pair(self, i, ai, j, aj, ints, scale, rows):
         """[B^i_ai, B^j_aj] in the g_{i+j} basis as sorted (index, value)
         pairs, with the closure check.
+
+        ``rows`` holds the rows ai' < ai of the block.  In a same-degree block
+        (i = j) the pair is mirrored unless ai < aj: the bracket is () for
+        ai = aj and the negated rows[aj][ai] for aj < ai, with no closure
+        check of its own (that of [B_aj, B_ai] covers it).
 
         The bracket h = [f, g] acts by [h, Y] = [f, [g, Y]] - [g, [f, Y]] on
         the g_{-1} and g_{-2} basis.  Each of the four terms (g's then f's
@@ -398,6 +421,8 @@ class GradedLieAlgebra:
         over D.  Its coefficients are read off at the trailing columns and h
         must equal that combination exactly (``_read_off``).
         """
+        if i == j and aj <= ai:
+            return tuple((t, -x) for t, x in rows[aj][ai]) if aj < ai else ()
         total = i + j
         w1, w2 = self.dims[total - 1], self.dims[total - 2]
         den, (g1, f1, g2, f2) = scale
@@ -429,8 +454,8 @@ class GradedLieAlgebra:
         """Certify the Jacobi identity on the stored structure constants.
 
         Returns the number of basis triples the certificate covers,
-        ``jacobi_triple_count(dims)``.  Only the direct triples are swept
-        exactly: those with a g_{-1} member or a negative total degree.  The
+        ``jacobi_triple_count(dims)``.  Only the direct triples need an exact
+        check: those with a g_{-1} member or a negative total degree.  The
         others follow from them by Tanaka's lemma (Tanaka, J. Math. Kyoto
         Univ. 10, 1970; Yamaguchi, Adv. Stud. Pure Math. 22, 1993):
 
@@ -449,18 +474,41 @@ class GradedLieAlgebra:
         because an element of g_s with s >= 0 is determined by its action on
         g_{-1}.
 
-        Both premises are checked on the tables the sweep reads.  Faithfulness:
-        ``_sparse`` proves the phi parts of each g_d (d >= 0) independent, and
-        each stored (-1, d) block must equal the negated phi tables.
-        Antisymmetry: the table of each pair p != q is read as the swapped
-        (q, p) one, and each stored (p, p) block must be antisymmetric.  A
-        failure names the first failing direct triple in basis order.
+        The premises hold on the tables the sweep reads.  Faithfulness:
+        ``_sparse`` proves the phi parts of each g_d (d >= 0) independent,
+        and the (-1, d) blocks must be the negated phi tables.  Antisymmetry:
+        the table of each pair p != q is read as the swapped (q, p) one, and
+        each (p, p) block must be antisymmetric.  ``structure_constants``
+        builds the (-1, d) blocks from the phi tables and the (p, p) blocks
+        of p >= 0 mirrored, so while the stored constants equal the copy it
+        kept, those premises hold by construction, and only the (-1, -1)
+        block, the Levi-Tanaka bracket as given, is checked.
+
+        Then the closure checks have also settled the direct triples
+        (X, b, c) with X in g_{-1}, b in g_q, c in g_r, q, r >= 0 and
+        q + r <= top, so they are not swept.  The closure check of [b, c]
+        asserts that h, built from [h, Y] = [b, [c, Y]] - [c, [b, Y]], equals
+        the read-off sum_g sc[(q, r)][b][c]_g B_g.  Its g_{-1} part is
+        [[b, c], X] = [b, [c, X]] - [c, [b, X]], that is J(X, b, c) = 0, on
+        the same tables (the phi tables are the negated (-1, d) blocks).  In
+        a same-degree block it checks b < c, the one order the sweep visits.
+        For q + r = top + 1 no bracket is computed, so those triples stay
+        swept, as do those with two negative members, or with a g_{-2}
+        member and a negative total.
+
+        The copy is released here, its one reader.  A later call, or one
+        after a caller has changed a stored constant, checks both premises
+        on every block and sweeps every direct triple.  A failure names the
+        first failing swept triple in basis order.
         """
         sc = self.structure_constants()
+        built, self._built = sc == self._built, None
         for d, piece in self.pieces.items():
             if d < 0:
                 continue
             self._sparse(d)
+            if built:
+                continue
             block = sc[(-1, d)]
             for a, (phi, _) in enumerate(piece):
                 for s in range(2 * self.n):
@@ -476,15 +524,18 @@ class GradedLieAlgebra:
             if p != q:
                 tables[(q, p)] = _swapped(block)
                 continue
+            if built and p >= 0:
+                continue
             for a, row in enumerate(block):
                 for c in range(a, len(row)):
                     if row[c] != tuple((t, -x) for t, x in block[c][a]):
                         raise InternalCheckError(
                             f"bracket of basis elements ({p},{a}) and ({p},{c}) "
                             f"(degree, index) is not antisymmetric")
-        dims = self.dims
+        dims, top = self.dims, self.top_degree()
         failures = (_jacobi_block(tables, dims, p, q, r) for p, q, r, _ in _degree_triples(dims)
-                    if -1 in (p, q, r) or p + q + r < 0)
+                    if (-1 in (p, q, r) or p + q + r < 0)
+                    and not (built and p == -1 and q >= 0 and q + r <= top))
         first = min(filter(None, failures), default=None)
         if first is not None:
             (p, ap), (q, aq), (r, ar), t = first
@@ -492,68 +543,6 @@ class GradedLieAlgebra:
                 f"Jacobi failure on basis triple ({p},{ap}), ({q},{aq}), "
                 f"({r},{ar}) (degree, index): component {t} of g_{p + q + r}")
         return jacobi_triple_count(dims)
-
-
-def _degree_triples(dims: dict):
-    """Degree triples p <= q <= r of nonzero pieces whose total degree is a
-    nonzero piece, each with its number of basis triples of distinct
-    elements."""
-    degs = [d for d in sorted(dims) if dims[d]]
-    for x, p in enumerate(degs):
-        for y in range(x, len(degs)):
-            q = degs[y]
-            for r in degs[y:]:
-                if not dims.get(p + q + r):
-                    continue
-                if p == r:
-                    count = comb(dims[p], 3)
-                elif p == q:
-                    count = comb(dims[p], 2) * dims[r]
-                elif q == r:
-                    count = dims[p] * comb(dims[q], 2)
-                else:
-                    count = dims[p] * dims[q] * dims[r]
-                yield p, q, r, count
-
-
-def jacobi_triple_count(dims: dict) -> int:
-    """Basis triples whose Jacobi identity ``check_jacobi`` certifies: every
-    triple of distinct basis elements whose total degree is a nonzero piece."""
-    return sum(count for *_, count in _degree_triples(dims))
-
-
-def _jacobi_block(tables: dict, dims: dict, p: int, q: int, r: int):
-    """First basis triple of degrees p <= q <= r (ascending indices within a
-    degree) with a nonzero Jacobi sum, as ((p, ap), (q, aq), (r, ar), t) with
-    t its first nonzero component; None if every sum vanishes."""
-
-    def term(u, v, w):          # tables of [[B^u, B^v], B^w]; empty if zero
-        inner, outer = tables.get((u, v)), tables.get((u + v, w))
-        return (inner, outer) if inner is not None and outer is not None else ((), ())
-
-    # the three cyclic terms [[a, b], c], [[b, c], a] and [[c, a], b]
-    (ab, ab_c), (bc, bc_a), (ca, ca_b) = term(p, q, r), term(q, r, p), term(r, p, q)
-    for ap in range(dims[p]):
-        ca_p = [row[ap] for row in ca]
-        for aq in range(ap + 1 if p == q else 0, dims[q]):
-            ab_pq = ab[ap][aq] if ab else ()
-            bc_q = bc[aq] if bc else ()
-            for ar in range(aq + 1 if q == r else 0, dims[r]):
-                acc = {}
-                for m, v in ab_pq:
-                    for t, x in ab_c[m][ar]:
-                        acc[t] = acc.get(t, 0) + v * x
-                if bc_q:
-                    for m, v in bc_q[ar]:
-                        for t, x in bc_a[m][ap]:
-                            acc[t] = acc.get(t, 0) + v * x
-                if ca_p:
-                    for m, v in ca_p[ar]:
-                        for t, x in ca_b[m][aq]:
-                            acc[t] = acc.get(t, 0) + v * x
-                if acc and any(acc.values()):
-                    return (p, ap), (q, aq), (r, ar), min(t for t, v in acc.items() if v)
-    return None
 
 
 @dataclass(frozen=True)

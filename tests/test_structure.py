@@ -4,17 +4,17 @@ failure modes.
 The library reads bracket coefficients off the canonical kernel basis and
 stores them as sorted nonzero (index, value) pairs; the dense expression
 route in ``reference.py`` must give the same constants with zeros filled in.
-``check_jacobi`` sweeps only the direct triples (a g_{-1} member or a
-negative total degree) and certifies the rest by Tanaka's lemma; the full
-sweep over every basis triple in ``reference.py`` must give the same verdict
-and count.  Each failure-mode test corrupts a copy of an algebra in one way
+``check_jacobi`` checks only the direct triples (a g_{-1} member or a
+negative total degree), by the closure checks of the brackets or by a sweep,
+and certifies the rest by Tanaka's lemma; the full sweep over every basis
+triple in ``reference.py`` must give the same verdict and count.  Each failure-mode test corrupts a copy of an algebra in one way
 and checks that the exact checks refuse it with a message that locates the
 fault.
 """
 
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import lcm
 
 import pytest
@@ -23,7 +23,7 @@ from helpers import dense_constants
 from reference import dense_structure_constants, full_jacobi_sweep
 from test_catalog import EXPECTED, LADDER
 
-from crprolong import catalog
+from crprolong import catalog, prolong
 from crprolong.errors import InternalCheckError
 from crprolong.linalg import sparse_int_nullspace
 from crprolong.model import QuadricModel
@@ -100,6 +100,20 @@ def test_constants_are_sorted_nonzero_pairs(name, request):
         if d >= 0:
             assert sc[(-2, d)] == [[tuple((t, -x) for t, x in psi[j]) for _, psi in piece]
                                    for j in range(k)]
+
+
+@pytest.mark.parametrize("name", ["heisenberg_result", "codim4_result", "codim5_result",
+                                  "extended_result"])
+def test_same_degree_blocks_are_mirrored(name, request):
+    # [B_a, B_a] is empty and [B_b, B_a] is [B_a, B_b] negated
+    alg = request.getfixturevalue(name).algebra
+    same = {p: block for (p, q), block in alg.structure_constants().items() if p == q}
+    assert sorted(same) == list(range(-1, alg.top_degree() // 2 + 1))
+    for block in same.values():
+        for a, row in enumerate(block):
+            assert row[a] == ()
+            for b in range(a):
+                assert row[b] == tuple((t, -x) for t, x in block[b][a])
 
 
 def test_uncorrupted_copy_passes(heisenberg_result):
@@ -343,6 +357,103 @@ def test_one_sided_diagonal_constant_fails_antisymmetry(heisenberg_result):
                        match=r"bracket of basis elements \(1,0\) and \(1,1\) "
                              r"\(degree, index\) is not antisymmetric"):
         copy.check_jacobi()
+
+
+# ---------------------------------------------------------------------------
+# the triples swept: short while the stored constants are as built
+# ---------------------------------------------------------------------------
+
+
+def swept_triples(alg, monkeypatch):
+    """The degree triples that ``check_jacobi`` hands to ``_jacobi_block``,
+    in call order, and its outcome."""
+    seen = []
+    sweep = prolong._jacobi_block
+
+    def spy(tables, dims, p, q, r):
+        seen.append((p, q, r))
+        return sweep(tables, dims, p, q, r)
+
+    monkeypatch.setattr(prolong, "_jacobi_block", spy)
+    outcome = _outcome(GradedLieAlgebra.check_jacobi, alg)
+    monkeypatch.undo()
+    return seen, outcome
+
+
+def direct_triples(alg):
+    """Degree triples p <= q <= r of nonzero pieces with a nonzero total
+    piece and a g_-1 member or a negative total."""
+    dims = alg.dims
+    degs = [d for d in sorted(dims) if dims[d]]
+    return {t for t in combinations_with_replacement(degs, 3)
+            if dims.get(sum(t)) and (-1 in t or sum(t) < 0)}
+
+
+def closure_covered(alg):
+    """The direct triples (-1, q, r), q >= 0, whose bracket [B^q, B^r] is
+    computed, so that its closure check settles them."""
+    top = alg.top_degree()
+    return {(p, q, r) for p, q, r in direct_triples(alg) if p == -1 and q >= 0 and q + r <= top}
+
+
+@pytest.mark.parametrize("name", ["heisenberg_result", "codim4_result", "codim5_result",
+                                  "extended_result"])
+def test_unchanged_constants_skip_the_closure_triples(name, request, monkeypatch):
+    alg = request.getfixturevalue(name).algebra
+    copy = GradedLieAlgebra(alg.lt, dict(alg.pieces))
+    seen, outcome = swept_triples(copy, monkeypatch)
+    assert outcome == ("pass", jacobi_triple_count(alg.dims))
+    assert len(seen) == len(set(seen))
+    assert set(seen) == direct_triples(alg) - closure_covered(alg)
+    # no bracket lands above the top, so no closure check covers these
+    top = alg.top_degree()
+    above = {t for t in direct_triples(alg) if t[0] == -1 and t[1] >= 0 and t[1] + t[2] == top + 1}
+    assert above and above <= set(seen)
+    # the first check releases the rows kept as built: a second one sweeps all
+    seen, outcome = swept_triples(copy, monkeypatch)
+    assert outcome == ("pass", jacobi_triple_count(alg.dims))
+    assert set(seen) == direct_triples(alg)
+
+
+def _appended_g1_row(alg):
+    # a (-1, 0) block with one more row than g_-1 has basis elements: the
+    # premises read only the first 2n rows, so it passes them, and only the
+    # comparison with the built copy sees the change
+    copy = GradedLieAlgebra(alg.lt, dict(alg.pieces))
+    block = copy.structure_constants()[(-1, 0)]
+    block.append([()] * alg.dim(0))
+    return copy
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda alg: copy_with_constant(alg, (0, 1), 0, 0, {0: 1}),
+    _appended_g1_row,
+], ids=["changed (0,1) constant", "appended (-1,0) row"])
+def test_changed_constants_sweep_every_direct_triple(heisenberg_result, corrupt, monkeypatch):
+    alg = corrupt(heisenberg_result.algebra)
+    seen, _ = swept_triples(alg, monkeypatch)
+    assert len(seen) == len(set(seen))
+    assert set(seen) == direct_triples(alg)
+    assert closure_covered(alg)
+
+
+def test_changed_g1_entry_is_refused_before_the_sweep(heisenberg_result, monkeypatch):
+    alg = copy_with_constant(heisenberg_result.algebra, (-1, 0), 0, 0, {0: 1})
+    seen, (verdict, message) = swept_triples(alg, monkeypatch)
+    assert (seen, verdict) == ([], "fail")
+    assert message.startswith("stored bracket of basis elements (-1,0) and (0,0)")
+
+
+def test_equal_copies_of_the_blocks_take_the_short_sweep(codim4_result, monkeypatch):
+    alg = codim4_result.algebra
+    copy = GradedLieAlgebra(alg.lt, dict(alg.pieces))
+    sc = copy.structure_constants()
+    for key, block in sc.items():
+        sc[key] = [[tuple((t, Fraction(x)) for t, x in entries) for entries in row]
+                   for row in block]
+    seen, outcome = swept_triples(copy, monkeypatch)
+    assert outcome == ("pass", jacobi_triple_count(alg.dims))
+    assert set(seen) == direct_triples(alg) - closure_covered(alg)
 
 
 # ---------------------------------------------------------------------------
