@@ -112,10 +112,10 @@ def _json_pieces(value, indent="\n"):
 
 
 def _emit(args, data, text_lines):
-    """Write ``data`` as JSON (with --json, or when there are no text lines)
-    or the text lines, then a newline, to --out or stdout.  The JSON goes out
-    piece by piece, so its whole text is never held."""
-    if args.json or not text_lines:
+    """Write ``data`` as JSON (with --json) or the text lines, then a newline,
+    to --out or stdout.  The JSON goes out piece by piece, so its whole text
+    is never held."""
+    if args.json:
         pieces = chain(_json_pieces(data), ("\n",))
     else:
         pieces = ("\n".join(text_lines) + "\n",)

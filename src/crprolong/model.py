@@ -31,6 +31,8 @@ from .errors import AlgebraError, DegenerateModelError, DimensionError, InputErr
 from .linalg import ExactMatrix, gi_bareiss
 from .scalars import GaussianRational, json_int
 
+_DEFINITE_LIMIT = 3000              # candidates the definite search enumerates at most
+
 
 class QuadricModel:
     """Immutable quadric model: k Hermitian forms on C^n."""
@@ -117,13 +119,13 @@ class QuadricModel:
             definite_combination=definite,
         )
 
-    def _definite_combination(self, bound: int, limit: int = 3000):
+    def _definite_combination(self, bound: int):
         """Integer c with sum(c_j H_j) positive or negative definite, or None.
 
         Sufficient certificate for the isotropy condition; informational only,
-        so the search is capped at ``limit`` enumerated candidates, filtered or
-        not (a deterministic prefix of the enumeration — at bound 1 the whole
-        space is covered up to k=7).
+        so the search is capped at ``_DEFINITE_LIMIT`` enumerated candidates,
+        filtered or not (a deterministic prefix of the enumeration — at bound 1
+        the whole space is covered up to k=7).
 
         The forms are scaled once by a common positive denominator D into
         Gaussian integers, which changes no sign.  A definite matrix has a
@@ -140,7 +142,7 @@ class QuadricModel:
         n = self.n
         forms = _integer_forms(self.hermitian, bound)
         for count, c in enumerate(_signed_tuples(self.k, bound)):
-            if count >= limit:
+            if count >= _DEFINITE_LIMIT:
                 return None
             diag = [sum(t) for t in zip(*(f[cj][:n * n:n + 1] for cj, f in zip(c, forms) if cj))]
             s = 1 if diag[0] > 0 else -1

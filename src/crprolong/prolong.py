@@ -599,7 +599,6 @@ def _prolong(model: QuadricModel, max_degree: int) -> ProlongationResult:
     lt = build_levi_tanaka(model)
     pieces = _negative_pieces(lt)
     ints = {}                           # the integer tables, shared with the algebra
-    terminated = False
     for i in range(0, max_degree + 1):
         pieces[i] = prolong_step(lt, pieces, i, ints)
         if not pieces[i]:
@@ -608,9 +607,8 @@ def _prolong(model: QuadricModel, max_degree: int) -> ProlongationResult:
                 raise InternalCheckError(
                     "nonzero degree above a vanishing one (generation failure)")
             del pieces[i], pieces[i + 1], ints[i]
-            terminated = True
             break
-    if not terminated:
+    else:
         raise NonterminationError(
             f"prolongation not terminated below degree cap {max_degree}")
     if 0 not in pieces:
@@ -624,7 +622,7 @@ def _prolong(model: QuadricModel, max_degree: int) -> ProlongationResult:
         dims=dict(algebra.dims),
         top_degree=b,
         jet_order=jet_order(b),
-        terminated=terminated,
+        terminated=True,
     )
     return result
 

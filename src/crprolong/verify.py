@@ -39,10 +39,13 @@ Poly only when it is nonzero.
 The scaled forms, their z-derivatives and the substitution polynomials are
 kept per model in a least-recently-used memo of eight models.  Like the
 ``prolong_full`` memo it is keyed by the model's value, so a model read again
-from its JSON finds the surface built for the first.  The products
-(q u + i P')^beta are built for each check in lexicographic order of beta,
-each from the longest prefix product it shares with the one before, so one
-chain of prefix products is held at a time.
+from its JSON finds the surface built for the first.  Each check sums R_j by
+Horner's rule in the w-variables (Carnicer & Gasca, Math. Comp. 54, 1990):
+with beta as the sorted tuple of its variables, the parts A_j[beta] that
+extend a prefix s are summed first, then multiplied by the one polynomial
+q u_l + i P'_l of the last variable l of s, so no product (q u + i P')^beta
+is ever built, and every multiplication is by a polynomial of at most
+1 + n^2 terms.
 """
 
 from dataclasses import dataclass
@@ -145,22 +148,24 @@ def _by_w_exponent(field: PolyVectorField, top: int, zshift: int) -> dict:
     return groups
 
 
-def _factors(w_map: list, seqs):
-    """(beta, prod_l w_map[l]^beta_l) for each sorted variable tuple beta of
-    ``seqs``, in order.
-    Sorted tuples that share a prefix are adjacent, so a stack of prefix
-    products builds each product from the one before with one multiplication
-    per variable past their common prefix."""
-    stack, last = [{0: (1, 0)}], ()
-    for seq in seqs:
-        c = 0
-        while c < len(last) and c < len(seq) and seq[c] == last[c]:
-            c += 1
-        del stack[c + 1:]
-        for l in seq[c:]:
-            stack.append(gi_trim(gi_mul_into({}, stack[-1], w_map[l])))
-        last = seq
-        yield seq, stack[-1]
+def _restrict(A: dict, w_map: list, top_w: int, q: int, k: int) -> list:
+    """[sum_beta q^(N - |beta|) A_j[beta] prod_l w_map[l]^beta_l for each j],
+    N = ``top_w``, by Horner's rule in the w-variables, without recursion.
+    H(s) collects the terms of A that extend the prefix s.  Reverse
+    lexicographic order puts every extension of s before s, so H(s) is
+    complete when s is reached; it then passes w_map[s[-1]] H(s) on to its
+    parent, and () comes last."""
+    H = {}
+    for s in sorted({seq[:d] for seq in A for d in range(len(seq) + 1)} | {()}, reverse=True):
+        h = H.pop(s, None) or [{} for _ in range(k)]
+        for hj, a in zip(h, A.get(s, ())):
+            gi_add_into(hj, a, q ** (top_w - len(s)))
+        if not s:
+            return h
+        parent = H.setdefault(s[:-1], [{} for _ in range(k)])
+        for pj, hj in zip(parent, h):
+            if hj:
+                gi_mul_into(pj, w_map[s[-1]], gi_trim(hj))
 
 
 def verify_hol(field: PolyVectorField, model) -> TangencyCertificate:
@@ -175,7 +180,7 @@ def verify_hol(field: PolyVectorField, model) -> TangencyCertificate:
     if groups:
         check_degree(2 * (max(max(p) for p in field.comps if p) >> SLOT_BITS * (n + k)) + 1)
     top_w = max(map(len, groups), default=0)
-    A = {}                              # beta -> [q^(N - |beta|) A_j[beta] for each j]
+    A = {}                              # beta -> [A_j[beta] for each j]
     for seq, parts in groups.items():
         A[seq] = []
         for j in range(k):
@@ -183,18 +188,12 @@ def verify_hol(field: PolyVectorField, model) -> TangencyCertificate:
             for v, dp in enumerate(surface.dP[j]):
                 if v in parts and dp:
                     gi_mul_into(a, parts[v], dp)
-            if q > 1 and len(seq) < top_w:
-                a = gi_add_into({}, a, q ** (top_w - len(seq)))
             A[seq].append(a)
-    R = [[{} for _ in surface.maps] for _ in range(k)]
-    for which, w_map in enumerate(surface.maps):
-        for seq, factor in _factors(w_map, sorted(A)):
-            for r, a in zip(R, A[seq]):
-                gi_mul_into(r[which], a, factor)
+    R = [_restrict(A, w_map, top_w, q, k) for w_map in surface.maps]
     residuals = []
-    for r in R:
-        diff = dict(r[0])
-        for m, (re, im) in r[-1].items():               # R_j - conj(R'_j)
+    for j, r in enumerate(R[0]):
+        diff = dict(r)
+        for m, (re, im) in R[-1][j].items():            # R_j - conj(R'_j)
             m = surface.swap(m)
             s = diff.get(m)
             diff[m] = (-re, im) if s is None else (s[0] - re, s[1] + im)

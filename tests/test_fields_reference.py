@@ -86,7 +86,12 @@ def test_realization_matches_chain(name, model):
             assert realize_element(alg, d, coeffs) == chain_realize_element(alg, d, coeffs)
 
 
-@pytest.mark.parametrize("name, model", MODELS, ids=[name for name, _ in MODELS])
+# so_family(4) has seven forms, so its top field's w-exponent tuples are
+# deeper and wider (up to four variables, repeated and distinct) than in MODELS
+DEEP = MODELS + [("so_family4", catalog.get("so_family", n=4).model)]
+
+
+@pytest.mark.parametrize("name, model", DEEP, ids=[name for name, _ in DEEP])
 def test_residuals_match_two_sided_route(name, model):
     """Non-tangent fields: i times a top-degree field, and seeded random fields."""
     result = prolong_full(model)

@@ -19,6 +19,7 @@ from helpers import determinant
 from reference import _combine, _leading_minors, dense_definite_combination, dense_tumanov_search
 
 from crprolong import catalog
+from crprolong import model as model_module
 from crprolong.model import QuadricModel, _signed_tuples, tumanov_search
 from crprolong.scalars import GaussianRational
 
@@ -129,12 +130,15 @@ def _cap_model():
     return QuadricModel(forms)
 
 
-def test_cap_counts_filtered_candidates():
+def test_cap_counts_filtered_candidates(monkeypatch):
     model = _cap_model()
     first = (1, 1, 1, 0, 0, 0, 0, 0)
     assert list(_signed_tuples(model.k, 1)).index(first) == 3158
+    assert model_module._DEFINITE_LIMIT == 3000
     for limit in (3000, 3158, 3159):
-        assert model._definite_combination(1, limit) == (first if limit > 3158 else None)
+        monkeypatch.setattr(model_module, "_DEFINITE_LIMIT", limit)
+        assert model._definite_combination(1) == (first if limit > 3158 else None)
+    monkeypatch.undo()
     # None at 3,158 implies None at any smaller limit
     assert dense_definite_combination(model, 1, 3158) is None
     assert dense_definite_combination(model, 1, 3159) == first

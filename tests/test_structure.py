@@ -233,18 +233,24 @@ _JACOBI_FAILURE = re.compile(r"Jacobi failure on basis triple \((-?\d+),\d+\), "
                              r"\((-?\d+),\d+\), \((-?\d+),\d+\)")
 
 
-def assert_sweeps_agree(alg):
+def assert_sweeps_agree(alg, monkeypatch):
     """check_jacobi and the full sweep agree on the verdict and the count.
-    They agree on the message too, unless check_jacobi refuses a premise of
-    the lemma before its sweep, or the full sweep first fails on a triple
-    that the direct sweep leaves to the lemma."""
-    verdict, got = _outcome(GradedLieAlgebra.check_jacobi, alg)
+    A refusal comes from the full route: either before any sweep (a premise
+    of the lemma, or a closure check of the brackets), or from a sweep of
+    every direct triple, so the short sweep refuses nothing.  The messages
+    agree too, unless check_jacobi refuses before its sweep, or the full
+    sweep first fails on a triple that the direct sweep leaves to the
+    lemma."""
+    seen, (verdict, got) = swept_triples(alg, monkeypatch)
     ref_verdict, want = _outcome(full_jacobi_sweep, alg)
     assert verdict == ref_verdict
+    if verdict == "fail":
+        swept = _JACOBI_FAILURE.match(got) is not None
+        assert set(seen) == (direct_triples(alg) if swept else set())
     failure = _JACOBI_FAILURE.match(want) if ref_verdict == "fail" else None
     if failure is None:
         assert got == want
-    elif _JACOBI_FAILURE.match(got):
+    elif swept:
         degrees = [int(d) for d in failure.groups()]
         if -1 in degrees or sum(degrees) < 0:
             assert got == want
@@ -252,9 +258,9 @@ def assert_sweeps_agree(alg):
 
 @pytest.mark.parametrize("name", ["heisenberg_result", "codim4_result", "codim5_result",
                                   "extended_result"])
-def test_direct_sweep_agrees_with_full_sweep_on_catalog(name, request):
+def test_direct_sweep_agrees_with_full_sweep_on_catalog(name, request, monkeypatch):
     alg = request.getfixturevalue(name).algebra
-    assert_sweeps_agree(alg)
+    assert_sweeps_agree(alg, monkeypatch)
     assert alg.check_jacobi() == full_jacobi_sweep(alg) > 0
 
 
@@ -319,9 +325,9 @@ CORRUPTIONS = {
 
 
 @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
-def test_direct_sweep_agrees_with_full_sweep_on_corrupted_copies(name, request):
+def test_direct_sweep_agrees_with_full_sweep_on_corrupted_copies(name, request, monkeypatch):
     fixture, corrupt = CORRUPTIONS[name]
-    assert_sweeps_agree(corrupt(request.getfixturevalue(fixture).algebra))
+    assert_sweeps_agree(corrupt(request.getfixturevalue(fixture).algebra), monkeypatch)
 
 
 def test_changed_w_action_fails_negative_total_class(codim5_result):

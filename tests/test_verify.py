@@ -1,12 +1,14 @@
 import random
+import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from crprolong import catalog, verify
 from crprolong.errors import DimensionError, InputError
 from crprolong.model import QuadricModel
-from crprolong.poly import PolyVectorField
+from crprolong.poly import PolyVectorField, packing
 from crprolong.scalars import GR_I, GaussianRational
 from crprolong.verify import jet_certificate, verify_hol
 from helpers import (Poly, certify_jet_counterexample, check_rotation_identities,
@@ -146,6 +148,20 @@ def test_surface_restriction_leaves_z_alone(heisenberg):
     w = Poly.variable(1, 1, "w", 0)
     u = Poly.variable(1, 1, "u", 0)
     assert two_sided_surface_restriction(w, m) == u + GR_I * z * zb
+
+
+def test_w_degree_above_the_recursion_limit(heisenberg):
+    """w^N d/dw with N past Python's recursion limit: the restriction walks
+    the N + 1 prefixes of (0,) * N without recursing.  Re(w^N / (2i)) on
+    w = u + i z zb is the sum over odd m of (-1)^((m-1)/2) C(N, m)/2
+    u^(N-m) (z zb)^m."""
+    N = sys.getrecursionlimit() + 100
+    field = PolyVectorField(1, 1, 1, [{}, {packing(2).pack((0, N)): (1, 0)}])
+    cert = verify_hol(field, heisenberg.model)
+    assert not cert.verdict
+    assert cert.residuals[0].terms == {
+        (m, m, 0, 0, N - m): GaussianRational(Fraction((-1) ** (m // 2) * comb(N, m), 2))
+        for m in range(1, N + 1, 2)}
 
 
 # ---------------------------------------------------------------------------
