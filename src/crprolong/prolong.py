@@ -52,11 +52,11 @@ constants keep the piece format: each bracket is the sorted nonzero
 
 The Jacobi identity is certified by closure, a sweep and a lemma.  The
 direct triples are those with a g_{-1} member or a negative total degree.
-While the stored constants are as built, each direct triple (X, b, c) with
-X in g_{-1}, b and c of degree >= 0 and [b, c] computed is the g_{-1} part
-of the closure assertion of [b, c].  The other direct triples are swept
-exactly, on integer tables with one common denominator (the sweep helpers
-are in ``jacobi``), and Tanaka's lemma gives all remaining triples (see
+The constants are read-only, so each direct triple (X, b, c) with X in
+g_{-1}, b and c of degree >= 0 and [b, c] computed is the g_{-1} part of the
+closure assertion of [b, c].  The other direct triples are swept exactly, on
+integer tables with one common denominator (the sweep helpers are in
+``jacobi``), and Tanaka's lemma gives all remaining triples (see
 ``check_jacobi``).
 """
 
@@ -68,6 +68,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import InputError, InternalCheckError, NonterminationError
@@ -234,6 +235,17 @@ def _swapped(table):
             for b in range(len(table[0]))]
 
 
+class _Frozen(list):
+    """A list that refuses every mutating method.  Its ``repr``, ``==``,
+    iteration and the JSON writer see a plain list."""
+
+    def _refuse(self, *args):
+        raise TypeError("the pieces and structure constants of an algebra are read-only")
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
+    append = extend = insert = pop = remove = clear = sort = reverse = _refuse
+
+
 def _flat(elem, m1: int, m2: int) -> dict:
     """An element in the kernel layout of ``prolong_step`` (phi row-major,
     then psi row-major) as {column: value}."""
@@ -265,15 +277,15 @@ class _SparseBasis(NamedTuple):
 
 
 class GradedLieAlgebra:
-    """The full prolongation: the pieces g_{-2}..g_top in the piece format."""
+    """The full prolongation: the pieces g_{-2}..g_top in the piece format,
+    read-only like the tables cached from them (a mapping proxy of lists)."""
 
     def __init__(self, lt: LeviTanakaAlgebra, pieces: dict, ints: dict | None = None):
         self.lt = lt
         self.n, self.k = lt.n, lt.k
-        self.pieces = pieces
+        self.pieces = MappingProxyType({d: _Frozen(p) for d, p in pieces.items()})
         self.dims = {d: len(p) for d, p in sorted(pieces.items())}
         self._sc = None
-        self._built = None              # rows of _sc as built, until check_jacobi
         self._ints = {} if ints is None else ints   # degree -> _int_table of pieces
         self._views = {}
         self._realized = {}             # degree -> realized basis fields (realize.py)
@@ -354,7 +366,8 @@ class GradedLieAlgebra:
         The (-1, d) and (-2, d) blocks are the negated, transposed phi and
         psi tables.  Pairs whose bracket lands outside the computed range are
         identically zero and omitted.  The tables are cached on the algebra
-        and shared with every caller; do not mutate them.
+        and shared with every caller, so they are read-only: a mapping proxy
+        of ``_Frozen`` blocks of ``_Frozen`` rows.
 
         The brackets are computed in integers.  Each degree's phi and psi
         tables are read scaled by one denominator (``_int_piece``), and each
@@ -365,9 +378,7 @@ class GradedLieAlgebra:
         every pair with the rows built so far.  In a same-degree block (i, i)
         only the pairs a < b are computed and closure-checked; [B_a, B_a] is
         empty and [B_b, B_a] is the mirrored [B_a, B_b] negated, so those
-        blocks are antisymmetric by construction.  A copy of each stored row
-        is kept until the first ``check_jacobi``, which reads it to tell
-        whether a caller has changed a stored constant since.
+        blocks are antisymmetric by construction.
         """
         if self._sc is not None:
             return self._sc
@@ -375,9 +386,9 @@ class GradedLieAlgebra:
         sc = {}
         for d, piece in self.pieces.items():
             if d >= -1:
-                sc[(-1, d)] = _swapped([phi for phi, _ in piece])
+                sc[(-1, d)] = _Frozen(map(_Frozen, _swapped([phi for phi, _ in piece])))
             if d >= 0:
-                sc[(-2, d)] = _swapped([psi for _, psi in piece])
+                sc[(-2, d)] = _Frozen(map(_Frozen, _swapped([psi for _, psi in piece])))
         # ints[(p, q)]: (den, den * table of [B^p_a, B^q_b]) for p >= 0, both
         # orders of every block made so far and the phi (q = -1) and psi
         # (q = -2) tables
@@ -392,17 +403,17 @@ class GradedLieAlgebra:
                         for y in (-1, -2) for a, b in ((j, i), (i, j))]
                 den = lcm(*dens)
                 scale = den, [den // x for x in dens]
-                sc[(i, j)] = block = []
+                block = []
                 for ai in range(dims[i]):
-                    block.append([self._bracket_pair(i, ai, j, aj, ints, scale, block)
-                                  for aj in range(dims[j])])
+                    block.append(_Frozen(self._bracket_pair(i, ai, j, aj, ints, scale, block)
+                                         for aj in range(dims[j])))
+                sc[(i, j)] = _Frozen(block)
                 den, (table,) = _scaled([block])
                 ints[(i, j)] = den, table
                 if i != j:
                     ints[(j, i)] = den, _swapped(table)
-        self._sc = sc
-        self._built = {key: [list(row) for row in block] for key, block in sc.items()}
-        return sc
+        self._sc = MappingProxyType(sc)
+        return self._sc
 
     def _bracket_pair(self, i, ai, j, aj, ints, scale, rows):
         """[B^i_ai, B^j_aj] in the g_{i+j} basis as sorted (index, value)
@@ -475,67 +486,56 @@ class GradedLieAlgebra:
         g_{-1}.
 
         The premises hold on the tables the sweep reads.  Faithfulness:
-        ``_sparse`` proves the phi parts of each g_d (d >= 0) independent,
-        and the (-1, d) blocks must be the negated phi tables.  Antisymmetry:
-        the table of each pair p != q is read as the swapped (q, p) one, and
-        each (p, p) block must be antisymmetric.  ``structure_constants``
-        builds the (-1, d) blocks from the phi tables and the (p, p) blocks
-        of p >= 0 mirrored, so while the stored constants equal the copy it
-        kept, those premises hold by construction, and only the (-1, -1)
-        block, the Levi-Tanaka bracket as given, is checked.
+        ``_sparse`` proves the phi parts of each g_d (d >= 0) independent, and
+        the (-1, d) blocks are the negated phi tables.  Antisymmetry: the
+        table of each pair p != q is read as the swapped (q, p) one, and each
+        (p, p) block must be antisymmetric.  ``structure_constants`` builds
+        the (-1, d) blocks from the phi tables and the (p, p) blocks of
+        p >= 0 mirrored, and the constants are read-only, so those premises
+        hold by construction.  Only the (-1, -1) block, the Levi-Tanaka
+        bracket as given, is checked.
 
-        Then the closure checks have also settled the direct triples
-        (X, b, c) with X in g_{-1}, b in g_q, c in g_r, q, r >= 0 and
-        q + r <= top, so they are not swept.  The closure check of [b, c]
-        asserts that h, built from [h, Y] = [b, [c, Y]] - [c, [b, Y]], equals
-        the read-off sum_g sc[(q, r)][b][c]_g B_g.  Its g_{-1} part is
+        The closure checks have also settled the direct triples (X, b, c)
+        with X in g_{-1}, b in g_q, c in g_r, q, r >= 0 and q + r <= top, so
+        they are not swept.  The closure check of [b, c] asserts that h,
+        built from [h, Y] = [b, [c, Y]] - [c, [b, Y]], equals the read-off
+        sum_g sc[(q, r)][b][c]_g B_g.  Its g_{-1} part is
         [[b, c], X] = [b, [c, X]] - [c, [b, X]], that is J(X, b, c) = 0, on
         the same tables (the phi tables are the negated (-1, d) blocks).  In
         a same-degree block it checks b < c, the one order the sweep visits.
-        For q + r = top + 1 no bracket is computed, so those triples stay
-        swept, as do those with two negative members, or with a g_{-2}
-        member and a negative total.
-
-        The copy is released here, its one reader.  A later call, or one
-        after a caller has changed a stored constant, checks both premises
-        on every block and sweeps every direct triple.  A failure names the
-        first failing swept triple in basis order.
+        For q + r = top + 1 no bracket is computed, so those triples are
+        swept, as are those with two negative members, or with a g_{-2}
+        member and a negative total.  Only the blocks those triples read are
+        scaled.  A failure names the first failing swept triple in basis
+        order.
         """
         sc = self.structure_constants()
-        built, self._built = sc == self._built, None
-        for d, piece in self.pieces.items():
-            if d < 0:
-                continue
-            self._sparse(d)
-            if built:
-                continue
-            block = sc[(-1, d)]
-            for a, (phi, _) in enumerate(piece):
-                for s in range(2 * self.n):
-                    if block[s][a] != tuple((t, -x) for t, x in phi[s]):
-                        raise InternalCheckError(
-                            f"stored bracket of basis elements (-1,{s}) and ({d},{a}) "
-                            f"(degree, index) is not the negated phi table of ({d},{a})")
-        # integer tables for both orders of each degree pair, scaled by one
-        # common denominator
-        tables = {}
-        for (p, q), block in zip(sc, _scaled(list(sc.values()))[1]):
-            tables[(p, q)] = block
-            if p != q:
-                tables[(q, p)] = _swapped(block)
-                continue
-            if built and p >= 0:
-                continue
-            for a, row in enumerate(block):
-                for c in range(a, len(row)):
-                    if row[c] != tuple((t, -x) for t, x in block[c][a]):
-                        raise InternalCheckError(
-                            f"bracket of basis elements ({p},{a}) and ({p},{c}) "
-                            f"(degree, index) is not antisymmetric")
+        for d in self.pieces:
+            if d >= 0:
+                self._sparse(d)
+        block = sc[(-1, -1)]
+        for a, row in enumerate(block):
+            for c in range(a, len(row)):
+                if row[c] != tuple((t, -x) for t, x in block[c][a]):
+                    raise InternalCheckError(
+                        f"bracket of basis elements (-1,{a}) and (-1,{c}) "
+                        f"(degree, index) is not antisymmetric")
         dims, top = self.dims, self.top_degree()
-        failures = (_jacobi_block(tables, dims, p, q, r) for p, q, r, _ in _degree_triples(dims)
-                    if (-1 in (p, q, r) or p + q + r < 0)
-                    and not (built and p == -1 and q >= 0 and q + r <= top))
+        swept = [(p, q, r) for p, q, r, _ in _degree_triples(dims)
+                 if (-1 in (p, q, r) or p + q + r < 0)
+                 and not (p == -1 and q >= 0 and q + r <= top)]
+        # the ordered degree pairs of the three cyclic terms [[a, b], c],
+        # [[b, c], a] and [[c, a], b] of each swept triple
+        reads = {pair for p, q, r in swept for u, v, w in ((p, q, r), (q, r, p), (r, p, q))
+                 for pair in ((u, v), (u + v, w))}
+        keys = sorted({(min(pair), max(pair)) for pair in reads} & sc.keys())
+        # integer tables, scaled by one common denominator, in the orders read
+        tables = {}
+        for (p, q), table in zip(keys, _scaled([sc[key] for key in keys])[1]):
+            tables[(p, q)] = table
+            if p != q and (q, p) in reads:
+                tables[(q, p)] = _swapped(table)
+        failures = (_jacobi_block(tables, dims, p, q, r) for p, q, r in swept)
         first = min(filter(None, failures), default=None)
         if first is not None:
             (p, ap), (q, aq), (r, ar), t = first

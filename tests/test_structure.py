@@ -9,13 +9,15 @@ negative total degree), by the closure checks of the brackets or by a sweep,
 and certifies the rest by Tanaka's lemma; the full sweep over every basis
 triple in ``reference.py`` must give the same verdict and count.  Each failure-mode test corrupts a copy of an algebra in one way
 and checks that the exact checks refuse it with a message that locates the
-fault.
+fault.  The stored constants are read-only, so a changed constant is swept
+on integer tables built by the test.
 """
 
 import re
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import lcm
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,6 +27,7 @@ from test_catalog import EXPECTED, LADDER
 
 from crprolong import catalog, prolong
 from crprolong.errors import InternalCheckError
+from crprolong.jacobi import _jacobi_block
 from crprolong.linalg import sparse_int_nullspace
 from crprolong.model import QuadricModel
 from crprolong.prolong import GradedLieAlgebra, jacobi_triple_count, prolong_full
@@ -116,6 +119,46 @@ def test_same_degree_blocks_are_mirrored(name, request):
                 assert row[b] == tuple((t, -x) for t, x in block[b][a])
 
 
+# every method that changes a list in place
+MUTATIONS = {
+    "setitem": lambda x: x.__setitem__(0, x[0]),
+    "setitem slice": lambda x: x.__setitem__(slice(0, 1), x[:1]),
+    "delitem": lambda x: x.__delitem__(0),
+    "iadd": lambda x: x.__iadd__([]),
+    "imul": lambda x: x.__imul__(1),
+    "append": lambda x: x.append(x[0]),
+    "extend": lambda x: x.extend([]),
+    "insert": lambda x: x.insert(0, x[0]),
+    "pop": lambda x: x.pop(),
+    "remove": lambda x: x.remove(x[0]),
+    "clear": lambda x: x.clear(),
+    "sort": lambda x: x.sort(),
+    "reverse": lambda x: x.reverse(),
+}
+
+
+@pytest.mark.parametrize("mutate", sorted(MUTATIONS))
+def test_constants_and_pieces_are_read_only(heisenberg_result, mutate):
+    alg = heisenberg_result.algebra
+    alg = GradedLieAlgebra(alg.lt, dict(alg.pieces))
+    sc = alg.structure_constants()
+    before = repr(sorted(sc.items())), repr(sorted(alg.pieces.items()))
+    # the blocks of each kind (negated phi and psi tables, brackets read off),
+    # their rows and the pieces
+    for table in (sc[(-1, 0)], sc[(-1, 0)][0], sc[(-2, 0)], sc[(-2, 0)][0],
+                  sc[(0, 1)], sc[(0, 1)][0], sc[(1, 1)], sc[(1, 1)][1],
+                  alg.pieces[-2], alg.pieces[1]):
+        with pytest.raises(TypeError, match="read-only"):
+            MUTATIONS[mutate](table)
+    for mapping, key in ((sc, (0, 1)), (alg.pieces, 1)):
+        with pytest.raises(TypeError):
+            mapping[key] = []
+        with pytest.raises(TypeError):
+            del mapping[key]
+    assert (repr(sorted(sc.items())), repr(sorted(alg.pieces.items()))) == before
+    assert alg.check_jacobi() == jacobi_triple_count(alg.dims)
+
+
 def test_uncorrupted_copy_passes(heisenberg_result):
     alg = heisenberg_result.algebra
     copy = copy_with_element(alg, 2, 0)
@@ -197,29 +240,9 @@ def test_broken_trailing_column_fails(heisenberg_result):
         copy.structure_constants()
 
 
-def test_changed_structure_constant_fails_jacobi(heisenberg_result):
-    alg = heisenberg_result.algebra
-    copy = GradedLieAlgebra(alg.lt, dict(alg.pieces))
-    sc = copy.structure_constants()
-    sc[(0, 1)][0][0] = shifted(sc[(0, 1)][0][0], {0: 1})
-    with pytest.raises(InternalCheckError,
-                       match=r"Jacobi failure on basis triple \(-2,0\), \(0,0\), "
-                             r"\(1,0\) \(degree, index\): component 0 of g_-1"):
-        copy.check_jacobi()
-
-
 # ---------------------------------------------------------------------------
 # the direct sweep against the full reference sweep
 # ---------------------------------------------------------------------------
-
-
-def copy_with_constant(alg, key, alpha, beta, delta):
-    """A fresh algebra whose stored constants equal those of ``alg`` except
-    that ``delta`` ({component: change}) is added to sc[key][alpha][beta]."""
-    copy = GradedLieAlgebra(alg.lt, dict(alg.pieces))
-    block = copy.structure_constants()[key]
-    block[alpha][beta] = shifted(block[alpha][beta], delta)
-    return copy
 
 
 def _outcome(sweep, alg):
@@ -235,18 +258,17 @@ _JACOBI_FAILURE = re.compile(r"Jacobi failure on basis triple \((-?\d+),\d+\), "
 
 def assert_sweeps_agree(alg, monkeypatch):
     """check_jacobi and the full sweep agree on the verdict and the count.
-    A refusal comes from the full route: either before any sweep (a premise
-    of the lemma, or a closure check of the brackets), or from a sweep of
-    every direct triple, so the short sweep refuses nothing.  The messages
-    agree too, unless check_jacobi refuses before its sweep, or the full
-    sweep first fails on a triple that the direct sweep leaves to the
-    lemma."""
+    A refusal comes either before any sweep (a premise of the lemma, or a
+    closure check of the brackets), or from the sweep of the direct triples
+    that no closure check covers.  The messages agree too, unless
+    check_jacobi refuses before its sweep, or the full sweep first fails on
+    a triple that the direct sweep leaves to the lemma."""
     seen, (verdict, got) = swept_triples(alg, monkeypatch)
     ref_verdict, want = _outcome(full_jacobi_sweep, alg)
     assert verdict == ref_verdict
     if verdict == "fail":
         swept = _JACOBI_FAILURE.match(got) is not None
-        assert set(seen) == (direct_triples(alg) if swept else set())
+        assert set(seen) == (direct_triples(alg) - closure_covered(alg) if swept else set())
     failure = _JACOBI_FAILURE.match(want) if ref_verdict == "fail" else None
     if failure is None:
         assert got == want
@@ -282,6 +304,70 @@ def _broken_trailing(alg):
     return copy_with_element(alg, 1, 0, phi=double(phi), psi=double(psi))
 
 
+def _one_sided_bracket(alg):
+    # [X_0, X_1] doubled in the phi table of X_0 only, so [X_1, X_0] is not
+    # its negative: the (-1,-1) block, the Levi-Tanaka bracket as given, is
+    # read by no closure check
+    phi = alg.pieces[-1][0][0]
+    return copy_with_element(alg, -1, 0, phi=(phi[0], tuple((t, 2 * x) for t, x in phi[1]))
+                             + phi[2:])
+
+
+CORRUPTIONS = {
+    "uncorrupted": ("heisenberg_result", lambda alg: copy_with_element(alg, 2, 0)),
+    "changed psi entry": ("heisenberg_result", _changed_psi),
+    "dependent phi parts": ("heisenberg_result", _dependent_phi),
+    "broken trailing column": ("heisenberg_result", _broken_trailing),
+    "one-sided (-1,-1) constant": ("heisenberg_result", _one_sided_bracket),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+def test_direct_sweep_agrees_with_full_sweep_on_corrupted_copies(name, request, monkeypatch):
+    fixture, corrupt = CORRUPTIONS[name]
+    assert_sweeps_agree(corrupt(request.getfixturevalue(fixture).algebra), monkeypatch)
+
+
+def test_one_sided_diagonal_constant_fails_antisymmetry(heisenberg_result):
+    copy = _one_sided_bracket(heisenberg_result.algebra)
+    with pytest.raises(InternalCheckError,
+                       match=r"bracket of basis elements \(-1,0\) and \(-1,1\) "
+                             r"\(degree, index\) is not antisymmetric"):
+        copy.check_jacobi()
+
+
+# ---------------------------------------------------------------------------
+# the sweep on changed constants.  The stored constants are read-only, so a
+# changed constant reaches the sweep only through tables built here; each
+# case was refused by check_jacobi when the constants could be changed in
+# place, and the sweep of every direct triple still refuses it
+# ---------------------------------------------------------------------------
+
+
+def changed_tables(alg, changes):
+    """Integer tables of both orders of every stored block of ``alg``, over
+    one common denominator, as ``check_jacobi`` sweeps them, with ``changes``
+    ({(key, alpha, beta): {component: change}}) added to the constants first;
+    and those changed constants."""
+    sc = {key: [list(row) for row in block] for key, block in alg.structure_constants().items()}
+    for (key, alpha, beta), delta in changes.items():
+        sc[key][alpha][beta] = shifted(sc[key][alpha][beta], delta)
+    tables = {}
+    for (p, q), table in zip(sc, prolong._scaled(list(sc.values()))[1]):
+        tables[(p, q)] = table
+        if p != q:
+            tables[(q, p)] = prolong._swapped(table)
+    return tables, sc
+
+
+def direct_sweep(alg, changes):
+    """The first failing triple, as ``_jacobi_block`` gives it, of the sweep of
+    every direct degree triple over the changed tables; None if none fails."""
+    tables, _ = changed_tables(alg, changes)
+    failures = (_jacobi_block(tables, alg.dims, *t) for t in sorted(direct_triples(alg)))
+    return min(filter(None, failures), default=None)
+
+
 def _delta_off_g1_span(alg):
     """{a: delta_a}: a functional on g_0 that vanishes on [g_-1, g_1].  The
     kernel takes integer rows, so each row is scaled by the lcm of its
@@ -300,73 +386,60 @@ def _changed_w_action(alg):
     # [g_-1, g_1]: the g_-1 triples (W, X, c) read these constants only
     # through [X, c] in [g_-1, g_1], so only the negative-total class
     # (W, a, a'), (W, W', c) sees the change
-    copy = GradedLieAlgebra(alg.lt, dict(alg.pieces))
-    block = copy.structure_constants()[(-2, 0)]
-    for a, x in _delta_off_g1_span(alg).items():
-        block[0][a] = shifted(block[0][a], {0: x})
-    return copy
+    return {((-2, 0), 0, a): {0: x} for a, x in _delta_off_g1_span(alg).items()}
 
 
-CORRUPTIONS = {
-    "uncorrupted": ("heisenberg_result", lambda alg: copy_with_element(alg, 2, 0)),
-    "changed psi entry": ("heisenberg_result", _changed_psi),
-    "dependent phi parts": ("heisenberg_result", _dependent_phi),
-    "broken trailing column": ("heisenberg_result", _broken_trailing),
-    "changed (0,1) constant": ("heisenberg_result",
-                               lambda alg: copy_with_constant(alg, (0, 1), 0, 0, {0: 1})),
+CHANGED_CONSTANTS = {
+    "changed (0,1) constant": ("heisenberg_result", lambda alg: {((0, 1), 0, 0): {0: 1}}),
     "changed (-2,0) constants": ("codim5_result", _changed_w_action),
-    "changed (0,2) constant": ("heisenberg_result",
-                               lambda alg: copy_with_constant(alg, (0, 2), 0, 0, {0: 1})),
-    "changed (-1,0) constant": ("heisenberg_result",
-                                lambda alg: copy_with_constant(alg, (-1, 0), 0, 0, {0: 1})),
-    "changed (1,1) constant": ("heisenberg_result",
-                               lambda alg: copy_with_constant(alg, (1, 1), 0, 1, {0: 1})),
+    "changed (0,2) constant": ("heisenberg_result", lambda alg: {((0, 2), 0, 0): {0: 1}}),
+    "changed (-1,0) constant": ("heisenberg_result", lambda alg: {((-1, 0), 0, 0): {0: 1}}),
+    "changed (1,1) constant": ("heisenberg_result", lambda alg: {((1, 1), 0, 1): {0: 1}}),
 }
 
 
-@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
-def test_direct_sweep_agrees_with_full_sweep_on_corrupted_copies(name, request, monkeypatch):
-    fixture, corrupt = CORRUPTIONS[name]
-    assert_sweeps_agree(corrupt(request.getfixturevalue(fixture).algebra), monkeypatch)
+@pytest.mark.parametrize("name", sorted(CHANGED_CONSTANTS))
+def test_changed_constants_agree_with_full_sweep(name, request):
+    # the full sweep refuses each change; the direct sweep refuses it too, on
+    # the same triple when that triple is a direct one
+    fixture, changes = CHANGED_CONSTANTS[name]
+    alg = request.getfixturevalue(fixture).algebra
+    changes = changes(alg)
+    _, sc = changed_tables(alg, changes)
+    changed = SimpleNamespace(structure_constants=lambda: sc, dims=alg.dims,
+                              degrees=alg.degrees, top_degree=alg.top_degree)
+    verdict, want = _outcome(full_jacobi_sweep, changed)
+    first = direct_sweep(alg, changes)
+    assert verdict == "fail" and first is not None
+    degrees = [int(d) for d in _JACOBI_FAILURE.match(want).groups()]
+    if -1 in degrees or sum(degrees) < 0:
+        (p, ap), (q, aq), (r, ar), t = first
+        assert want == (f"Jacobi failure on basis triple ({p},{ap}), ({q},{aq}), "
+                        f"({r},{ar}) (degree, index): component {t} of g_{p + q + r}")
+
+
+def test_changed_structure_constant_fails_jacobi(heisenberg_result):
+    alg = heisenberg_result.algebra
+    assert direct_sweep(alg, {((0, 1), 0, 0): {0: 1}}) == ((-2, 0), (0, 0), (1, 0), 0)
 
 
 def test_changed_w_action_fails_negative_total_class(codim5_result):
     alg = codim5_result.algebra
     assert _delta_off_g1_span(alg) == {8: -1, 12: 1, 16: 1}
-    with pytest.raises(InternalCheckError,
-                       match=r"Jacobi failure on basis triple \(-2,0\), \(0,5\), "
-                             r"\(0,8\) \(degree, index\): component 2 of g_-2"):
-        _changed_w_action(alg).check_jacobi()
+    assert direct_sweep(alg, _changed_w_action(alg)) == ((-2, 0), (0, 5), (0, 8), 2)
 
 
 def test_changed_nonnegative_constant_fails_g1_class(heisenberg_result):
     # [g_0, g_2] appears in no direct triple of negative total degree, and the
-    # full sweep first fails on (-2,0), (0,0), (2,0), which the lemma covers
-    copy = copy_with_constant(heisenberg_result.algebra, (0, 2), 0, 0, {0: 1})
-    with pytest.raises(InternalCheckError,
-                       match=r"Jacobi failure on basis triple \(-1,0\), \(0,0\), "
-                             r"\(2,0\) \(degree, index\): component 0 of g_1"):
-        copy.check_jacobi()
-
-
-def test_changed_g1_action_fails_faithfulness_premise(heisenberg_result):
-    copy = copy_with_constant(heisenberg_result.algebra, (-1, 0), 0, 0, {0: 1})
-    with pytest.raises(InternalCheckError,
-                       match=r"stored bracket of basis elements \(-1,0\) and \(0,0\) "
-                             r"\(degree, index\) is not the negated phi table of \(0,0\)"):
-        copy.check_jacobi()
-
-
-def test_one_sided_diagonal_constant_fails_antisymmetry(heisenberg_result):
-    copy = copy_with_constant(heisenberg_result.algebra, (1, 1), 0, 1, {0: 1})
-    with pytest.raises(InternalCheckError,
-                       match=r"bracket of basis elements \(1,0\) and \(1,1\) "
-                             r"\(degree, index\) is not antisymmetric"):
-        copy.check_jacobi()
+    # full sweep first fails on (-2,0), (0,0), (2,0), which the lemma covers.
+    # check_jacobi leaves (-1,0), (0,0), (2,0) to the closure check of
+    # [B^0_0, B^2_0], which certified the stored constant
+    alg = heisenberg_result.algebra
+    assert direct_sweep(alg, {((0, 2), 0, 0): {0: 1}}) == ((-1, 0), (0, 0), (2, 0), 0)
 
 
 # ---------------------------------------------------------------------------
-# the triples swept: short while the stored constants are as built
+# the triples swept: the direct ones that no closure check covers
 # ---------------------------------------------------------------------------
 
 
@@ -415,52 +488,42 @@ def test_unchanged_constants_skip_the_closure_triples(name, request, monkeypatch
     top = alg.top_degree()
     above = {t for t in direct_triples(alg) if t[0] == -1 and t[1] >= 0 and t[1] + t[2] == top + 1}
     assert above and above <= set(seen)
-    # the first check releases the rows kept as built: a second one sweeps all
-    seen, outcome = swept_triples(copy, monkeypatch)
-    assert outcome == ("pass", jacobi_triple_count(alg.dims))
-    assert set(seen) == direct_triples(alg)
+    # a second call sweeps the same triples in the same order
+    assert swept_triples(copy, monkeypatch) == (seen, outcome)
 
 
-def _appended_g1_row(alg):
-    # a (-1, 0) block with one more row than g_-1 has basis elements: the
-    # premises read only the first 2n rows, so it passes them, and only the
-    # comparison with the built copy sees the change
-    copy = GradedLieAlgebra(alg.lt, dict(alg.pieces))
-    block = copy.structure_constants()[(-1, 0)]
-    block.append([()] * alg.dim(0))
-    return copy
+def swept_tables(alg, monkeypatch):
+    """The ordered degree pairs of the tables ``check_jacobi`` hands to the
+    sweep."""
+    seen = set()
+    sweep = prolong._jacobi_block
+
+    def spy(tables, dims, p, q, r):
+        seen.update(tables)
+        return sweep(tables, dims, p, q, r)
+
+    monkeypatch.setattr(prolong, "_jacobi_block", spy)
+    alg.check_jacobi()
+    monkeypatch.undo()
+    return seen
 
 
-@pytest.mark.parametrize("corrupt", [
-    lambda alg: copy_with_constant(alg, (0, 1), 0, 0, {0: 1}),
-    _appended_g1_row,
-], ids=["changed (0,1) constant", "appended (-1,0) row"])
-def test_changed_constants_sweep_every_direct_triple(heisenberg_result, corrupt, monkeypatch):
-    alg = corrupt(heisenberg_result.algebra)
-    seen, _ = swept_triples(alg, monkeypatch)
-    assert len(seen) == len(set(seen))
-    assert set(seen) == direct_triples(alg)
-    assert closure_covered(alg)
-
-
-def test_changed_g1_entry_is_refused_before_the_sweep(heisenberg_result, monkeypatch):
-    alg = copy_with_constant(heisenberg_result.algebra, (-1, 0), 0, 0, {0: 1})
-    seen, (verdict, message) = swept_triples(alg, monkeypatch)
-    assert (seen, verdict) == ([], "fail")
-    assert message.startswith("stored bracket of basis elements (-1,0) and (0,0)")
-
-
-def test_equal_copies_of_the_blocks_take_the_short_sweep(codim4_result, monkeypatch):
-    alg = codim4_result.algebra
-    copy = GradedLieAlgebra(alg.lt, dict(alg.pieces))
-    sc = copy.structure_constants()
-    for key, block in sc.items():
-        sc[key] = [[tuple((t, Fraction(x)) for t, x in entries) for entries in row]
-                   for row in block]
-    seen, outcome = swept_triples(copy, monkeypatch)
-    assert outcome == ("pass", jacobi_triple_count(alg.dims))
-    assert set(seen) == direct_triples(alg) - closure_covered(alg)
-
+@pytest.mark.parametrize("name, extra, blocks, rows", [
+    ("codim5", 0, (21, 31), (207, 397)),
+    ("heisenberg", 3, (11, 11), (76, 76)),
+], ids=["codim5", "heisenberg+3"])
+def test_sweep_scales_only_the_blocks_it_reads(name, extra, blocks, rows, monkeypatch):
+    alg = prolong_full(catalog.get(name, extra=extra).model).algebra
+    sc = alg.structure_constants()
+    tables = swept_tables(alg, monkeypatch)
+    read = {(min(pair), max(pair)) for pair in tables}
+    assert (len(read), len(sc)) == blocks
+    assert (sum(len(sc[key]) for key in read), sum(map(len, sc.values()))) == rows
+    # every stored table that a cyclic term [[a, b], c] of a swept triple
+    # reads, [a, b] and then [., c], is there in the order it is read
+    asked = {pair for p, q, r in direct_triples(alg) - closure_covered(alg)
+             for u, v, w in ((p, q, r), (q, r, p), (r, p, q)) for pair in ((u, v), (u + v, w))}
+    assert {pair for pair in asked if (min(pair), max(pair)) in sc} <= tables
 
 # ---------------------------------------------------------------------------
 # the covered triple count

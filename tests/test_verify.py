@@ -164,6 +164,25 @@ def test_w_degree_above_the_recursion_limit(heisenberg):
         for m in range(1, N + 1, 2)}
 
 
+def test_residual_on_forms_with_denominators():
+    """Im w = z zb / 3, so q = 3 and the parts of w-degree 1 and 3 are scaled
+    by q^2 and q^0.  (w^3 + w) d/dw: Re((w^3 + w) / (2i)) on w = u + i P,
+    P = z zb / 3, is (3 u^2 P - P^3 + P) / 2.  The Euler field
+    z d/dz + 2 w d/dw, with parts of w-degree 0 and 1, is tangent."""
+    model = QuadricModel([[[Fraction(1, 3)]]])
+    assert verify._surface(model).q == 3
+    pk = packing(2)
+    field = PolyVectorField(1, 1, 1, [{}, {pk.pack((0, 3)): (1, 0), pk.pack((0, 1)): (1, 0)}])
+    cert = verify_hol(field, model)
+    assert not cert.verdict
+    assert cert.residuals[0].terms == {
+        (1, 1, 0, 0, 2): GaussianRational(Fraction(1, 2)),
+        (3, 3, 0, 0, 0): GaussianRational(Fraction(-1, 54)),
+        (1, 1, 0, 0, 0): GaussianRational(Fraction(1, 6))}
+    euler = PolyVectorField(1, 1, 1, [{pk.pack((1, 0)): (1, 0)}, {pk.pack((0, 1)): (2, 0)}])
+    assert verify_hol(euler, model).verdict
+
+
 # ---------------------------------------------------------------------------
 # jet certificates
 # ---------------------------------------------------------------------------
