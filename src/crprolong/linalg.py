@@ -18,9 +18,9 @@ Design notes
   blowup); a row that reduces to zero is dependent and dropped.  Its kernel
   vectors are read off the RREF and stay sparse ({column: Fraction}); only
   ``ExactMatrix.nullspace`` writes them out as dense tuples.
-* ``RowSet`` collects the rows of one system for the kernel, each kept once
-  up to scale; a row that is a shifted table column is keyed by its shape,
-  so a repeat is skipped before it is built.
+* ``RowSet`` collects the rows of one system for the kernel.  A row that is
+  a shifted table column is keyed by its shape, so a repeat up to scale is
+  skipped before it is built; every other row is held once, as written.
 * Before any elimination, the singleton presolve removes every one-entry
   row and its column, repeatedly (Andersen & Andersen, Math. Programming 71,
   1995).  A one-entry row on column c puts e_c in the row space, so c is an
@@ -49,7 +49,6 @@ Design notes
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -237,24 +236,21 @@ def _unit_content(vals):
 
 
 class RowSet(dict):
-    """The rows of one integer system for ``sparse_int_nullspace``, each kept
-    once up to scale: key -> {column: value} in the order first written, so
-    ``values()`` is the kernel's input; ``written`` counts every row written,
-    repeats included.  Rows equal up to scale leave the row space, and so
-    the kernel, unchanged.
+    """The rows of one integer system for ``sparse_int_nullspace``: key ->
+    {column: value} in the order written, so ``values()`` is the kernel's
+    input; ``written`` counts every row written, repeats included.  Each row
+    is held once, as one dict, with the values it was written with.
 
-    A row is written with ascending columns and kept normalized (gcd content
-    removed, first value positive), so rows equal up to scale have one
-    normalized row.  ``add`` keys a row by that normalized row as a tuple,
-    unless the caller passes the int key of ``key``: the columns relative to
-    the first and the normalized values of a row (its shape) are interned to
-    an id, and the row is named by first + ncols * id.  The key of a row
-    shifted by s columns is its key plus s, so a caller that writes the
-    shifted columns of a table computes the key of each table column once
-    (``columns``) and asks ``seen`` before it builds a row.  Equal int keys name
-    equal normalized rows; an int key and a tuple key are never equal, so the
-    caller must give int keys to a kind of row that no row keyed by tuple can
-    equal up to scale.
+    A row that is a shifted column of a table is kept once up to scale (a
+    repeat leaves the row space, and so the kernel, unchanged), under the int
+    key of ``key``: the columns relative to the first and the normalized
+    values (gcd content removed, first value positive) of a row, its shape,
+    are interned to an id, and the row is named by first + ncols * id.  Equal
+    keys name rows equal up to scale.  The key of a row shifted by s columns
+    is its key plus s, so a caller that writes the shifted columns of a
+    table computes the key of each table column once (``columns``) and asks
+    ``seen`` before it builds a row.  Every other row is added without a key
+    and held under the key -written, which no shape key equals.
     """
 
     def __init__(self, ncols: int):
@@ -284,22 +280,18 @@ class RowSet(dict):
         return idx, val, keys
 
     def seen(self, key) -> bool:
-        """True, counting the row as written, if its key (None for a tuple
-        key) is already kept."""
+        """True, counting the row as written, if its int key is kept already
+        (None names no kept row)."""
         if key in self:
             self.written += 1
             return True
         return False
 
     def add(self, cols, vals, key=None):
-        """Write the row (cols ascending, vals) and keep it, normalized, under
-        ``key`` or its normalized row, unless that key is kept already."""
+        """Write the row (cols ascending, vals) under ``key``, which the
+        caller has asked ``seen`` about, or, without one, under -written."""
         self.written += 1
-        vals = _unit_content(vals)
-        if key is None:
-            key = (*cols, *vals)
-        if key not in self:
-            self[key] = dict(zip(cols, vals))
+        self[-self.written if key is None else key] = dict(zip(cols, vals))
 
 
 def _singleton_presolve(rows):
@@ -372,15 +364,14 @@ def sparse_int_nullspace(rows, ncols: int, stats=None):
     for row in rows:
         blocks.setdefault(find(next(iter(row))), []).append(row)
     basis = [{c: Fraction(1)} for c in range(ncols) if c not in parent and c not in zeroed]
-    rank = len(zeroed)
+    rank, largest = len(zeroed), 0
     for block in blocks.values():
         kernel, pivots = _block_kernel(block)
         basis += kernel
         rank += pivots
+        largest = max(largest, pivots + len(kernel))    # each column is pivot or free
     if stats is not None:
-        sizes = Counter(map(find, parent))
-        stats.update(zeroed=len(zeroed), blocks=len(blocks),
-                     largest=max(sizes.values(), default=0), rank=rank)
+        stats.update(zeroed=len(zeroed), blocks=len(blocks), largest=largest, rank=rank)
     return sorted(basis, key=max)
 
 
@@ -404,17 +395,19 @@ def _block_kernel(rows):
     ``piv[p]`` is the integer row whose leftmost column is p, and every
     ``piv[p]`` is zero on every other pivot column.  The rows are inserted
     one at a time, shortest first (a stable sort, so ties keep their input
-    order).  A new row is reduced by ``piv[p]`` on each pivot column p that it
-    holds; ``piv[p]`` is zero on the other pivot columns, so each step clears
-    p and adds no pivot column, and one pass leaves the row zero on every
-    pivot column.  A row that becomes zero lies in the span of the rows
-    before it: it is dependent and dropped.  Otherwise its content is
-    removed, and its leftmost column c becomes a new pivot.  Every pivot row
-    that holds c has its own pivot left of c, so clearing c from it with the
-    new row, which lies right of c, keeps its leftmost column.  Each step
-    replaces rows by combinations that span the same space, so after each
-    insertion the rows of ``piv`` are a basis of the rows inserted so far,
-    in reduced echelon form up to the scale of each row.
+    order).  A new row is cleared on all the pivot columns P that it holds
+    in one pass: with L the lcm of the pivot entries piv[p][p], p in P, it
+    becomes L row - sum_p (L / piv[p][p]) row[p] piv[p], written into one
+    dict.  Each ``piv[p]`` is zero on the other pivot columns, so term p
+    cancels column p of L row and changes no other pivot column.  A row that
+    becomes zero lies in the span of the rows before it: it is dependent and
+    dropped.  Otherwise its content is removed, and its leftmost column c
+    becomes a new pivot.  Every pivot row that holds c has its own pivot
+    left of c, so clearing c from it with the new row (``_combine``), which
+    lies right of c, keeps its leftmost column.  Each step replaces rows by
+    combinations that span the same space, so after each insertion the rows
+    of ``piv`` are a basis of the rows inserted so far, in reduced echelon
+    form up to the scale of each row.
 
     At the end ``piv`` is the RREF of the block's row space, which is unique
     whatever the insertion order, so its pivots are the RREF pivots.  For a
@@ -427,10 +420,17 @@ def _block_kernel(rows):
     """
     piv = {}
     for row in sorted(rows, key=len):
-        for p in [c for c in row if c in piv]:
-            row = _combine(row, piv[p], p)
-        if not row:
-            continue
+        hit = [p for p in row if p in piv]
+        if hit:
+            mult = lcm(*[piv[p][p] for p in hit])
+            new = {c: mult * v for c, v in row.items()}
+            for p in hit:
+                f = mult // piv[p][p] * row[p]
+                for c, v in piv[p].items():
+                    new[c] = new.get(c, 0) - f * v
+            row = {c: v for c, v in new.items() if v}
+            if not row:
+                continue
         row = _content_normalize(row)
         c = min(row)
         for p, q in piv.items():

@@ -26,14 +26,13 @@ table of ``GradedLieAlgebra._int_piece``); ``prolong_full`` keeps one such
 table per degree and hands them to the algebra, so the structure constants
 and realization never rescale them.  Each row kind has one multiplier:
 lcm(den_{-1}, den_{i-1}) for (a), lcm(den_{i-1}, den_{i-2}) for (b) and 1
-for the J-rows.  Each row is normalized (gcd content removed, first entry
-positive) and kept once (``linalg.RowSet``), so rows equal up to scale,
-37-89 % of a system, are never held twice; they leave the row space, and so
-the kernel, unchanged.  Most repeats are shifted copies of one table column,
-and those are skipped before they are written (see ``prolong_step``).  One
-DEBUG record of the ``crprolong.prolong`` logger
-per degree gives the rows written and kept, the kernel's presolve and block
-counts, the rank, the kernel dimension and the seconds.
+for the J-rows.  Every row is held once, as written (``linalg.RowSet``).
+Most rows are shifted copies of one table column; those equal up to scale
+are kept once, the repeats skipped before they are written (see
+``prolong_step``), since they leave the row space, and so the kernel,
+unchanged.  One DEBUG record of the ``crprolong.prolong`` logger per degree
+gives the rows written and kept, the kernel's presolve and block counts,
+the rank, the kernel dimension and the seconds.
 
 Brackets between nonnegative degrees are reconstructed from the actions
 ([h, X] = [f, [g, X]] - [g, [f, X]]) as sparse vectors in that same layout.
@@ -120,18 +119,17 @@ def prolong_step(lt: LeviTanakaAlgebra, pieces: dict, i: int, ints: dict | None 
     ``ints`` holds the integer table of each degree (``_int_table``) and is
     filled as needed.  The integer rows and their multipliers are described
     in the module docstring; each is written in ascending column order into
-    a ``RowSet``, which keeps one row per class of rows equal up to scale.
+    a ``RowSet``.
 
     A row with one nonempty part is one shifted column of a transposed table
     or of the [X_a, X_b] psi pattern: an (a) row with [X_a, X_b] = 0 and one
     side empty, an (a) row with a psi part only, or a (b) row with a phi or
     a psi part only.  Each column's shape is interned once per system, and
     the row is keyed by its first column and that shape and skipped, if
-    repeated, before it is built.  Every other row is keyed by its normalized
-    row.  The two key kinds never name the same row: a one-part row lies in
-    a single phi block (the columns of one source X_s) or in psi only, while
-    every other row, the J rows too, has phi entries in two blocks or both
-    phi and psi entries.
+    repeated up to scale, before it is built.  Every other row, the J rows
+    too, has phi entries in two blocks (the columns of two sources X_s) or
+    both phi and psi entries; it is handed to the kernel as written, which
+    drops a repeat as a dependent row.
     """
     if i < 0:
         raise ValueError("prolong_step needs i >= 0")
@@ -217,7 +215,7 @@ def prolong_step(lt: LeviTanakaAlgebra, pieces: dict, i: int, ints: dict | None 
                 psi[j].append((l, v))
         out.append((tuple(map(tuple, phi)), tuple(map(tuple, psi))))
     end = time.perf_counter()
-    _debug("degree %d: %d rows written, %d distinct, %d columns zeroed by singletons, "
+    _debug("degree %d: %d rows written, %d kept, %d columns zeroed by singletons, "
            "%d cols, %d blocks, largest block %d cols, rank %d, dim %d, %.3f s (kernel %.3f s)",
            i, rows.written, len(rows), stats["zeroed"], nphi + k * m2, stats["blocks"],
            stats["largest"], stats["rank"], len(out), end - start, end - built)

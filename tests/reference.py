@@ -39,10 +39,12 @@
   canonical basis directly.  ``tests/oracle.py`` takes its rank from this
   copy, so the oracle shares no code with the library's kernel.
 * The original build of the prolongation systems (``plain_system_rows``):
-  every row is written, normalized and hashed, and the first row of each
-  class of rows equal up to scale is kept.  The library keys the rows that
-  are one shifted table column by their shape and skips the repeats before
-  it writes them; the kept rows, their dicts and their order must be these.
+  every row is written, each row in one part (one phi block or psi only)
+  is normalized and hashed, and the first of each class of those rows equal
+  up to scale is kept, with every other row.  The library keys the rows
+  that are one shifted table column by their shape and skips the repeats
+  before it writes them; the kept rows, their dicts and their order must be
+  these.
 
 Tests compare the two routes entry by entry.
 """
@@ -606,10 +608,19 @@ def _plain_by_target(table, nsrc: int, width: int, mult: int):
     return idx, val
 
 
+def one_part(cols, nphi: int, m1: int) -> bool:
+    """True if the columns of a degree-i system row lie in one part: the
+    phi block of one source X_s (columns s m1 .. s m1 + m1 - 1) or psi."""
+    return len({c // m1 if c < nphi else -1 for c in cols}) == 1
+
+
 def plain_system_rows(lt, pieces, i: int):
     """The rows that ``prolong_step`` hands to the kernel for degree i, built
     by writing every row: (the kept rows as {column: value} dicts in the
-    order first written, the number of rows written)."""
+    order first written, the number of rows written).  Of the rows in one
+    part (``one_part``) the first of each class equal up to scale is kept;
+    every other row is kept.  Each kept row holds the values it was written
+    with."""
     ints = {}
     n2, k = 2 * lt.n, lt.k
     m1, m2 = len(pieces[i - 1]), len(pieces[i - 2])
@@ -621,12 +632,12 @@ def plain_system_rows(lt, pieces, i: int):
     def keep(cols, vals):
         nonlocal written
         written += 1
-        g = gcd(*vals)
-        if vals[0] < 0:
-            g = -g
-        if g != 1:
-            vals = [v // g for v in vals]
-        key = (*cols, *vals)
+        key = -written
+        if one_part(cols, nphi, m1):
+            g = gcd(*vals)
+            if vals[0] < 0:
+                g = -g
+            key = (*cols, *[v // g for v in vals])
         if key not in rows:
             rows[key] = dict(zip(cols, vals))
 

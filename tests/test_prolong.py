@@ -256,13 +256,13 @@ def test_debug_stats_one_record_per_degree(heisenberg, caplog, capsys):
     degrees = [r.args[0] for r in records]
     assert degrees == list(range(result.top_degree + 3))
     for r in records:
-        i, written, distinct, zeroed, cols, blocks, largest, rank, dim, seconds, kernel = r.args
+        i, written, kept, zeroed, cols, blocks, largest, rank, dim, seconds, kernel = r.args
         assert dim == result.dims.get(i, 0)
         assert cols == rank + dim
-        assert 0 < distinct <= written
+        assert 0 < kept <= written
         assert zeroed + largest <= cols and blocks <= largest
         assert 0 <= kernel <= seconds
-        assert f"degree {i}: {written} rows written, {distinct} distinct" in r.getMessage()
+        assert f"degree {i}: {written} rows written, {kept} kept" in r.getMessage()
 
     caplog.clear()
     capsys.readouterr()
@@ -277,9 +277,11 @@ def test_debug_stats_one_record_per_degree(heisenberg, caplog, capsys):
 def test_debug_row_counts_so_family_4(caplog):
     """The rows written and kept for each degree of so_family(4).  The
     builder skips the repeats of a shifted table column before it writes
-    them; ``written`` still counts every row the system states."""
+    them and keeps every other row as written (the 256 J rows of degree 0
+    are 128 pairs equal up to sign, and both of each pair are kept);
+    ``written`` still counts every row the system states."""
     with caplog.at_level(logging.DEBUG, logger="crprolong.prolong"):
         prolong_full(make_so_family(4).model, use_cache=False)
     counts = [r.args[1:3] for r in caplog.records if r.name == "crprolong.prolong"]
-    assert counts == [(736, 456), (2120, 1480), (4644, 2875), (8144, 4588), (8431, 4423),
-                      (6410, 2590), (3443, 953), (880, 138), (76, 7)]
+    assert counts == [(736, 584), (2120, 1480), (4644, 2927), (8144, 4648), (8431, 4515),
+                      (6410, 2600), (3443, 984), (880, 138), (76, 7)]
