@@ -18,9 +18,6 @@ Design notes
   blowup); a row that reduces to zero is dependent and dropped.  Its kernel
   vectors are read off the RREF and stay sparse ({column: Fraction}); only
   ``ExactMatrix.nullspace`` writes them out as dense tuples.
-* ``RowSet`` collects the rows of one system for the kernel.  A row that is
-  a shifted table column is keyed by its shape, so a repeat up to scale is
-  skipped before it is built; every other row is held once, as written.
 * Before any elimination, the singleton presolve removes every one-entry
   row and its column, repeatedly (Andersen & Andersen, Math. Programming 71,
   1995).  A one-entry row on column c puts e_c in the row space, so c is an
@@ -225,73 +222,6 @@ class ExactMatrix:
 def _content_normalize(row: dict) -> dict:
     g = gcd(*row.values())
     return {c: v // g for c, v in row.items()} if g > 1 else row
-
-
-def _unit_content(vals):
-    """Integer values over their gcd content, the first one positive."""
-    g = gcd(*vals)
-    if vals[0] < 0:
-        g = -g
-    return vals if g == 1 else [v // g for v in vals]
-
-
-class RowSet(dict):
-    """The rows of one integer system for ``sparse_int_nullspace``: key ->
-    {column: value} in the order written, so ``values()`` is the kernel's
-    input; ``written`` counts every row written, repeats included.  Each row
-    is held once, as one dict, with the values it was written with.
-
-    A row that is a shifted column of a table is kept once up to scale (a
-    repeat leaves the row space, and so the kernel, unchanged), under the int
-    key of ``key``: the columns relative to the first and the normalized
-    values (gcd content removed, first value positive) of a row, its shape,
-    are interned to an id, and the row is named by first + ncols * id.  Equal
-    keys name rows equal up to scale.  The key of a row shifted by s columns
-    is its key plus s, so a caller that writes the shifted columns of a
-    table computes the key of each table column once (``columns``) and asks
-    ``seen`` before it builds a row.  Every other row is added without a key
-    and held under the key -written, which no shape key equals.
-    """
-
-    def __init__(self, ncols: int):
-        super().__init__()
-        self.ncols, self.written, self.shapes = ncols, 0, {}
-
-    def key(self, cols, vals) -> int:
-        """The int key of the row (cols ascending, vals); 0 if it is empty."""
-        if not cols:
-            return 0
-        shape = (*[c - cols[0] for c in cols], *_unit_content(vals))
-        return cols[0] + self.ncols * self.shapes.setdefault(shape, len(self.shapes) + 1)
-
-    def columns(self, table, nsrc: int, width: int, mult: int):
-        """Transpose ``table``, whose entry table[m][s] holds sparse (c, value)
-        pairs, times ``mult``: idx[s][c] and val[s][c] list m and mult * value
-        over the m whose entry s has component c, m ascending, and
-        keys[s][c] is the ``key`` of that column."""
-        idx = [[[] for _ in range(width)] for _ in range(nsrc)]
-        val = [[[] for _ in range(width)] for _ in range(nsrc)]
-        for m, elem in enumerate(table):
-            for s, entries in enumerate(elem):
-                for c, v in entries:
-                    idx[s][c].append(m)
-                    val[s][c].append(mult * v)
-        keys = [[self.key(i, v) for i, v in zip(irow, vrow)] for irow, vrow in zip(idx, val)]
-        return idx, val, keys
-
-    def seen(self, key) -> bool:
-        """True, counting the row as written, if its int key is kept already
-        (None names no kept row)."""
-        if key in self:
-            self.written += 1
-            return True
-        return False
-
-    def add(self, cols, vals, key=None):
-        """Write the row (cols ascending, vals) under ``key``, which the
-        caller has asked ``seen`` about, or, without one, under -written."""
-        self.written += 1
-        self[-self.written if key is None else key] = dict(zip(cols, vals))
 
 
 def _singleton_presolve(rows):

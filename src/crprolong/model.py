@@ -32,6 +32,7 @@ from .linalg import ExactMatrix, gi_bareiss
 from .scalars import GaussianRational, json_int
 
 _DEFINITE_LIMIT = 3000              # candidates the definite search enumerates at most
+_TUMANOV_BOUND = 2                  # largest |c_j| the Tumanov search tries
 
 
 class QuadricModel:
@@ -184,8 +185,9 @@ def _combination(forms, c, n):
     return [pairs[a:a + n] for a in range(0, n * n, n)]
 
 
-def tumanov_search(model: QuadricModel, bound: int = 2):
-    """First integer combination c (|c_j| <= bound) with det(sum c_j H_j) != 0.
+def tumanov_search(model: QuadricModel):
+    """First integer combination c (|c_j| <= ``_TUMANOV_BOUND``) with
+    det(sum c_j H_j) != 0.
 
     Deterministic enumeration: per-coordinate values 0, 1, -1, 2, -2, ...,
     last coordinate varying fastest.  Returns None when the bound is
@@ -195,9 +197,9 @@ def tumanov_search(model: QuadricModel, bound: int = 2):
     """
     if not all(h.is_hermitian() for h in model.hermitian):
         raise DegenerateModelError("tumanov search requires Hermitian forms")
-    forms = _integer_forms(model.hermitian, bound)
+    forms = _integer_forms(model.hermitian, _TUMANOV_BOUND)
     zero_row = [(0, 0)] * model.n
-    for c in _signed_tuples(model.k, bound):
+    for c in _signed_tuples(model.k, _TUMANOV_BOUND):
         m = _combination(forms, c, model.n)
         if zero_row not in m and [*gi_bareiss(m)][-1] != (0, 0):
             return c

@@ -327,11 +327,9 @@ class PolyVectorField:
         return PolyVectorField(n, k, den, [gi_trim(p) for p in comps])
 
     def __add__(self, other):
-        self._compat(other)
         return PolyVectorField.combination(self.n, self.k, ((self, 1), (other, 1)))
 
     def __sub__(self, other):
-        self._compat(other)
         return PolyVectorField.combination(self.n, self.k, ((self, 1), (other, -1)))
 
     def __mul__(self, c):

@@ -26,13 +26,13 @@ table of ``GradedLieAlgebra._int_piece``); ``prolong_full`` keeps one such
 table per degree and hands them to the algebra, so the structure constants
 and realization never rescale them.  Each row kind has one multiplier:
 lcm(den_{-1}, den_{i-1}) for (a), lcm(den_{i-1}, den_{i-2}) for (b) and 1
-for the J-rows.  Every row is held once, as written (``linalg.RowSet``).
-Most rows are shifted copies of one table column; those equal up to scale
-are kept once, the repeats skipped before they are written (see
-``prolong_step``), since they leave the row space, and so the kernel,
-unchanged.  One DEBUG record of the ``crprolong.prolong`` logger per degree
-gives the rows written and kept, the kernel's presolve and block counts,
-the rank, the kernel dimension and the seconds.
+for the J-rows.  Every row is held once, as written.  Most rows are
+shifted copies of one table column; those equal up to scale are kept once,
+the repeats skipped before they are written (see ``prolong_step``), since
+they leave the row space, and so the kernel, unchanged.  One DEBUG record of
+the ``crprolong.prolong`` logger per degree gives the rows written and kept,
+the kernel's presolve and block counts, the rank, the kernel dimension and
+the seconds.
 
 Brackets between nonnegative degrees are reconstructed from the actions
 ([h, X] = [f, [g, X]] - [g, [f, X]]) as sparse vectors in that same layout.
@@ -66,13 +66,13 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import InputError, InternalCheckError, NonterminationError
 from .jacobi import _degree_triples, _jacobi_block, jacobi_triple_count
-from .linalg import RowSet, sparse_int_nullspace
+from .linalg import sparse_int_nullspace
 from .model import LeviTanakaAlgebra, QuadricModel, build_levi_tanaka
 
 
@@ -113,23 +113,44 @@ def _int_table(pieces: dict, ints: dict, d: int):
     return ints[d]
 
 
+def _columns(table, nsrc: int, width: int, mult: int, key):
+    """Transpose ``table``, whose entry table[m][s] holds sparse (c, value)
+    pairs, times ``mult``: idx[s][c] and val[s][c] list m and mult * value
+    over the m whose entry s has component c, m ascending, and keys[s][c] is
+    ``key`` of that column."""
+    idx = [[[] for _ in range(width)] for _ in range(nsrc)]
+    val = [[[] for _ in range(width)] for _ in range(nsrc)]
+    for m, elem in enumerate(table):
+        for s, entries in enumerate(elem):
+            for c, v in entries:
+                idx[s][c].append(m)
+                val[s][c].append(mult * v)
+    return idx, val, [list(map(key, *pair)) for pair in zip(idx, val)]
+
+
 def prolong_step(lt: LeviTanakaAlgebra, pieces: dict, i: int, ints: dict | None = None):
     """Basis of g_i (i >= 0) given g_{-2}..g_{i-1} in ``pieces``.
 
     ``ints`` holds the integer table of each degree (``_int_table``) and is
     filled as needed.  The integer rows and their multipliers are described
     in the module docstring; each is written in ascending column order into
-    a ``RowSet``.
+    the dict ``rows``, whose values, in the order written, are the kernel's
+    input.  ``written`` counts every row the system states, repeats included.
 
     A row with one nonempty part is one shifted column of a transposed table
     or of the [X_a, X_b] psi pattern: an (a) row with [X_a, X_b] = 0 and one
     side empty, an (a) row with a psi part only, or a (b) row with a phi or
-    a psi part only.  Each column's shape is interned once per system, and
-    the row is keyed by its first column and that shape and skipped, if
-    repeated up to scale, before it is built.  Every other row, the J rows
-    too, has phi entries in two blocks (the columns of two sources X_s) or
-    both phi and psi entries; it is handed to the kernel as written, which
-    drops a repeat as a dependent row.
+    a psi part only.  Such a row is kept once up to scale, under the int key
+    of ``key``: its shape (the columns relative to the first, and the values
+    over their gcd content, the first one positive) is interned to an id,
+    and the row is named by first + ncols * id.  Equal keys name rows equal
+    up to scale, and the key of a row shifted by s columns is its key plus
+    s, so the key of each table column is computed once (``_columns``) and a
+    repeat is skipped before it is built.  Every other row has phi entries
+    in two blocks (the columns of two sources X_s) or both phi and psi
+    entries; it is held under the key -written, which no shape key equals,
+    and handed to the kernel as written, which drops a repeat as a dependent
+    row.
     """
     if i < 0:
         raise ValueError("prolong_step needs i >= 0")
@@ -139,51 +160,63 @@ def prolong_step(lt: LeviTanakaAlgebra, pieces: dict, i: int, ints: dict | None 
     m1, m2 = len(pieces[i - 1]), len(pieces[i - 2])
     m3 = len(pieces.get(i - 3, ()))     # g_{-3} = 0
     nphi = n2 * m1
-    rows = RowSet(nphi + k * m2)
+    ncols = nphi + k * m2
+    rows, written, shapes = {}, 0, {}
+
+    def key(cols, vals):
+        """The int key of the row (cols ascending, vals); 0 if it is empty."""
+        if not cols:
+            return 0
+        g = gcd(*vals) if vals[0] > 0 else -gcd(*vals)
+        shape = (*[c - cols[0] for c in cols], *[v // g for v in vals])
+        return cols[0] + ncols * shapes.setdefault(shape, len(shapes) + 1)
 
     if i == 0:
-        # phi J = J phi, written per source s and target component t
-        for s in range(n2):
+        # phi J = J phi, written per source s < n and target component t: the
+        # row of (J s, J t) is the row of (s, t) times -eps sign
+        for s in range(lt.n):
             ps, eps = lt.j_index(s)
             for t in range(n2):
                 jt, sign = lt.j_index(t)
-                rows.add(*zip(*sorted({ps * n2 + t: eps, s * n2 + jt: sign}.items())))
+                written += 1
+                rows[-written] = dict(sorted({ps * n2 + t: eps, s * n2 + jt: sign}.items()))
 
     # (a) psi([X_a, X_b]) - [phi X_a, X_b] + [phi X_b, X_a] = 0   in g_{i-2}
     den_x, x_phi, _ = _int_table(pieces, ints, -1)
     den1, phi1, psi1 = _int_table(pieces, ints, i - 1)
     mult = lcm(den_x, den1)
-    on_x, plus, x_key = rows.columns(phi1, n2, m2, mult // den1)  # [B_m, X_s] component c
+    on_x, plus, x_key = _columns(phi1, n2, m2, mult // den1, key)  # [B_m, X_s] component c
     fx = mult // den_x
     for a in range(n2):
         for b in range(a + 1, n2):
             xab = x_phi[a][b]                   # [X_a, X_b] in g_{-2}
             psi_cols = [nphi + l * m2 for l, _ in xab]
             psi_vals = [fx * x for _, x in xab]
-            psi_key = rows.key(psi_cols, psi_vals)
+            psi_key = key(psi_cols, psi_vals)
             at_a, at_b = a * m1, b * m1
             for c in range(m2):
                 kb, ka = x_key[b][c], x_key[a][c]   # 0: the column is empty
-                if psi_key:
-                    key = None if kb or ka else psi_key + c
-                elif kb or ka:
-                    key = kb + at_a if not ka else ka + at_b if not kb else None
-                else:
+                if not (psi_key or kb or ka):
                     continue
-                if rows.seen(key):
+                written += 1
+                if psi_key:
+                    row_key = -written if kb or ka else psi_key + c
+                else:
+                    row_key = kb + at_a if not ka else ka + at_b if not kb else -written
+                if row_key in rows:
                     continue
                 cols = [at_a + m for m in on_x[b][c]]
                 cols += [at_b + m for m in on_x[a][c]]
                 cols += [col + c for col in psi_cols]
-                rows.add(cols, [-v for v in plus[b][c]] + plus[a][c] + psi_vals, key)
+                rows[row_key] = dict(zip(cols, [-v for v in plus[b][c]] + plus[a][c] + psi_vals))
 
     del on_x, plus, x_key
 
     # (b) [phi X_s, W_j] - [psi W_j, X_s] = 0   in g_{i-3}
     den2, phi2, _ = _int_table(pieces, ints, i - 2)
     mult = lcm(den1, den2)
-    on_w, w_vals, w_key = rows.columns(psi1, k, m3, mult // den1)        # [B_m, W_j] component c
-    below, b_vals, b_key = rows.columns(phi2, n2, m3, -(mult // den2))   # -[B_l, X_s] component c
+    on_w, w_vals, w_key = _columns(psi1, k, m3, mult // den1, key)        # [B_m, W_j] component c
+    below, b_vals, b_key = _columns(phi2, n2, m3, -(mult // den2), key)   # -[B_l, X_s] component c
     for s in range(n2):
         at_s = s * m1
         for j in range(k):
@@ -192,19 +225,20 @@ def prolong_step(lt: LeviTanakaAlgebra, pieces: dict, i: int, ints: dict | None 
                 kw, kl = w_key[j][c], b_key[s][c]
                 if not (kw or kl):
                     continue
-                key = kw + at_s if not kl else kl + at_j if not kw else None
-                if rows.seen(key):
+                written += 1
+                row_key = kw + at_s if not kl else kl + at_j if not kw else -written
+                if row_key in rows:
                     continue
                 cols = [at_s + m for m in on_w[j][c]]
                 cols += [at_j + l for l in below[s][c]]
-                rows.add(cols, w_vals[j][c] + b_vals[s][c], key)
+                rows[row_key] = dict(zip(cols, w_vals[j][c] + b_vals[s][c]))
     del on_w, w_vals, below, b_vals, w_key, b_key    # the kernel needs the rows only
-    rows.shapes.clear()
+    shapes.clear()
 
     built = time.perf_counter()
     stats = {}
     out = []
-    for vec in sparse_int_nullspace(rows.values(), nphi + k * m2, stats=stats):
+    for vec in sparse_int_nullspace(rows.values(), ncols, stats=stats):
         phi, psi = [[] for _ in range(n2)], [[] for _ in range(k)]
         for col, v in sorted(vec.items()):
             if col < nphi:
@@ -217,7 +251,7 @@ def prolong_step(lt: LeviTanakaAlgebra, pieces: dict, i: int, ints: dict | None 
     end = time.perf_counter()
     _debug("degree %d: %d rows written, %d kept, %d columns zeroed by singletons, "
            "%d cols, %d blocks, largest block %d cols, rank %d, dim %d, %.3f s (kernel %.3f s)",
-           i, rows.written, len(rows), stats["zeroed"], nphi + k * m2, stats["blocks"],
+           i, written, len(rows), stats["zeroed"], ncols, stats["blocks"],
            stats["largest"], stats["rank"], len(out), end - start, end - built)
     return out
 

@@ -642,7 +642,7 @@ def plain_system_rows(lt, pieces, i: int):
             rows[key] = dict(zip(cols, vals))
 
     if i == 0:
-        for s in range(n2):
+        for s in range(lt.n):
             ps, eps = lt.j_index(s)
             for t in range(n2):
                 jt, sign = lt.j_index(t)

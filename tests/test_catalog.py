@@ -141,7 +141,7 @@ def test_every_fixed_entry_validates_and_has_tumanov_witness():
     for name in ("codim5", "codim4", "heisenberg"):
         entry = catalog.get(name)
         assert entry.model.validate().all_passed, name
-        assert tumanov_search(entry.model, bound=2) is not None, name
+        assert tumanov_search(entry.model) is not None, name
 
 
 def test_expected_blocks_match_prolongation():

@@ -15,13 +15,15 @@ builds for the catalog models.  Those
 systems must hold only ``int`` entries and no two rows in one part (one phi
 block or psi only) equal up to scale, and they must be the rows of
 ``reference.plain_system_rows``, which writes every row (the builder skips
-repeats of a table column before building them).
+repeats of a table column before building them).  The degree-0 J rows
+state each J-linearity equation once, with the kernel of all 4 n^2 of them.
 The kernel takes integer rows only, so every row that reaches it, from the
 linear algebra, the span solve and the prolongation alike, must hold only
 ``int`` entries, also when the model or the fields are rational or
 Gaussian-rational.
 """
 
+import itertools
 import logging
 import random
 from fractions import Fraction
@@ -34,7 +36,7 @@ from test_differential import random_models
 
 from crprolong import catalog, linalg, prolong, realize
 from crprolong.linalg import sparse_int_nullspace
-from crprolong.model import QuadricModel
+from crprolong.model import QuadricModel, build_levi_tanaka
 from crprolong.realize import express_in_span, realize_basis
 from crprolong.scalars import GaussianRational
 
@@ -438,6 +440,37 @@ def test_prolongation_rows_match_plain_build(name, monkeypatch, caplog):
     for (rows, _, _), (want, count) in zip(systems, plain):
         assert [list(row.items()) for row in rows] == [list(row.items()) for row in want]
     assert written == [count for _, count in plain]
+
+
+@pytest.mark.parametrize("name", ["codim5", "so_family(3)"])
+def test_j_rows_state_each_equation_once(name, monkeypatch):
+    """The J-linearity rows (phi J = J phi) come first in the degree-0
+    system.  The equation of (J s, J t) is that of (s, t) times -eps sign,
+    so prolong_step writes one row of each pair: no two of its J rows are
+    equal up to scale, and they have the kernel of all 4 n^2 equations."""
+    lt = build_levi_tanaka(_model(name))
+    n2 = 2 * lt.n
+    every = []
+    for s in range(n2):
+        ps, eps = lt.j_index(s)
+        for t in range(n2):
+            jt, sign = lt.j_index(t)
+            every.append({ps * n2 + t: eps, s * n2 + jt: sign})
+    systems = []
+
+    def capture(rows, ncols, **kwargs):
+        rows = list(rows)
+        systems.append((rows, ncols))
+        return sparse_int_nullspace(rows, ncols, **kwargs)
+
+    monkeypatch.setattr(prolong, "sparse_int_nullspace", capture)
+    prolong.compute_g0(lt)
+    (rows, ncols), = systems
+    classes = {_normalized(row) for row in every}
+    j_rows = list(itertools.takewhile(lambda row: _normalized(row) in classes, rows))
+    assert len({_normalized(row) for row in j_rows}) == len(j_rows) == len(classes)
+    assert len(j_rows) == n2 * lt.n
+    assert single_pass_nullspace(j_rows, ncols) == single_pass_nullspace(every, ncols)
 
 
 def _contract_model():

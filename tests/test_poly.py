@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from helpers import (Poly, apply_field, diff, evaluate, formal_conjugate, min_to
                      poly_field, power, total_degree)
 from reference import monomial_subs
 
-from crprolong import poly
+from crprolong import catalog, poly
 from crprolong.errors import DimensionError, InputError
 from crprolong.poly import DEGREE_CAP, PolyVectorField
 from crprolong.scalars import GR_I, GR_ONE, GaussianRational
@@ -75,6 +76,13 @@ def test_frame_mismatch_raises():
         a + b
     with pytest.raises(DimensionError):
         a * b
+    # +, - and the bracket of fields: a codim5 field and a heisenberg field
+    codim5 = catalog.make_codim5().known_fields["T"]
+    heisenberg = PolyVectorField.euler(1, 1)
+    for f, g in ((codim5, heisenberg), (heisenberg, codim5)):
+        for op in (operator.add, operator.sub, PolyVectorField.bracket):
+            with pytest.raises(DimensionError, match="different variable frames"):
+                op(f, g)
 
 
 def test_ring_axioms_random():

@@ -277,11 +277,11 @@ def test_debug_stats_one_record_per_degree(heisenberg, caplog, capsys):
 def test_debug_row_counts_so_family_4(caplog):
     """The rows written and kept for each degree of so_family(4).  The
     builder skips the repeats of a shifted table column before it writes
-    them and keeps every other row as written (the 256 J rows of degree 0
-    are 128 pairs equal up to sign, and both of each pair are kept);
-    ``written`` still counts every row the system states."""
+    them and keeps every other row as written; ``written`` counts every row
+    the system states.  The 256 J-linearity equations of degree 0 are 128
+    pairs equal up to sign, and one row of each pair is written."""
     with caplog.at_level(logging.DEBUG, logger="crprolong.prolong"):
         prolong_full(make_so_family(4).model, use_cache=False)
     counts = [r.args[1:3] for r in caplog.records if r.name == "crprolong.prolong"]
-    assert counts == [(736, 584), (2120, 1480), (4644, 2927), (8144, 4648), (8431, 4515),
+    assert counts == [(608, 456), (2120, 1480), (4644, 2927), (8144, 4648), (8431, 4515),
                       (6410, 2600), (3443, 984), (880, 138), (76, 7)]
