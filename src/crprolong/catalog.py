@@ -156,7 +156,11 @@ def _so_pairs(n):
 def family_top(name: str, n=None, m=None):
     """(entry name, top degree) of a parametric family, from its parameter
     alone, before any form is built: so_family(n) has top degree 2n - 2 and
-    su_family(m) 4m - 2.  None for the other entries."""
+    su_family(m) 4m - 2.  None for the other entries.  An entry given a
+    parameter it does not take is refused here too."""
+    for flag, value, family in (("--n", n, "so_family"), ("--m", m, "su_family")):
+        if value is not None and name != family and name in names():
+            raise InputError(f"catalog entry {name!r} takes no {flag}")
     if name == "so_family":
         if n is None:
             raise InputError("so_family requires --n")
@@ -269,7 +273,8 @@ def names():
 
 
 def get(name: str, n=None, m=None, extra: int = 0) -> CatalogEntry:
-    """Build a catalog entry by name; family entries take n or m."""
+    """Build a catalog entry by name; only so_family takes n, only su_family m."""
+    family_top(name, n, m)
     if name in _BUILDERS:
         entry = _BUILDERS[name]()
     elif name == "so_family":

@@ -15,9 +15,10 @@ Design notes
   It builds the reduced row echelon form (RREF) of each block
   incrementally, inserting the integer rows held as dicts of columns,
   shortest first, with gcd content removal (fraction-free, no entry
-  blowup); a row that reduces to zero is dependent and dropped.  Its kernel
-  vectors are read off the RREF and stay sparse ({column: Fraction}); only
-  ``ExactMatrix.nullspace`` writes them out as dense tuples.
+  blowup); a row that reduces to zero is dependent and dropped.  One
+  clearing step does every row operation.  Its kernel vectors are read off
+  the RREF and stay sparse ({column: Fraction}); only ``gi_nullspace``
+  writes them out as dense tuples.
 * Before any elimination, the singleton presolve removes every one-entry
   row and its column, repeatedly (Andersen & Andersen, Math. Programming 71,
   1995).  A one-entry row on column c puts e_c in the row space, so c is an
@@ -36,10 +37,12 @@ Design notes
   eliminated on its own.  The kernel of a block-diagonal matrix is the direct
   sum of the block kernels, and the canonical basis is unique, so the block
   bases merged by free column are the global basis, byte for byte.
-* A system over Q(i) is realified: column 2a holds Re x_a and 2a + 1 holds
-  Im x_a, and each equation gives one row for its real part and one for its
-  imaginary part.  Realification maps the complex RREF block-wise onto the
-  real one (complex pivot p becomes real pivots 2p, 2p + 1), so the real
+* A system over Q(i), given as rows of Gaussian-integer (re, im) pairs
+  (the rows ``gi_bareiss`` takes), is realified by ``gi_nullspace``: column
+  2a holds Re x_a and 2a + 1 holds Im x_a, and each equation gives one row
+  for its real part and one for its imaginary part.  Realification maps
+  the complex RREF block-wise onto the real one (complex pivot p becomes
+  real pivots 2p, 2p + 1), so the real
   canonical vector of free column 2f is the complex canonical vector of
   free column f, read back as x_a = v[2a] + i v[2a + 1].
 """
@@ -159,9 +162,6 @@ class ExactMatrix:
             out.append([sum((a * b for a, b in zip(row, col)), GR_ZERO) for col in bt])
         return ExactMatrix(out)
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(list(zip(*self.entries)) if self.rows else [[]])
-
     def conj_transpose(self) -> "ExactMatrix":
         return ExactMatrix([[self.entries[i][j].conjugate() for i in range(self.rows)]
                             for j in range(self.cols)])
@@ -183,35 +183,6 @@ class ExactMatrix:
     def from_lists(data) -> "ExactMatrix":
         return ExactMatrix([[GaussianRational.parse(x) if isinstance(x, str) else json_int(x)
                              for x in row] for row in data])
-
-    # -- elimination -------------------------------------------------------
-    def nullspace(self):
-        """Canonical kernel basis: list of tuples, one per free column.
-
-        Runs on the realified system; the real canonical vectors with an even
-        trailing column 2f are the complex ones of free column f.  Each
-        equation is first multiplied by d, the lcm of the denominators of its
-        entries' real and imaginary parts, so both of its rows are integers.
-        """
-        rows = []
-        for row in self.entries:
-            d = lcm(*(q.denominator for x in row for q in (x.re, x.im)))
-            re_row, im_row = {}, {}
-            for a, x in enumerate(row):
-                # d (x.re + i x.im)(v_2a + i v_2a+1)
-                if x.re:
-                    re = x.re.numerator * (d // x.re.denominator)
-                    re_row[2 * a] = re
-                    im_row[2 * a + 1] = re
-                if x.im:
-                    im = x.im.numerator * (d // x.im.denominator)
-                    re_row[2 * a + 1] = -im
-                    im_row[2 * a] = im
-            rows += (re_row, im_row)
-        return [tuple(GaussianRational(v.get(2 * a, 0), v.get(2 * a + 1, 0))
-                      for a in range(self.cols))
-                for v in sparse_int_nullspace(rows, 2 * self.cols)
-                if max(v) % 2 == 0]
 
 
 # ---------------------------------------------------------------------------
@@ -305,17 +276,20 @@ def sparse_int_nullspace(rows, ncols: int, stats=None):
     return sorted(basis, key=max)
 
 
-def _combine(row, prow, p):
-    """The integer combination a row - b prow that cancels column p, with
-    a = prow[p] / g and b = row[p] / g for g = gcd(prow[p], row[p]).  Both
-    rows hold p; neither is changed."""
-    g = gcd(prow[p], row[p])
-    a, b = prow[p] // g, row[p] // g
-    new = {c: t for c, v in row.items() if (t := a * v - b * prow.get(c, 0))}
-    for c, v in prow.items():
-        if c not in row:
-            new[c] = -b * v
-    return new
+def gi_nullspace(rows, ncols: int):
+    """Canonical kernel basis over Q(i) of ``rows``, lists of ``ncols`` (re, im)
+    int pairs (the rows ``gi_bareiss`` takes): one tuple of GaussianRational
+    per free column, ordered by free column.  It runs on the realified system,
+    whose real canonical vectors with an even trailing column 2f are the
+    complex ones of free column f."""
+    real = []
+    for row in rows:
+        # the real and imaginary parts of sum_a (re + i im)(v_2a + i v_2a+1)
+        for part in ([(re, -im) for re, im in row], [(im, re) for re, im in row]):
+            real.append({2 * a + j: v for a, pair in enumerate(part) for j, v in enumerate(pair) if v})
+    return [tuple(GaussianRational(v.get(2 * a, 0), v.get(2 * a + 1, 0)) for a in range(ncols))
+            for v in sparse_int_nullspace(real, 2 * ncols)
+            if max(v) % 2 == 0]
 
 
 def _block_kernel(rows):
@@ -333,8 +307,9 @@ def _block_kernel(rows):
     becomes zero lies in the span of the rows before it: it is dependent and
     dropped.  Otherwise its content is removed, and its leftmost column c
     becomes a new pivot.  Every pivot row that holds c has its own pivot
-    left of c, so clearing c from it with the new row (``_combine``), which
-    lies right of c, keeps its leftmost column.  Each step replaces rows by
+    left of c, so clearing c from it by the same step (P = {c}) with the new
+    row, which lies right of c, keeps its leftmost column.  The step raises
+    if it leaves a column of P nonzero.  Each step replaces rows by
     combinations that span the same space, so after each insertion the rows
     of ``piv`` are a basis of the rows inserted so far, in reduced echelon
     form up to the scale of each row.
@@ -349,24 +324,31 @@ def _block_kernel(rows):
     rows in as pivots before the long rows are reduced by them.
     """
     piv = {}
+
+    def clear(row, hit):
+        """L row - sum_p (L / piv[p][p]) row[p] piv[p] over the pivot columns
+        ``hit`` of ``row``, L the lcm of their pivot entries, zeros dropped."""
+        mult = lcm(*[piv[p][p] for p in hit])
+        new = {c: mult * v for c, v in row.items()} if mult > 1 else dict(row)
+        for p in hit:
+            f = mult // piv[p][p] * row[p]
+            for c, v in piv[p].items():
+                new[c] = new.get(c, 0) - f * v
+        for p in hit:
+            if new[p]:
+                raise InternalCheckError(f"sparse kernel: row not cleared on pivot column {p}")
+        return {c: v for c, v in new.items() if v}
+
     for row in sorted(rows, key=len):
-        hit = [p for p in row if p in piv]
-        if hit:
-            mult = lcm(*[piv[p][p] for p in hit])
-            new = {c: mult * v for c, v in row.items()}
-            for p in hit:
-                f = mult // piv[p][p] * row[p]
-                for c, v in piv[p].items():
-                    new[c] = new.get(c, 0) - f * v
-            row = {c: v for c, v in new.items() if v}
+        if hit := [p for p in row if p in piv]:
+            row = clear(row, hit)
             if not row:
                 continue
-        row = _content_normalize(row)
         c = min(row)
+        piv[c] = _content_normalize(row)
         for p, q in piv.items():
-            if c in q:
-                piv[p] = _content_normalize(_combine(q, row, c))
-        piv[c] = row
+            if c in q and p != c:
+                piv[p] = _content_normalize(clear(q, [c]))
     basis = {f: {f: Fraction(1)} for row in rows for f in row if f not in piv}
     for p, q in piv.items():
         for f, v in q.items():

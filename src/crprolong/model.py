@@ -1,8 +1,9 @@
 """CR quadric models Im w_j = z H_j z* and their Levi-Tanaka algebras.
 
-A model is a tuple of k Hermitian n x n matrices.  Validation is exact:
-Hermitian symmetry, linear independence of the forms over R, and trivial
-common kernel.  The stronger isotropy condition (no common null vector of
+A model is a tuple of k Hermitian n x n matrices.  Validation is exact, on
+the one integer image of the forms (``integer_forms``, which ``verify`` also
+reads): Hermitian symmetry, linear independence of the forms over R, and
+trivial common kernel (``linalg.gi_nullspace``).  The stronger isotropy condition (no common null vector of
 all the forms) is reported informationally when a definite combination of
 the forms certifies it, but never gates anything — deciding it in general
 is a real-algebraic problem, while the trivial-kernel condition is the
@@ -28,7 +29,7 @@ from math import lcm
 from typing import Optional
 
 from .errors import AlgebraError, DegenerateModelError, DimensionError, InputError
-from .linalg import ExactMatrix, gi_bareiss
+from .linalg import ExactMatrix, gi_bareiss, gi_nullspace, sparse_int_nullspace
 from .scalars import GaussianRational, json_int
 
 _DEFINITE_LIMIT = 3000              # candidates the definite search enumerates at most
@@ -91,20 +92,29 @@ class QuadricModel:
         return m
 
     # -- validation ------------------------------------------------------------
+    def integer_forms(self):
+        """The forms scaled once to Gaussian integers: (D, flats), with D > 0
+        the lcm of the denominators of every entry's real and imaginary part
+        and, per form, D H as a row-major flat int list (n*n real parts, then
+        n*n imaginary parts).  Every integer reader of the forms starts here."""
+        d = lcm(*(lcm(x.re.denominator, x.im.denominator)
+                  for h in self.hermitian for row in h.entries for x in row))
+        return d, [[x.re.numerator * (d // x.re.denominator) for row in h.entries for x in row]
+                   + [x.im.numerator * (d // x.im.denominator) for row in h.entries for x in row]
+                   for h in self.hermitian]
+
     def validate(self, definiteness_bound: int = 1) -> "ValidationReport":
         hermitian_ok = tuple(h.is_hermitian() for h in self.hermitian)
+        n, k, flats = self.n, self.k, self.integer_forms()[1]
 
-        # independence over R: a real relation among the real-flattened forms
-        flat = ExactMatrix([[x for h_row in h.entries for e in h_row
-                             for x in (GaussianRational(e.re), GaussianRational(e.im))]
-                            for h in self.hermitian])
-        ns = flat.transpose().nullspace()
-        independent = not ns
-        dependency = ns[0] if ns else None
+        # independence over R: a real relation c among the flat forms, one
+        # equation per flat entry
+        ns = sparse_int_nullspace(({j: x for j, f in enumerate(flats) if (x := f[e])}
+                                   for e in range(2 * n * n)), k)
+        dependency = tuple(GaussianRational(ns[0].get(j, 0)) for j in range(k)) if ns else None
 
         # common kernel of all forms: stacked (kn x n) system over Q(i)
-        stacked = ExactMatrix([row for h in self.hermitian for row in h.entries])
-        kernel = stacked.nullspace()
+        kernel = gi_nullspace([row for f in flats for row in _pair_rows(f, n)], n)
         kernel_witness = kernel[0] if kernel else None
 
         definite = None
@@ -113,7 +123,7 @@ class QuadricModel:
 
         return ValidationReport(
             hermitian_ok=hermitian_ok,
-            independent=independent,
+            independent=not ns,
             dependency=dependency,
             common_kernel_trivial=not kernel,
             kernel_witness=kernel_witness,
@@ -128,8 +138,8 @@ class QuadricModel:
         filtered or not (a deterministic prefix of the enumeration — at bound 1
         the whole space is covered up to k=7).
 
-        The forms are scaled once by a common positive denominator D into
-        Gaussian integers, which changes no sign.  A definite matrix has a
+        The search runs on the integer forms D H_j (``integer_forms``), which
+        changes no sign.  A definite matrix has a
         diagonal of one strict sign, so a candidate is skipped unless its n
         diagonal entries, read off the forms' diagonals, are all nonzero of
         one sign s.  The survivors are decided by Sylvester's criterion: the
@@ -141,7 +151,7 @@ class QuadricModel:
         if bound < 1:
             return None
         n = self.n
-        forms = _integer_forms(self.hermitian, bound)
+        forms = _multiples(self.integer_forms()[1], bound)
         for count, c in enumerate(_signed_tuples(self.k, bound)):
             if count >= _DEFINITE_LIMIT:
                 return None
@@ -168,21 +178,19 @@ def _signed_tuples(k: int, bound: int):
             yield c
 
 
-def _integer_forms(mats, bound):
-    """Per form, a dict v -> v D H as a row-major flat int list (n*n real parts,
-    then n*n imaginary parts), for v = +-1..+-bound and one common D > 0."""
-    d = lcm(*(lcm(x.re.denominator, x.im.denominator)
-              for h in mats for row in h.entries for x in row))
-    flats = ([int(x.re * d) for row in h.entries for x in row]
-             + [int(x.im * d) for row in h.entries for x in row] for h in mats)
+def _pair_rows(flat, n):
+    """A flat integer form as n rows of (re, im) int pairs."""
+    return [list(zip(flat[a:a + n], flat[n * n + a:n * n + a + n])) for a in range(0, n * n, n)]
+
+
+def _multiples(flats, bound):
+    """Per flat integer form F, the dict v -> v F for v = +-1..+-bound."""
     return [{v: [v * x for x in f] for v in range(-bound, bound + 1) if v} for f in flats]
 
 
 def _combination(forms, c, n):
     """sum_j c_j F_j of integer forms, as n rows of (re, im) int pairs."""
-    flat = list(map(sum, zip(*(f[cj] for cj, f in zip(c, forms) if cj))))
-    pairs = list(zip(flat[:n * n], flat[n * n:]))
-    return [pairs[a:a + n] for a in range(0, n * n, n)]
+    return _pair_rows(list(map(sum, zip(*(f[cj] for cj, f in zip(c, forms) if cj)))), n)
 
 
 def tumanov_search(model: QuadricModel):
@@ -197,7 +205,7 @@ def tumanov_search(model: QuadricModel):
     """
     if not all(h.is_hermitian() for h in model.hermitian):
         raise DegenerateModelError("tumanov search requires Hermitian forms")
-    forms = _integer_forms(model.hermitian, _TUMANOV_BOUND)
+    forms = _multiples(model.integer_forms()[1], _TUMANOV_BOUND)
     zero_row = [(0, 0)] * model.n
     for c in _signed_tuples(model.k, _TUMANOV_BOUND):
         m = _combination(forms, c, model.n)

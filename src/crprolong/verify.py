@@ -17,8 +17,8 @@ non-Hermitian one gets the second substitution.
 
 The check runs in integers, on the packed core of ``poly`` with a (z, zb, u)
 frame.  The field's components are Gaussian-integer polynomials F_a, G_j over
-its one denominator D, and the forms are scaled once per model by the lcm q
-of their denominators, P'_j = q P_j.  Then
+its one denominator D, and the forms P'_j = q P_j are the model's integer
+forms (``QuadricModel.integer_forms``, q the lcm of their denominators).  Then
 
     E_j = 2i D (X rho_j) = (q G_j - 2i sum_a F_a dP'_j/dz_a) / q = A_j / q
 
@@ -54,7 +54,7 @@ from functools import lru_cache
 
 from .errors import DimensionError, InputError
 from .poly import (SLOT_BITS, Poly, PolyVectorField, check_degree, gi_add_into, gi_diff,
-                   gi_integral, gi_mul_into, gi_trim, packing)
+                   gi_mul_into, gi_trim, packing)
 from .scalars import GaussianRational
 
 
@@ -95,9 +95,9 @@ class _Surface:
         n, k = model.n, model.k
         pk = packing(2 * n + k)
         units = pk.units                # z_a is units[a], zb_b is units[n + b]
-        q, P = gi_integral([{units[a] + units[n + b]: h[a, b]
-                             for a in range(n) for b in range(n) if h[a, b]}
-                            for h in model.hermitian])
+        q, flats = model.integer_forms()
+        P = [{units[a] + units[n + b]: x for a in range(n) for b in range(n)
+              if (x := (f[a * n + b], f[n * n + a * n + b])) != (0, 0)} for f in flats]
         self.q = q
         self.dP = [[{m: (2 * im, -2 * re) for m, (re, im) in gi_diff(p, pk, a).items()}
                     for a in range(n)] for p in P]

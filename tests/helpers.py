@@ -6,7 +6,7 @@ field of (z, w) Polys and the product of a field with a Poly), and small
 operations that only tests need (the defining polynomials of a model, exact
 evaluation, the real predicate, total degrees, derivatives, formal
 conjugates, powers and the action of a field on a Poly, identity and zero
-matrices, matrix-vector products and determinants, the bracket and J on
+matrices, transposes, matrix-vector products and determinants, the bracket and J on
 g_{-1}, the invariants of a Levi-Tanaka algebra and the forms read back from
 its brackets, the grading element and its check, and the structure
 constants with zeros filled in)."""
@@ -305,6 +305,10 @@ def zeros(rows: int, cols: int) -> ExactMatrix:
     return ExactMatrix([[GR_ZERO] * cols for _ in range(rows)])
 
 
+def transpose(m: ExactMatrix) -> ExactMatrix:
+    return ExactMatrix(list(zip(*m.entries)) if m.rows else [[]])
+
+
 def determinant(m: ExactMatrix) -> GaussianRational:
     """Exact determinant: denominators cleared row by row, then one Bareiss
     pass over the Gaussian integers."""
@@ -375,16 +379,20 @@ def validate_invariants(lt):
             jb, sb = lt.j_index(b)
             if any(sa * sb * mb[ja][jb][j] != mb[a][b][j] for j in range(k)):
                 raise AlgebraError("bracket is not J-invariant")
-    # brackets span g_{-2}
+    # the two rank conditions, on the dense reference RREF (a local import:
+    # ``reference`` imports this module)
+    from reference import dense_rref
+    # brackets span g_{-2}: the bracket values have rank k
     span = ExactMatrix([[GaussianRational(x) for x in mb[a][b]]
                         for a in range(2 * n) for b in range(a + 1, 2 * n)])
-    if span.nullspace():
+    if len(dense_rref(span)[1]) < k:
         raise AlgebraError("brackets do not span g_{-2} (not fundamental)")
-    # nondegeneracy: X -> [X, .] is injective on g_{-1}
+    # nondegeneracy: X -> [X, .] is injective on g_{-1}, so its 2n rows
+    # [e_a, .] are independent
     ad = ExactMatrix([[GaussianRational(mb[a][b][j])
                        for b in range(2 * n) for j in range(k)]
                       for a in range(2 * n)])
-    if ad.transpose().nullspace():
+    if len(dense_rref(ad)[1]) < 2 * n:
         raise AlgebraError("degenerate bracket: ad has nontrivial kernel on g_{-1}")
 
 

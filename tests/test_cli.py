@@ -226,6 +226,21 @@ def test_family_without_parameter(capsys):
     assert "--n" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["prolong", "--catalog", "codim5", "--n", "3"], "--n"),
+    (["validate", "--catalog", "heisenberg", "--m", "2"], "--m"),
+    (["prolong", "--catalog", "so_family", "--n", "4", "--m", "2"], "--m"),
+    (["report", "--catalog", "su_family", "--m", "2", "--n", "3"], "--n"),
+    (["prolong", "--catalog", "so_family", "--n", "4", "--m", "2", "--max-degree", "3"], "--m"),
+])
+def test_catalog_entry_refuses_a_parameter_it_does_not_take(capsys, argv, flag):
+    """A parameter the entry does not use is an input error, not ignored, and
+    it is refused before the --max-degree check of a family."""
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: catalog entry {argv[2]!r} takes no {flag}\n"
+
+
 # ---------------------------------------------------------------------------
 # prolong
 # ---------------------------------------------------------------------------

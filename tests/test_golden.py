@@ -11,6 +11,7 @@ import hashlib
 import io
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
 
@@ -18,7 +19,7 @@ from crprolong import catalog
 from crprolong.cli import main
 from crprolong.model import QuadricModel
 from crprolong.prolong import prolong_full
-from crprolong.scalars import GR_I
+from crprolong.scalars import GR_I, GaussianRational
 from helpers import Poly, codim4_display_variant, poly_field
 
 GOLDEN = {
@@ -70,7 +71,18 @@ GOLDEN_CONSTANTS = {
     4: "4e9e8ff441fc8a6d18ecf1572ba0765e610bfa6d6514ed7c216823fd71a304d1",
 }
 
-# validate --json on failing models: (forms, witness key, witness, digest)
+
+def _q(re, im=0):
+    """The Gaussian rational re + i im, from (numerator, denominator) pairs."""
+    return GaussianRational(Fraction(*re) if re else 0, Fraction(*im) if im else 0)
+
+
+# a form with denominators 2, 3 and 6
+_MIXED = [[_q((1, 2)), _q(0, (1, 3))], [_q(0, (-1, 3)), _q((1, 6))]]
+
+# validate --json on failing models: (forms, witness key, witness, digest).
+# The last two have forms with denominators other than 1, so they pin the
+# scaling of the forms to integers.
 GOLDEN_VALIDATE = {
     # one rank-one form; its kernel is spanned by (-i, 1)
     "kernel": ([[[1, GR_I], [-GR_I, 1]]], "kernel_witness", ["(0)+(-1)i", "(1)+(0)i"],
@@ -79,6 +91,18 @@ GOLDEN_VALIDATE = {
     "dependent": ([[[1, 0], [0, 1]], [[2, 0], [0, 2]]], "dependency_witness",
                   ["(-2)+(0)i", "(1)+(0)i"],
                   "00537e9fc5a3a2e536c10f9dbb7ca01faab4c0a17dbf3aeee56ae2fbffd4070d"),
+    # (H, 3/2 H) with denominators 2, 3 and 6: the relation -3/2 H_1 + H_2 = 0
+    "dependent, mixed denominators": (
+        [_MIXED, [[x * Fraction(3, 2) for x in row] for row in _MIXED]], "dependency_witness",
+        ["(-3/2)+(0)i", "(1)+(0)i"],
+        "2c1b108be4061ac8ed909f6b713e3f89428a4e3ff9ca616dbd424461001bc2be"),
+    # two independent forms over denominators up to 9 that both vanish on
+    # (-2i/3, 1, 0)
+    "kernel, rational forms": (
+        [[[_q((1, 2)), _q(0, (1, 3)), 0], [_q(0, (-1, 3)), _q((2, 9)), 0], [0, 0, _q((1, 5))]],
+         [[_q((1, 4)), _q(0, (1, 6)), 0], [_q(0, (-1, 6)), _q((1, 9)), 0], [0, 0, _q((3, 7))]]],
+        "kernel_witness", ["(0)+(-2/3)i", "(1)+(0)i", "(0)+(0)i"],
+        "5ca2fa01d73a6104c4c96eeaddc086baa222fa767aa777297b10193183c78f86"),
 }
 
 
@@ -92,9 +116,10 @@ def _non_hermitian_field():
 
 
 # verify --json on non-tangent fields: (catalog name or forms, field, digest).
-# The residual bytes of the second case depend on the conjugate half being
-# restricted with conj(P): its form [[1, i], [i, 2]] is not Hermitian, and
-# `verify` does not validate the model it reads.
+# The residual bytes of the last two cases depend on the conjugate half being
+# restricted with conj(P): their forms are not Hermitian, and `verify` does
+# not validate the model it reads.  The last form has denominators 2, 3 and
+# 5, so both of its substitution maps are scaled by q = 30.
 GOLDEN_VERIFY = {
     "codim4 display variant": (
         "codim4", codim4_display_variant,
@@ -102,6 +127,9 @@ GOLDEN_VERIFY = {
     "non-hermitian": (
         [[[1, GR_I], [GR_I, 2]]], _non_hermitian_field,
         "043f1fe672bccc704ea346f00aa855fce54edf4381ceb377631d551bf906e180"),
+    "non-hermitian, rational form": (
+        [[[_q((1, 2)), _q(0, (1, 3))], [_q(0, (1, 5)), _q((2, 3))]]], _non_hermitian_field,
+        "6713f663a388da1f4bd7791957c1cf96622278d23f2af76edb5e1bc6a7c493fe"),
 }
 
 # the catalog listing, and the names and bytes of the files that

@@ -35,6 +35,7 @@ from reference import one_part, plain_system_rows, single_pass_nullspace
 from test_differential import random_models
 
 from crprolong import catalog, linalg, prolong, realize
+from crprolong import model as model_module
 from crprolong.linalg import sparse_int_nullspace
 from crprolong.model import QuadricModel, build_levi_tanaka
 from crprolong.realize import express_in_span, realize_basis
@@ -358,8 +359,8 @@ def _model(name):
     if name.startswith("random"):
         return random_models(count=int(name[7:]) + 1)[-1]
     if name[2:9] == "_family":
-        size = int(name[10:-1])
-        return catalog.get(name[:9], n=size, m=size).model
+        size = {"n" if name[1] == "o" else "m": int(name[10:-1])}
+        return catalog.get(name[:9], **size).model
     base, _, extra = name.partition("+")
     return catalog.get(base, extra=int(extra or 0)).model
 
@@ -487,9 +488,10 @@ def _contract_model():
 def test_every_kernel_binding_gets_int_rows(monkeypatch, codim5_result):
     """The eliminator takes integer rows only: each caller scales its own
     rational rows.  Every row that reaches the kernel from ``linalg``
-    (``ExactMatrix.nullspace``), ``realize`` (``express_in_span``) and
-    ``prolong`` (the systems and the faithfulness test of ``check_jacobi``)
-    holds only ``int`` entries, on rational and Gaussian-rational inputs."""
+    (``gi_nullspace``), ``model`` (the independence check of ``validate``),
+    ``realize`` (``express_in_span``) and ``prolong`` (the systems and the
+    faithfulness test of ``check_jacobi``) holds only ``int`` entries, on
+    rational and Gaussian-rational inputs."""
     seen = {}
 
     def recorder(module):
@@ -499,7 +501,7 @@ def test_every_kernel_binding_gets_int_rows(monkeypatch, codim5_result):
             return sparse_int_nullspace(rows, ncols, **kwargs)
         return capture
 
-    for module in (linalg, realize, prolong):
+    for module in (linalg, model_module, realize, prolong):
         monkeypatch.setattr(module, "sparse_int_nullspace", recorder(module))
 
     model = _contract_model()
@@ -517,6 +519,7 @@ def test_every_kernel_binding_gets_int_rows(monkeypatch, codim5_result):
     result = prolong.prolong_full(catalog.get("heisenberg").model, use_cache=False)
     assert result.algebra.check_jacobi() > 0
 
-    assert set(seen) == {"crprolong.linalg", "crprolong.realize", "crprolong.prolong"}
+    assert set(seen) == {"crprolong.linalg", "crprolong.model", "crprolong.realize",
+                         "crprolong.prolong"}
     for rows in seen.values():
         assert rows and all(type(v) is int for row in rows for v in row.values())
