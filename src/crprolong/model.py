@@ -147,11 +147,18 @@ class QuadricModel:
         without row swaps yields these minors (scaled by D^m > 0) as its
         pivots, so one pass replaces a determinant per minor; it stops at the
         first pivot that is zero or has the wrong sign.
+
+        A diagonal position that is zero in every form is zero in every
+        candidate, so the diagonal filter rejects them all: the search then
+        returns None before it enumerates any, as it would after the loop,
+        capped or not.
         """
         if bound < 1:
             return None
-        n = self.n
-        forms = _multiples(self.integer_forms()[1], bound)
+        n, flats = self.n, self.integer_forms()[1]
+        if not all(any(f[a] for f in flats) for a in range(0, n * n, n + 1)):
+            return None
+        forms = _multiples(flats, bound)
         for count, c in enumerate(_signed_tuples(self.k, bound)):
             if count >= _DEFINITE_LIMIT:
                 return None
@@ -202,13 +209,26 @@ def tumanov_search(model: QuadricModel):
     exhausted; existence of such a c is the Tumanov nondegeneracy condition.
     Each determinant is one Bareiss pass on the integer forms (D^n det != 0);
     a combination with a zero row is singular and skips the pass.
+
+    Bit j of ``masks[a]`` is set when row a of D H_j is nonzero.  If the
+    support of c misses ``masks[a]``, row a of sum c_j H_j is a sum of zero
+    rows, so c is skipped before its combination is built; if some mask is
+    0, every candidate is skipped and the search returns None at once.
     """
     if not all(h.is_hermitian() for h in model.hermitian):
         raise DegenerateModelError("tumanov search requires Hermitian forms")
-    forms = _multiples(model.integer_forms()[1], _TUMANOV_BOUND)
-    zero_row = [(0, 0)] * model.n
+    n, flats = model.n, model.integer_forms()[1]
+    zero_row = [(0, 0)] * n
+    rows = [_pair_rows(f, n) for f in flats]
+    masks = [sum(1 << j for j, r in enumerate(rows) if r[a] != zero_row) for a in range(n)]
+    if not all(masks):
+        return None
+    forms = _multiples(flats, _TUMANOV_BOUND)
     for c in _signed_tuples(model.k, _TUMANOV_BOUND):
-        m = _combination(forms, c, model.n)
+        support = sum(1 << j for j, cj in enumerate(c) if cj)
+        if not all(support & mask for mask in masks):
+            continue
+        m = _combination(forms, c, n)
         if zero_row not in m and [*gi_bareiss(m)][-1] != (0, 0):
             return c
     return None

@@ -35,10 +35,17 @@ GOLDEN = {
         "8656223a67eb3d9a299eb0bd14d48e962ae5eafbacb0e445f2d01cb9dea0b1b1",
     "report --json --catalog codim4":
         "db346ad29ca8e5afd997c9e03755218702b0ac10430c779e5dc5101811ba9f5b",
-    # the capped definite search (k = 9) and a Tumanov search over 15,781
-    # candidates
+    # k = 9, past the definite search's 3,000-candidate cap, and a Tumanov
+    # search that skips 15,780 candidates before it builds its witness
     "report --json --catalog codim5 --extra 4":
         "704930d6d6828f2bfe1e2665df4e6c400e786d141d9c916ca5b24f766f664e23",
+    # both searches skip every candidate the forms' zero pattern rules out:
+    # no definite candidate, one Tumanov build
+    "validate --json --catalog codim5 --extra 3":
+        "846f076d0b7b50c7f441d3ed35b0087d27fa50425d3e140263b47fa009c9b592",
+    # also pinned in perfbench/references.json
+    "report --json --catalog codim5 --extra 2":
+        "2046bc2c5180032bf895a468133814f4a2ac0bd9f50d8c192e1b06317d3b3ddc",
     "realize --degree 6 --json --catalog codim5":
         "2cafa3db208dd330558d33ca429f580232d5e01b3498e94214b227228a44ed6f",
     # so_family(3) is the codim4 quadric, so these are the codim4 bytes

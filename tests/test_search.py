@@ -6,10 +6,13 @@ definite search filters candidates by their diagonal and reads every leading
 principal minor off one Bareiss pass.  ``tests/reference.py`` keeps the route
 that built each combination as an ``ExactMatrix`` and ran one determinant per
 leading minor.  Both must return the same c (or None) on the catalog ladder,
-on seeded random Hermitian models and on a model where the 3,000-candidate
-cap decides the verdict.
+on seeded random Hermitian models and on models where the 3,000-candidate
+cap would decide the verdict.  The library skips the candidates that the
+forms' zero pattern rules out (a diagonal position or a row zero in the
+forms they combine); the counts below show which candidates it builds.
 """
 
+import json
 import random
 from fractions import Fraction
 
@@ -20,6 +23,7 @@ from reference import _combine, _leading_minors, dense_definite_combination, den
 
 from crprolong import catalog
 from crprolong import model as model_module
+from crprolong.cli import main
 from crprolong.model import QuadricModel, _signed_tuples, tumanov_search
 from crprolong.scalars import GaussianRational
 
@@ -83,6 +87,43 @@ def test_random_searches_match_reference(model):
     assert tumanov_search(model) == dense_tumanov_search(model)
 
 
+def _counting(monkeypatch):
+    """Count the candidates the searches enumerate and the combinations they
+    build; a candidate enumerated but not built was skipped."""
+    counts = {"enumerated": 0, "built": 0}
+    signed_tuples, combination = model_module._signed_tuples, model_module._combination
+
+    def counted_tuples(k, bound):
+        for c in signed_tuples(k, bound):
+            counts["enumerated"] += 1
+            yield c
+
+    def counted_combination(*args):
+        counts["built"] += 1
+        return combination(*args)
+
+    monkeypatch.setattr(model_module, "_signed_tuples", counted_tuples)
+    monkeypatch.setattr(model_module, "_combination", counted_combination)
+    return counts
+
+
+def test_random_models_reach_both_skips(monkeypatch):
+    """The seeded set reaches the definite search's return on a diagonal
+    position zero in every form, the Tumanov search's return on a row zero in
+    every form, and its skip of a candidate that misses a row's forms."""
+    counts = _counting(monkeypatch)
+    definite_skips = tumanov_returns = tumanov_skips = 0
+    for model in random_models():
+        counts.update(enumerated=0, built=0)
+        model._definite_combination(1)
+        definite_skips += counts["enumerated"] == 0
+        counts.update(enumerated=0, built=0)
+        tumanov_search(model)
+        tumanov_returns += counts["enumerated"] == 0
+        tumanov_skips += counts["enumerated"] > counts["built"] > 0
+    assert definite_skips and tumanov_returns and tumanov_skips
+
+
 def _definite_sign(matrix):
     """1 or -1 if the Hermitian matrix is positive or negative definite, else 0."""
     minors = [determinant(sub).re for sub in _leading_minors(matrix)]
@@ -143,3 +184,53 @@ def test_cap_counts_filtered_candidates(monkeypatch):
     assert dense_definite_combination(model, 1, 3158) is None
     assert dense_definite_combination(model, 1, 3159) == first
     assert model.validate().definite_combination is None
+
+
+def _zero_diagonal_model():
+    """k = 8 forms on C^3 spanning the Hermitian forms with a zero (3, 3) entry:
+    E_11, E_22 / 2 and, for (a, b) = (1, 2), (1, 3), (2, 3), E_ab + E_ba and
+    i (E_ab - E_ba).  They validate, and no row is zero in every form, but
+    every candidate of the definite search has a zero diagonal entry."""
+    z, one, i = GaussianRational(0), GaussianRational(1), GaussianRational(0, 1)
+    forms = [[[one, z, z], [z, z, z], [z, z, z]],
+             [[z, z, z], [z, GaussianRational(Fraction(1, 2)), z], [z, z, z]]]
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        for x in (one, i):
+            h = [[z] * 3 for _ in range(3)]
+            h[a][b], h[b][a] = x, x.conjugate()
+            forms.append(h)
+    return QuadricModel(forms)
+
+
+def test_zero_diagonal_position_skips_the_capped_search(monkeypatch):
+    model = _zero_diagonal_model()
+    assert model.validate(0).all_passed
+    assert len(list(_signed_tuples(model.k, 1))) > model_module._DEFINITE_LIMIT
+    assert dense_definite_combination(model, 1) is None
+    assert dense_definite_combination(model, 1, 3 ** model.k) is None
+    assert tumanov_search(model) == dense_tumanov_search(model)
+    counts = _counting(monkeypatch)
+    assert model._definite_combination(1) is None
+    assert counts == {"enumerated": 0, "built": 0}
+
+
+@pytest.mark.parametrize("extra", [2, 4])
+def test_tumanov_builds_one_candidate_on_codim5_extensions(extra, monkeypatch):
+    """Each sphere direction's form is the only one with a nonzero new row,
+    so every candidate before the witness misses a row and is skipped."""
+    model = catalog.get("codim5", extra=extra).model
+    counts = _counting(monkeypatch)
+    assert tumanov_search(model) == (0, 0, 1, 0, 0) + (1,) * extra
+    assert counts["built"] == 1
+
+
+def test_shared_zero_row_fails_fast(capsys, tmp_path, monkeypatch):
+    """k = 12 forms diag(j, 0) share a zero second row, so `validate` fails
+    the model without enumerating any of the 5^12 - 1 Tumanov candidates."""
+    path = tmp_path / "zero_row.json"
+    forms = [[[j, 0], [0, 0]] for j in range(1, 13)]
+    path.write_text(json.dumps(QuadricModel(forms).to_json()), encoding="utf-8")
+    counts = _counting(monkeypatch)
+    assert main(["validate", str(path)]) == 1
+    assert "tumanov witness: none within bound" in capsys.readouterr().out
+    assert counts == {"enumerated": 0, "built": 0}
